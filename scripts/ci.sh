@@ -41,8 +41,10 @@
 #   sweep-shared: the shared-scan engine's bit-identity differential
 #                 (tests/SharedScanTest.cpp) on the default and portable
 #                 dispatches, then a Release pruned paper sweep under
-#                 both engines timed against the BENCH_PERF.json sweep
-#                 entries (scripts/check_perf.py --sweep-*)
+#                 both engines: their score CSVs must be byte-identical,
+#                 and their timings are checked against the
+#                 BENCH_PERF.json sweep entries (scripts/check_perf.py
+#                 --sweep-*)
 #   perf:         Release perf smoke vs BENCH_PERF.json — the fast and
 #                 batch-backend detector ratios within 25%, the serving
 #                 ratio within 50%, and the committed per-config/shared
@@ -238,13 +240,13 @@ stage_sweep_shared() {
   # Best of 2 per engine: the timings are checked against a ceiling, and
   # the minimum is robust to a run landing in a host throttle window
   # (it can only err in the optimistic direction, which the committed
-  # ratio floor still guards).
+  # ratio floor still guards). Each engine's score CSV is kept.
   time_engine() {
     local best="" s t0 t1
     for _ in 1 2; do
       t0=$(date +%s.%N)
       "$dir/examples/sweep_tool" --preset paper --prune --engine "$1" \
-        --workloads jess --mpls 10K > /dev/null
+        --workloads jess --mpls 10K > "$dir/sweep-$1.csv"
       t1=$(date +%s.%N)
       s=$(python3 -c "print($t1 - $t0)")
       best=$(python3 -c "print(min($s, ${best:-$s}))")
@@ -254,6 +256,10 @@ stage_sweep_shared() {
   local shared_s per_config_s
   shared_s=$(time_engine shared)
   per_config_s=$(time_engine per-config)
+  # The engines must agree on every paper-preset config's score, not
+  # only on the differential suite's grid.
+  echo "=== [sweep-shared] paper sweep scores: shared vs per-config ==="
+  cmp "$dir/sweep-shared.csv" "$dir/sweep-per-config.csv"
   python3 scripts/check_perf.py --sweep-shared "$shared_s" \
     --sweep-per-config "$per_config_s" - BENCH_PERF.json
 }

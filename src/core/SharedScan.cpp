@@ -31,16 +31,29 @@
 //  3. In phase, an adaptive model diverges: startPhase() drops the TW
 //     prefix at the anchor (optionally sliding CW elements across), and
 //     InPhaseGrowth makes every subsequent consume grow the TW. But
-//     none of that depends on any later decision — the evolution is a
-//     pure function of (entry position, anchor value, resize kind) and
-//     the trace. That tuple keys the engine's refcounted shards: a
-//     shard seeds its kernel from the shared kernel (phase entry only
-//     happens synced, where the cursor's window IS the shared window by
-//     (1)), applies startPhase's resize, and then consumes with the
-//     in-phase specialization of the reference consume (TWGrows is
+//     none of that depends on any later decision: from then on the TW
+//     start (Base) stays put, the CW refills one element per position
+//     up to CWSize, and the TW takes what the CW rotates out. A shard
+//     seeds its kernel from the shared kernel (phase entry only happens
+//     synced, where the cursor's window IS the shared window by (1)),
+//     applies startPhase's resize, and then consumes with the in-phase
+//     specialization of the reference consume (TWGrows is
 //     unconditionally true, endPhase never reads the buffer beyond the
 //     kept seed). While a phase is open the reference windowsFull() is
 //     TWLen>0 && CWLen>0, which the shard checks before each decision.
+//
+//     Shards are refcounted and shared by window identity. At position
+//     p a shard holds TW = [Base, p-CWLen), CW = [p-CWLen, p), and the
+//     kernels' decisions are functions of those count vectors alone
+//     (see the SharedScanTest path-independence property), so two
+//     shards with one Base and one CW length at p are the same shard
+//     from p on. A phase entry at N with anchor value A builds Base =
+//     N-CW-TW+A and CW length CW (Move) or CW-min(A,CW) (Slide); it
+//     joins a live shard matching both at N, advancing it there first.
+//     Two shards with one Base but different CW lengths at p differ
+//     until the shorter CW refills, so the refill is the one other
+//     merge point: the refilled shard forwards to its full-CW twin and
+//     each of its cursors moves over on its next evaluation.
 //
 //  4. Constant-TW models also flush at endPhase, but in phase their
 //     consume path is the free-running one (TWGrows is false once the
@@ -105,7 +118,8 @@ class SharedScanEngine final : public SharedScanEngineBase {
   /// copied at phase entry and resized per the anchor, advancing lazily
   /// to its cursors' evaluation positions. Window layout invariant:
   /// TW = Elements[Base, Base+TWLen), CW = Elements[Base+TWLen, LastPos)
-  /// with Base + TWLen + CWLen == LastPos.
+  /// with Base + TWLen + CWLen == LastPos. Base never moves, so a shard's
+  /// identity is (Base, its CW length at a position): see findShard.
   struct Shard {
     /// The detached kernel (assignment reuses its arrays).
     Kernel K;
@@ -117,14 +131,11 @@ class SharedScanEngine final : public SharedScanEngineBase {
     uint64_t CWLen = 0;
     /// Elements consumed so far (lazy advance high-water mark).
     uint64_t LastPos = 0;
-    /// Sharing key: the evaluation position the phase opened at...
-    uint64_t EntryPos = 0;
-    /// ...the anchor value applied at entry...
-    uint64_t AnchorVal = 0;
-    /// ...and the resize policy (equal anchors evolve identically
-    /// regardless of which anchor *kind* produced them).
-    ResizeKind Resize = ResizeKind::Slide;
-    /// Cursors currently reading this shard.
+    /// Set when a refill made this shard a duplicate of a full-CW shard
+    /// with the same Base: the shard its cursors move to. Holds one
+    /// reference on it until this shard is released.
+    Shard *Into = nullptr;
+    /// Cursors currently reading this shard (plus merged-in shards).
     uint32_t Refs = 0;
 
     explicit Shard(SiteIndex NumSites) : K(NumSites) {}
@@ -193,6 +204,7 @@ public:
     assert(!Members.empty() && "shared scan group must be nonempty");
     assert(Runs.size() >= Members.size() && "one output run per member");
     setupGroup(Configs, Members, Runs, NumElements);
+    Counters = SharedScanCounters();
     this->Elements = Elements;
     this->NumElements = NumElements;
 
@@ -367,14 +379,42 @@ private:
     return TW;
   }
 
+  /// The CW length \p S holds once advanced to \p N (a Slide-resized CW
+  /// refills one element per position; a full one stays full).
+  uint64_t cwLenAt(const Shard &S, uint64_t N) const {
+    assert(S.LastPos <= N && "shards never run ahead of the scan");
+    return std::min<uint64_t>(CW, S.CWLen + (N - S.LastPos));
+  }
+
+  /// The active, unmerged shard other than \p Except whose windows at
+  /// \p N are TW = [Base, N - CWLen), CW = [N - CWLen, N), or null. Every
+  /// kernel decision is a function of those two count vectors, so such a
+  /// shard is interchangeable with any other holding the same windows.
+  Shard *findShard(uint64_t Base, uint64_t CWLenAtN, uint64_t N,
+                   const Shard *Except) const {
+    for (Shard *S : ActiveShards)
+      if (S != Except && !S->Into && S->Base == Base &&
+          cwLenAt(*S, N) == CWLenAtN)
+        return S;
+    return nullptr;
+  }
+
   /// Forks or joins the shard for a phase opening at \p N with anchor
   /// value \p A under \p Resize.
   Shard *acquireShard(uint64_t N, uint64_t A, ResizeKind Resize) {
-    for (Shard *S : ActiveShards)
-      if (S->EntryPos == N && S->AnchorVal == A && S->Resize == Resize) {
-        ++S->Refs;
-        return S;
-      }
+    // The windows startPhase builds: the TW prefix up to the anchor
+    // dropped, then (Slide) Take elements moved from the CW's front.
+    uint64_t Base = N - CW - TW + A;
+    uint64_t Take = Resize == ResizeKind::Slide ? std::min<uint64_t>(A, CW) : 0;
+    if (Shard *S = findShard(Base, CW - Take, N, nullptr)) {
+      ++S->Refs;
+      ++Counters.ShardJoins;
+      S = shardAt(S, N);
+      assert(S->Base == Base && S->TWLen == TW - A + Take &&
+             S->CWLen == CW - Take &&
+             "a joined shard must hold the windows a fork would build");
+      return S;
+    }
 
     Shard *S;
     if (!FreeShards.empty()) {
@@ -384,6 +424,7 @@ private:
       ShardPool.push_back(std::make_unique<Shard>(Sites));
       S = ShardPool.back().get();
     }
+    ++Counters.ShardsForked;
 
     // Seed from the shared window (the entering cursor's window is the
     // shared window — phase entry only happens synced), then apply
@@ -393,9 +434,6 @@ private:
     S->TWLen = TW;
     S->CWLen = CW;
     S->LastPos = N;
-    S->EntryPos = N;
-    S->AnchorVal = A;
-    S->Resize = Resize;
     S->Refs = 1;
 
     // dropTWPrefix(A).
@@ -404,16 +442,13 @@ private:
       S->K.twRemove(Elements[S->Base + I]);
     S->Base += A;
     S->TWLen -= A;
-    if (Resize == ResizeKind::Slide) {
-      // Slide the TW right across the CW, as startPhase: Take computed
-      // against the pre-slide CW length.
-      uint64_t Take = std::min<uint64_t>(A, S->CWLen);
-      for (uint64_t I = 0; I != Take; ++I) {
-        SiteIndex X = Elements[S->Base + S->TWLen];
-        S->K.moveCWToTW(X);
-        ++S->TWLen;
-        --S->CWLen;
-      }
+    // Slide the TW right across the CW, as startPhase (Take is taken
+    // against the pre-slide CW length, CW).
+    for (uint64_t I = 0; I != Take; ++I) {
+      SiteIndex X = Elements[S->Base + S->TWLen];
+      S->K.moveCWToTW(X);
+      ++S->TWLen;
+      --S->CWLen;
     }
 
     ActiveShards.push_back(S);
@@ -424,6 +459,10 @@ private:
     assert(S->Refs > 0 && "releasing an unreferenced shard");
     if (--S->Refs != 0)
       return;
+    if (S->Into) {
+      releaseShard(S->Into);
+      S->Into = nullptr;
+    }
     // Swap-erase: shards are independent, order is irrelevant.
     auto It = std::find(ActiveShards.begin(), ActiveShards.end(), S);
     assert(It != ActiveShards.end() && "released shard not active");
@@ -434,8 +473,12 @@ private:
 
   /// Advances \p S to position \p N with the in-phase consume: the fill
   /// path while a Slide left the CW partial, then the InPhaseGrowth
-  /// specialization (the TW grows on every rotation).
+  /// specialization (the TW grows on every rotation). A refill that
+  /// completes here is the one point after entry where two shards with
+  /// the same Base converge, so it links \p S to its full-CW twin.
   void advanceShard(Shard &S, uint64_t N) {
+    bool Filling = S.CWLen < CW;
+    Counters.ShardSteps += N - S.LastPos;
     for (uint64_t Q = S.LastPos; Q != N; ++Q) {
       SiteIndex E = Elements[Q];
       if (S.CWLen < CW) {
@@ -449,6 +492,29 @@ private:
       }
     }
     S.LastPos = N;
+    if (Filling && S.CWLen == CW) {
+      S.Into = findShard(S.Base, CW, N, &S);
+      if (S.Into)
+        ++S.Into->Refs;
+    }
+  }
+
+  /// Advances a cursor's shard \p S to \p N and moves the cursor's
+  /// reference along any refill merges; returns the shard it ends on.
+  /// A merged shard is not advanced again: its twin holds the same
+  /// windows from the merge on.
+  Shard *shardAt(Shard *S, uint64_t N) {
+    for (;;) {
+      if (!S->Into)
+        advanceShard(*S, N);
+      Shard *T = S->Into;
+      if (!T)
+        return S;
+      ++T->Refs;
+      releaseShard(S);
+      ++Counters.RefillMerges;
+      S = T;
+    }
   }
 
   void evalBucket(Bucket &B, uint64_t N, uint64_t L) {
@@ -473,9 +539,11 @@ private:
       // state must survive untouched).
       New = PhaseState::Transition;
     } else if (C.Sh) {
-      // Adaptive, in phase: decide off the detached shard.
+      // Adaptive, in phase: decide off the detached shard (most
+      // evaluations find it already advanced here by another cursor).
+      if (C.Sh->LastPos != N || C.Sh->Into)
+        C.Sh = shardAt(C.Sh, N);
       Shard &S = *C.Sh;
-      advanceShard(S, N);
       if (S.TWLen == 0 || S.CWLen == 0) {
         // The in-phase windowsFull(): an anchor drop that emptied the
         // TW (Move) or a slide that emptied the CW forces a Transition.

@@ -17,17 +17,30 @@
 /// and it pins the paper preset's group structure so plan regressions
 /// are loud.
 ///
+/// In-phase adaptive shards are shared by the windows they hold, not by
+/// how they were created. The corner cases of that identity rule run on
+/// a hand-built trace whose shard timeline is known exactly (forks,
+/// joins and refill merges are pinned through the engine's counters),
+/// and a property test pins its premise: every kernel's similarity is a
+/// function of the CW/TW count vectors alone, whatever the order of the
+/// operations that produced them.
+///
 //===----------------------------------------------------------------------===//
 
 #include "core/DetectorRunner.h"
 #include "core/FastDetector.h"
+#include "core/FastKernels.h"
 #include "core/SharedScan.h"
 #include "harness/Experiment.h"
 #include "harness/Sweep.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
 #include <map>
 #include <memory>
 
@@ -312,4 +325,358 @@ TEST(SharedScanTest, EngineReuseAcrossGroupsMatchesFreshEngines) {
       expectRunsEqual(Forward[G.Members[I]], GroupRuns[I],
                       Configs[G.Members[I]], "warm reuse");
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Shard identity
+//
+// The trace below is ten never-repeating sites, then a loop over four
+// sites from position 10 on (optionally ending in fresh never-repeating
+// sites). At CW = TW = 20 every adaptive cursor's first full evaluation
+// N, for any N in [40, 50], sees similarity 1 (Threshold 0.5 and an
+// empty Average both open a phase) and anchors at the loop's first
+// element: A = 50 - N, Base = 10, with either anchor kind. A Move shard
+// then holds TW = [10, p - 20), CW = [p - 20, p) at every position p; a
+// Slide shard holds TW = [10, 30), CW = [30, p) until its CW refills at
+// p = 50, and the Move shard's windows from then on. So all Slide shards
+// are one shard, all Move shards are one shard, and the two converge at
+// position 50. A skip-S cursor evaluates at multiples of S.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+constexpr uint32_t IdWindow = 20;
+
+BranchTrace makeLoopTrace(uint64_t Len, uint64_t LoopEnd = UINT64_MAX) {
+  BranchTrace Trace;
+  uint32_t Fresh = 4;
+  for (uint64_t Q = 0; Q != Len; ++Q) {
+    bool Loop = Q >= 10 && Q < LoopEnd;
+    uint32_t Site = Loop ? static_cast<uint32_t>(Q % 4) : Fresh++;
+    Trace.append(ProfileElement(0, Site, true));
+  }
+  return Trace;
+}
+
+DetectorConfig idConfig(ResizeKind Resize, uint32_t Skip,
+                        AnalyzerKind Analyzer,
+                        ModelKind Model = ModelKind::UnweightedSet) {
+  DetectorConfig C;
+  C.Window.CWSize = IdWindow;
+  C.Window.TWSize = IdWindow;
+  C.Window.SkipFactor = Skip;
+  C.Window.TWPolicy = TWPolicyKind::Adaptive;
+  C.Window.Resize = Resize;
+  C.Model = Model;
+  C.TheAnalyzer = Analyzer;
+  C.AnalyzerParam = Analyzer == AnalyzerKind::Average ? 0.1 : 0.5;
+  return C;
+}
+
+/// (resize, skip) per cursor, in group (and therefore bucket) order.
+using CursorSpec = std::vector<std::pair<ResizeKind, uint32_t>>;
+
+/// Runs \p Spec as one shared-scan group under \p Analyzer and \p Model
+/// on both kernel backends, requiring every cursor's run to be
+/// bit-identical to its own FastPhaseDetector and reference detector,
+/// and returns the engine's counters.
+SharedScanCounters runIdentityGroup(const CursorSpec &Spec,
+                                    AnalyzerKind Analyzer, ModelKind Model,
+                                    const BranchTrace &Trace) {
+  std::vector<DetectorConfig> Configs;
+  std::vector<size_t> Members;
+  for (const auto &[Resize, Skip] : Spec) {
+    Members.push_back(Configs.size());
+    Configs.push_back(idConfig(Resize, Skip, Analyzer, Model));
+  }
+  std::unique_ptr<SharedScanEngineBase> Engine =
+      makeSharedScanEngine(Model, Trace.numSites());
+  SharedScanCounters Counters;
+  for (bool Batch : {false, true}) {
+    Engine->setBatchKernels(Batch);
+    std::vector<DetectorRun> Runs(Configs.size());
+    Engine->run(Configs, Members, Trace.elements().data(), Trace.size(),
+                Runs);
+    Counters = Engine->counters();
+    for (size_t I = 0; I != Configs.size(); ++I) {
+      std::unique_ptr<FastDetectorBase> Fast =
+          makeFastDetector(Configs[I], Trace.numSites());
+      expectRunsEqual(runDetector(*Fast, Trace), Runs[I], Configs[I],
+                      Batch ? "identity vs fast" : "identity portable");
+      std::unique_ptr<PhaseDetector> Reference =
+          makeDetector(Configs[I], Trace.numSites());
+      expectRunsEqual(runDetector(*Reference, Trace), Runs[I], Configs[I],
+                      "identity vs reference");
+    }
+  }
+  return Counters;
+}
+
+struct ExpectedShards {
+  uint64_t Forked, Joins, Merges;
+};
+
+/// runIdentityGroup under both analyzers on every model, pinning the
+/// unweighted counters to \p Expected (on this trace the other models'
+/// similarities differ, and with them the entry positions).
+void checkIdentityCase(const CursorSpec &Spec, const BranchTrace &Trace,
+                       ExpectedShards Expected,
+                       bool AverageMatches = true) {
+  for (AnalyzerKind Analyzer :
+       {AnalyzerKind::Threshold, AnalyzerKind::Average}) {
+    for (ModelKind Model : {ModelKind::UnweightedSet, ModelKind::WeightedSet,
+                            ModelKind::ManhattanBBV}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "analyzer " << static_cast<int>(Analyzer) << " model "
+                   << static_cast<int>(Model));
+      SharedScanCounters C = runIdentityGroup(Spec, Analyzer, Model, Trace);
+      if (Model != ModelKind::UnweightedSet ||
+          (Analyzer == AnalyzerKind::Average && !AverageMatches))
+        continue;
+      EXPECT_EQ(C.ShardsForked, Expected.Forked);
+      EXPECT_EQ(C.ShardJoins, Expected.Joins);
+      EXPECT_EQ(C.RefillMerges, Expected.Merges);
+      EXPECT_GT(C.ShardSteps, 0u);
+    }
+  }
+}
+
+constexpr ResizeKind Slide = ResizeKind::Slide;
+constexpr ResizeKind Move = ResizeKind::Move;
+
+} // namespace
+
+// Two cursors entering a phase at different positions (40 and 42) with
+// the same Base hold the same windows from 42 on: one fork, one join.
+// Keyed by entry event, they would have forked a shard each.
+TEST(SharedScanIdentityTest, DifferentEntriesSameBaseForkOneShard) {
+  checkIdentityCase({{Move, 1}, {Move, 7}}, makeLoopTrace(120), {1, 1, 0});
+}
+
+// A Slide cursor (entered at 40) refills at 50 into the Move shard
+// forked at 42; the Move shard lags at 49 when the merge looks it up.
+// The sliding cursor is the shard's only one, so it leaves (and frees)
+// its shard on the evaluation where it merges.
+TEST(SharedScanIdentityTest, SlideRefillsIntoMoveShardEnteredElsewhere) {
+  checkIdentityCase({{Move, 7}, {Slide, 1}}, makeLoopTrace(120), {2, 0, 1});
+}
+
+// Slide forks joining an older same-Base Slide shard (forked at 40 by
+// the skip-5 cursor): the skip-7 cursor joins it lagging at 40 and the
+// skip-3 cursor, evaluated after it at 42, joins it already at 42. At 50
+// it refills into the Move shard; each of its three cursors merges on
+// its next evaluation, the last (skip 7, at 56) freeing it.
+TEST(SharedScanIdentityTest, SlideForksJoinOlderSlideShard) {
+  checkIdentityCase({{Slide, 5}, {Slide, 7}, {Slide, 3}, {Move, 2}},
+                    makeLoopTrace(120), {2, 2, 3});
+}
+
+// The loop ends at 45, so at 50 the Threshold cursors leave the phase:
+// the Slide cursor (its bucket first) merges into the Move shard and
+// releases it on that same evaluation, then the Move cursor releases it
+// too. (The Average cursors leave at other positions.)
+TEST(SharedScanIdentityTest, MergeOnTheEvaluationThatEndsThePhase) {
+  checkIdentityCase({{Slide, 10}, {Move, 1}}, makeLoopTrace(120, 45),
+                    {2, 0, 1}, /*AverageMatches=*/false);
+}
+
+// The trace ends at 53: the skip-7 Slide cursor last evaluates at 49
+// (CW 19 long), so its refill and merge happen in the trailing short
+// batch.
+TEST(SharedScanIdentityTest, MergeInTheTrailingShortBatch) {
+  checkIdentityCase({{Move, 1}, {Slide, 7}}, makeLoopTrace(53), {2, 0, 1});
+}
+
+// Counters describe the last run() only.
+TEST(SharedScanIdentityTest, CountersResetPerRun) {
+  BranchTrace Trace = makeLoopTrace(120);
+  std::vector<DetectorConfig> Configs = {
+      idConfig(Move, 1, AnalyzerKind::Threshold),
+      idConfig(Slide, 1, AnalyzerKind::Threshold)};
+  std::unique_ptr<SharedScanEngineBase> Engine =
+      makeSharedScanEngine(ModelKind::UnweightedSet, Trace.numSites());
+  EXPECT_EQ(Engine->counters().ShardsForked, 0u);
+  std::vector<DetectorRun> Runs(2);
+  for (int Pass = 0; Pass != 2; ++Pass) {
+    Engine->run(Configs, {0, 1}, Trace.elements().data(), Trace.size(), Runs);
+    EXPECT_EQ(Engine->counters().ShardsForked, 2u);
+    EXPECT_EQ(Engine->counters().RefillMerges, 1u);
+    // Both shards step from their entry at 40: the Slide one to its merge
+    // at 50, the Move one to the trace end.
+    EXPECT_EQ(Engine->counters().ShardSteps, (50u - 40u) + (120u - 40u));
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Path independence of the kernels
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A kernel's windows as element lists.
+struct WindowContents {
+  std::vector<SiteIndex> CW, TW;
+};
+
+SiteIndex takeAt(std::vector<SiteIndex> &V, size_t I) {
+  SiteIndex S = V[I];
+  V[I] = V.back();
+  V.pop_back();
+  return S;
+}
+
+/// Drives \p K through a random walk over every mutator, with exact
+/// similarity() calls (which clean a weighted kernel) sprinkled in, then
+/// \p DirtyTail count-changing operations and no similarity call — each
+/// of which widens a weighted kernel's MinSum envelope. Returns the
+/// windows the walk ends on.
+template <typename KernelT>
+WindowContents randomWalk(KernelT &K, Xoshiro256 &Rng, SiteIndex NumSites,
+                          unsigned Steps, unsigned DirtyTail) {
+  WindowContents W;
+  std::vector<SiteIndex> Enrolled;
+  auto Site = [&] {
+    SiteIndex S = static_cast<SiteIndex>(Rng.nextBelow(NumSites));
+    Enrolled.push_back(S);
+    return S;
+  };
+  auto Step = [&](bool AllowReplace) {
+    // Bias toward growth while small, so the windows stay populated.
+    unsigned Op = static_cast<unsigned>(Rng.nextBelow(AllowReplace ? 7 : 5));
+    if (W.CW.size() + W.TW.size() < 40 && Rng.nextBool(0.5))
+      Op = static_cast<unsigned>(Rng.nextBelow(2));
+    switch (Op) {
+    case 0: {
+      SiteIndex S = Site();
+      K.cwAdd(S);
+      W.CW.push_back(S);
+      break;
+    }
+    case 1: {
+      SiteIndex S = Site();
+      K.twAdd(S);
+      W.TW.push_back(S);
+      break;
+    }
+    case 2:
+      if (!W.CW.empty())
+        K.cwRemove(takeAt(W.CW, Rng.nextBelow(W.CW.size())));
+      break;
+    case 3:
+      if (!W.TW.empty())
+        K.twRemove(takeAt(W.TW, Rng.nextBelow(W.TW.size())));
+      break;
+    case 4:
+      if (!W.CW.empty()) {
+        SiteIndex S = takeAt(W.CW, Rng.nextBelow(W.CW.size()));
+        K.moveCWToTW(S);
+        W.TW.push_back(S);
+      }
+      break;
+    case 5:
+      if (!W.CW.empty()) {
+        size_t I = Rng.nextBelow(W.CW.size());
+        SiteIndex In = Site();
+        K.cwReplace(In, W.CW[I]);
+        W.CW[I] = In;
+      }
+      break;
+    case 6:
+      // twReplace's precondition: In was enrolled since the last reset.
+      if (!W.TW.empty()) {
+        size_t I = Rng.nextBelow(W.TW.size());
+        SiteIndex In = Enrolled[Rng.nextBelow(Enrolled.size())];
+        K.twReplace(In, W.TW[I]);
+        W.TW[I] = In;
+      }
+      break;
+    }
+  };
+  for (unsigned I = 0; I != Steps; ++I) {
+    Step(/*AllowReplace=*/true);
+    if (Rng.nextBool(0.05))
+      (void)K.similarity();
+  }
+  (void)K.similarity();
+  for (unsigned I = 0; I != DirtyTail; ++I)
+    Step(/*AllowReplace=*/false);
+  return W;
+}
+
+uint64_t bitsOf(double D) { return std::bit_cast<uint64_t>(D); }
+
+/// Builds the windows of \p W into a fresh kernel in a different order
+/// than the walk did — shuffled, with CW and TW adds interleaved — and
+/// requires bit-equal similarity() and similarityAtLeast(T) against the
+/// walked kernel \p Walked over a threshold sweep that includes the
+/// exact similarity and its neighbouring doubles. Each threshold is
+/// decided on a fresh copy of \p Walked, so a dirty kernel decides every
+/// threshold from its envelope state.
+template <typename KernelT>
+void expectSameDecisions(const KernelT &Walked, WindowContents W,
+                         Xoshiro256 &Rng, SiteIndex NumSites) {
+  KernelT Direct(NumSites);
+  for (size_t I = W.CW.size(); I > 1; --I)
+    std::swap(W.CW[I - 1], W.CW[Rng.nextBelow(I)]);
+  for (size_t I = W.TW.size(); I > 1; --I)
+    std::swap(W.TW[I - 1], W.TW[Rng.nextBelow(I)]);
+  size_t C = 0, T = 0;
+  while (C != W.CW.size() || T != W.TW.size()) {
+    if (T == W.TW.size() || (C != W.CW.size() && Rng.nextBool(0.5)))
+      Direct.cwAdd(W.CW[C++]);
+    else
+      Direct.twAdd(W.TW[T++]);
+  }
+  ASSERT_EQ(Direct.cwTotal(), Walked.cwTotal());
+  ASSERT_EQ(Direct.twTotal(), Walked.twTotal());
+
+  double Exact = Direct.similarity();
+  KernelT Copy = Walked;
+  EXPECT_EQ(bitsOf(Copy.similarity()), bitsOf(Exact));
+
+  std::vector<double> Thresholds = {-0.5, 0.0, 1.0, 1.5, Exact,
+                                    std::nextafter(Exact, -1.0),
+                                    std::nextafter(Exact, 2.0)};
+  for (int I = 1; I != 100; ++I)
+    Thresholds.push_back(I / 100.0);
+  for (double Th : Thresholds) {
+    Copy = Walked;
+    bool Expected = Exact >= Th;
+    EXPECT_EQ(Copy.similarityAtLeast(Th), Expected) << "threshold " << Th;
+    EXPECT_EQ(Direct.similarityAtLeast(Th), Expected) << "threshold " << Th;
+  }
+}
+
+template <ModelKind M> void checkPathIndependence() {
+  using Kernel =
+      typename fastkernels::KernelOf<M, PlainKernelArith>::type;
+  constexpr SiteIndex NumSites = 24;
+  Xoshiro256 Rng(0x5eed0000 + static_cast<uint64_t>(M));
+  // Tails: clean, a narrow envelope, and (weighted) a wide one.
+  for (unsigned DirtyTail : {0u, 1u, 3u, 400u}) {
+    for (int Trial = 0; Trial != 40; ++Trial) {
+      SCOPED_TRACE(::testing::Message()
+                   << "tail " << DirtyTail << " trial " << Trial);
+      Kernel Walked(NumSites);
+      for (bool Batch : {false, true}) {
+        Walked.reset();
+        Walked.setBatchEnabled(Batch);
+        WindowContents W = randomWalk(Walked, Rng, NumSites,
+                                      /*Steps=*/300, DirtyTail);
+        expectSameDecisions(Walked, std::move(W), Rng, NumSites);
+      }
+    }
+  }
+}
+
+} // namespace
+
+// The premise of shard sharing: two kernels holding equal CW/TW count
+// vectors decide identically, however they got there — through any mix
+// of adds, removes, replaces and CW-to-TW moves, and for the weighted
+// kernel with a clean MinSum or a stale one inside its envelope.
+TEST(SharedScanIdentityTest, KernelDecisionsAreFunctionsOfTheCounts) {
+  checkPathIndependence<ModelKind::UnweightedSet>();
+  checkPathIndependence<ModelKind::WeightedSet>();
+  checkPathIndependence<ModelKind::ManhattanBBV>();
 }
