@@ -81,8 +81,8 @@ BENCHMARK_CAPTURE(BM_Detector, weighted_adaptive, ModelKind::WeightedSet,
 
 // The monomorphic fast path (core/FastDetector.h) over the exact
 // configurations of BM_Detector above: kernel and analyzer inlined into
-// the consume loop, the DetectorRun reused across iterations the way the
-// sweep arenas reuse it. Output is bit-identical to the reference path;
+// the consume loop, the DetectorRun reused across iterations the way a
+// pooled detector reuses it. Output is bit-identical to the reference path;
 // the ratio of the two is the cost of per-element virtual dispatch.
 static void BM_FastDetector(benchmark::State &State, ModelKind Model,
                             TWPolicyKind Policy) {

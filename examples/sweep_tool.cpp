@@ -24,9 +24,9 @@
 ///                                         # equivalence class; scores
 ///                                         # are bit-identical, --stats
 ///                                         # shows the runs saved
-///   sweep_tool --engine per-config ...    # bypass the shared-scan
-///                                         # engine (the differential
-///                                         # oracle; default: shared)
+///
+/// Sweeps run on the shared-scan engine; --stats runs the reference
+/// detector instead, for its observer counters (same scores).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,11 +59,6 @@ int main(int Argc, char **Argv) {
   Args.addFlag("prune", "run one configuration per provable equivalence "
                         "class and fan scores out to the class");
   Args.addFlag("json", "with --plan, emit the plan as JSON");
-  Args.addOption("engine",
-                 "execution engine: 'shared' (one trace pass per "
-                 "window-kernel shape, the default) or 'per-config' "
-                 "(one pass per run; the differential oracle)",
-                 "shared");
   if (!Args.parse(Argc, Argv))
     return Args.helpRequested() ? 0 : 1;
 
@@ -109,18 +104,6 @@ int main(int Argc, char **Argv) {
   RunOptions.ScoreAnchored = Anchored;
   RunOptions.CollectStats = Args.getFlag("stats");
   RunOptions.Prune = Args.getFlag("prune");
-  std::string Engine = Args.getOption("engine");
-  if (Engine == "shared") {
-    RunOptions.SharedScan = true;
-  } else if (Engine == "per-config") {
-    RunOptions.SharedScan = false;
-  } else {
-    std::fprintf(stderr,
-                 "sweep_tool: unknown --engine '%s' (expected 'shared' "
-                 "or 'per-config')\n",
-                 Engine.c_str());
-    return 1;
-  }
 
   std::printf("workload,mpl,model,policy,cw,tw,skip,anchor,resize,"
               "analyzer,param,correlation,sensitivity,falsePositives,"

@@ -5,8 +5,7 @@
 # Algorithms" (CGO 2006).
 #
 # Builds the Release tree, runs the detector benchmarks, times the
-# pruned paper sweep under both execution engines (per-config and
-# shared-scan, median of 3 runs each), and assembles BENCH_PERF.json
+# pruned paper sweep (median of 3 runs), and assembles BENCH_PERF.json
 # at the repo root:
 # per-element throughput for the reference and fast detector paths,
 # their ratios, and the sweep wall time. The committed BENCH_PERF.json
@@ -50,15 +49,13 @@ RAW="$DIR/bench_perf_raw.json"
   --benchmark_enable_random_interleaving=true \
   --benchmark_format=json > "$RAW"
 
-# Times one pruned paper sweep run under the given engine and prints
-# the seconds. Like every other entry, the recorded value is the median
-# of 3 runs: a single sample is hostage to whatever else the machine
-# was doing that minute.
+# Times one pruned paper sweep run and prints the seconds. Like every
+# other entry, the recorded value is the median of 3 runs: a single
+# sample is hostage to whatever else the machine was doing that minute.
 time_sweep() {
-  local ENGINE="$1"
   local START END
   START=$(date +%s.%N)
-  "$DIR/examples/sweep_tool" --preset paper --prune --engine "$ENGINE" \
+  "$DIR/examples/sweep_tool" --preset paper --prune \
     --workloads jess --mpls 10K > /dev/null
   END=$(date +%s.%N)
   python3 -c "print($END - $START)"
@@ -68,15 +65,10 @@ median_of_3() {
   python3 -c "import sys; print(round(sorted(float(a) for a in sys.argv[1:])[1], 1))" "$@"
 }
 
-SWEEP_SECONDS=null
 SWEEP_SHARED_SECONDS=null
 if [ "$SKIP_SWEEP" = 0 ]; then
-  echo "=== [bench] pruned paper sweep, per-config engine (jess, MPL 10K, median of 3) ==="
-  SWEEP_SECONDS=$(median_of_3 \
-    "$(time_sweep per-config)" "$(time_sweep per-config)" "$(time_sweep per-config)")
-  echo "=== [bench] pruned paper sweep, shared-scan engine (median of 3) ==="
-  SWEEP_SHARED_SECONDS=$(median_of_3 \
-    "$(time_sweep shared)" "$(time_sweep shared)" "$(time_sweep shared)")
+  echo "=== [bench] pruned paper sweep (jess, MPL 10K, median of 3) ==="
+  SWEEP_SHARED_SECONDS=$(median_of_3 "$(time_sweep)" "$(time_sweep)" "$(time_sweep)")
 fi
 
 # Serving throughput: a Release opd_serve takes a loadgen fleet and the
@@ -90,13 +82,12 @@ start_opd_serve "$DIR/examples/opd_serve" "$DIR/bench_serve.log"
   --sessions 128 --total 512 --json > "$SERVE_JSON"
 stop_opd_serve
 
-python3 - "$RAW" "$SWEEP_SECONDS" "$SERVE_JSON" "$SWEEP_SHARED_SECONDS" <<'EOF'
+python3 - "$RAW" "$SERVE_JSON" "$SWEEP_SHARED_SECONDS" <<'EOF'
 import json, sys
 
 raw = json.load(open(sys.argv[1]))
-sweep = None if sys.argv[2] == "null" else float(sys.argv[2])
-serving = json.load(open(sys.argv[3]))
-sweep_shared = None if sys.argv[4] == "null" else float(sys.argv[4])
+serving = json.load(open(sys.argv[2]))
+sweep_shared = None if sys.argv[3] == "null" else float(sys.argv[3])
 
 rates = {}
 for b in raw["benchmarks"]:
@@ -139,7 +130,6 @@ out = {
                    "BatchKernel dispatch backend (see "
                    "scripts/check_perf.py); see docs/PERFORMANCE.md",
     "cases": cases,
-    "pruned_paper_sweep_seconds": sweep,
     "sweep_shared_seconds": sweep_shared,
     "serving": {
         "sessions": serving["sessions"],

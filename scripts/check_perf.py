@@ -28,17 +28,12 @@ elements/sec over the single-thread offline fast detector, another
 machine-relative ratio — is checked the same way, with a wider default
 tolerance (50%) because it folds in scheduler and loopback variance.
 
-The sweep wall-clock entries are guarded the same way. Whenever the
-baseline carries both pruned_paper_sweep_seconds (per-config engine)
-and sweep_shared_seconds (shared-scan engine), their ratio must stay at
-or above SWEEP_RATIO_FLOOR — the committed baseline itself proves the
-shared-scan win. --sweep-shared / --sweep-per-config feed freshly
-measured timings in (seconds); each is held to the same >25% regression
-rule as the per-case entries (against its baseline entry, and on the
-machine-relative measured ratio when both are given). Pass "-" as the
-smoke file to run only the sweep checks.
+The shared-scan sweep wall clock is guarded too: --sweep-shared feeds
+a freshly measured pruned paper sweep time in (seconds), held to the
+same >25% regression rule against the baseline's sweep_shared_seconds.
+Pass "-" as the smoke file to run only the sweep check.
 
-Usage: check_perf.py [--sweep-shared S] [--sweep-per-config S]
+Usage: check_perf.py [--sweep-shared S]
                      <smoke.json|-> <baseline.json> [tolerance] [serving.json]
 """
 
@@ -46,51 +41,22 @@ import json
 import sys
 
 SERVING_TOLERANCE = 0.5
-# The shared-scan engine's reason to exist: the committed baseline must
-# show at least this per-config/shared sweep wall-clock ratio.
-SWEEP_RATIO_FLOOR = 1.8
 
 
-def check_sweep(baseline, shared_s, per_config_s, tolerance):
-    """Returns True when a sweep-timing check failed."""
-    base_pc = baseline.get("pruned_paper_sweep_seconds")
-    base_sh = baseline.get("sweep_shared_seconds")
-    if base_pc is None or base_sh is None:
-        if shared_s is not None or per_config_s is not None:
-            print("perf: sweep: baseline lacks sweep entries "
-                  "(rerun scripts/bench.sh): FAILED")
-            return True
-        print("perf: sweep: no baseline entries; skipping")
+def check_sweep(baseline, shared_s, tolerance):
+    """Returns True when the sweep-timing check failed."""
+    if shared_s is None:
         return False
-
-    failed = False
-    base_ratio = base_pc / base_sh
-    verdict = "ok" if base_ratio >= SWEEP_RATIO_FLOOR else "REGRESSION"
-    print(f"perf: sweep: baseline per-config/shared {base_ratio:.2f}x "
-          f"(floor {SWEEP_RATIO_FLOOR:.2f}x) {verdict}")
-    failed |= base_ratio < SWEEP_RATIO_FLOOR
-
-    for name, measured, base in (
-            ("sweep_shared_seconds", shared_s, base_sh),
-            ("pruned_paper_sweep_seconds", per_config_s, base_pc)):
-        if measured is None:
-            continue
-        ceiling = base * (1.0 + tolerance)
-        verdict = "ok" if measured <= ceiling else "REGRESSION"
-        print(f"perf: sweep: {name} {measured:.1f}s "
-              f"(baseline {base:.1f}s, ceiling {ceiling:.1f}s) {verdict}")
-        failed |= measured > ceiling
-
-    if shared_s is not None and per_config_s is not None:
-        # Machine-relative, like the throughput ratios: both engines just
-        # ran on the same host.
-        ratio = per_config_s / shared_s
-        floor = base_ratio * (1.0 - tolerance)
-        verdict = "ok" if ratio >= floor else "REGRESSION"
-        print(f"perf: sweep: measured per-config/shared {ratio:.2f}x "
-              f"(baseline {base_ratio:.2f}x, floor {floor:.2f}x) {verdict}")
-        failed |= ratio < floor
-    return failed
+    base = baseline.get("sweep_shared_seconds")
+    if base is None:
+        print("perf: sweep: baseline lacks sweep_shared_seconds "
+              "(rerun scripts/bench.sh): FAILED")
+        return True
+    ceiling = base * (1.0 + tolerance)
+    verdict = "ok" if shared_s <= ceiling else "REGRESSION"
+    print(f"perf: sweep: sweep_shared_seconds {shared_s:.1f}s "
+          f"(baseline {base:.1f}s, ceiling {ceiling:.1f}s) {verdict}")
+    return shared_s > ceiling
 
 
 def check_serving(serving_path, baseline):
@@ -115,15 +81,12 @@ def check_serving(serving_path, baseline):
 
 def main():
     argv = sys.argv[1:]
-    sweep_shared = sweep_per_config = None
+    sweep_shared = None
     positional = []
     i = 0
     while i < len(argv):
         if argv[i] == "--sweep-shared":
             sweep_shared = float(argv[i + 1])
-            i += 2
-        elif argv[i] == "--sweep-per-config":
-            sweep_per_config = float(argv[i + 1])
             i += 2
         else:
             positional.append(argv[i])
@@ -164,8 +127,7 @@ def main():
                   f"{verdict}")
             failed |= ratio < floor
 
-    failed |= check_sweep(baseline_all, sweep_shared, sweep_per_config,
-                          tolerance)
+    failed |= check_sweep(baseline_all, sweep_shared, tolerance)
 
     if serving_path is not None:
         failed |= check_serving(serving_path, baseline_all)

@@ -33,10 +33,10 @@
 /// plan per model (batchLanePlan()). A configuration is only run on them
 /// when its KernelBounds certificate admits that plan —
 /// admitsBatchLanes() in analysis/KernelBounds.h performs the check, and
-/// the sweep harness wires the verdict into every detector it runs via
-/// FastDetectorBase::setBatchKernels(). Refused configs take the
-/// pre-batch scalar paths (still bit-identical; the refusal is the
-/// certificate gate, not a behavioral fork).
+/// callers wire the verdict in via FastDetectorBase::setBatchKernels()
+/// or, for a whole sweep group, SharedScanEngineBase::setBatchKernels().
+/// Refused configs take the pre-batch scalar paths (still bit-identical;
+/// the refusal is the certificate gate, not a behavioral fork).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -39,9 +39,9 @@ namespace opd {
 
 /// Abstract base of the monomorphic fast-path detectors: an
 /// OnlineDetector that can additionally be re-targeted at another
-/// configuration of the same shape, so sweep arenas reuse the kernel's
-/// per-site count arrays across the thousands of configs sharing a
-/// shape.
+/// configuration of the same shape, so a reuse pool (the serving
+/// detector cache) keeps the kernel's per-site count arrays across the
+/// configs sharing a shape.
 class FastDetectorBase : public OnlineDetector {
 public:
   /// Re-targets this instantiation at \p Config — which must map to this
@@ -50,8 +50,8 @@ public:
   virtual void reconfigure(const DetectorConfig &Config) = 0;
 
   /// The site-space size this instantiation's kernel arrays were built
-  /// for. reconfigure() cannot change it, so reuse pools (the sweep
-  /// arenas and the serving detector cache) key their free lists on
+  /// for. reconfigure() cannot change it, so reuse pools (the serving
+  /// detector cache) key their free lists on
   /// (fastShapeIndex, numSites) to decide whether an instance can be
   /// re-targeted at a new stream or must be rebuilt.
   virtual SiteIndex numSites() const = 0;
@@ -61,8 +61,8 @@ public:
   /// batch path is unconditionally bit-identical to the scalar path (see
   /// BatchKernel.h) — but a batch kernel must refuse a configuration
   /// whose KernelBounds certificate does not admit its compiled lane
-  /// plan, so certificate-aware callers (the sweep harness, tests) pass
-  /// the admitsBatchLanes() verdict here before streaming. The flag
+  /// plan, so certificate-aware callers (tests, benches) pass the
+  /// admitsBatchLanes() verdict here before streaming. The flag
   /// survives reconfigure().
   virtual void setBatchKernels(bool Enabled) = 0;
 

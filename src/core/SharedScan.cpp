@@ -71,7 +71,7 @@
 // similarity is computed once (one weighted-kernel division) and every
 // synced cursor compares it — FastWeightedSetKernel::similarityAtLeast
 // documents that the comparison is provably identical to the
-// division-free decision the per-config path takes. Shard-backed
+// division-free decision the fast detector takes. Shard-backed
 // decisions keep per-kernel similarityAtLeast so the PR 9 BoundLo..
 // BoundHi envelope can defer dirty recomputes.
 //

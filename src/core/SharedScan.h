@@ -9,7 +9,7 @@
 /// The shared-scan execution engine: runs every configuration in a
 /// window-kernel shape group through a **single** pass over the trace,
 /// producing per-config DetectorRuns bit-identical to running each
-/// config through its own FastPhaseDetector.
+/// config through its own detector.
 ///
 /// The enabling observation is position purity: a detector whose
 /// trailing window is not mid-phase holds windows that are a pure
@@ -55,10 +55,11 @@
 /// countdown per stride bucket), so the shared window advances through
 /// the trace in tight eval-to-eval bursts.
 ///
-/// The per-config FastPhaseDetector path remains the differential
-/// oracle: tests/SharedScanTest.cpp drives the full sweep grid through
-/// both and requires bit-identical StateSequences, phases, and
-/// anchored phases on both SIMD and portable backends.
+/// The oracles are FastPhaseDetector and the reference PhaseDetector,
+/// in tests: tests/SharedScanTest.cpp drives the full sweep grid through
+/// the engine and both detectors and requires bit-identical
+/// StateSequences, phases, and anchored phases on both SIMD and
+/// portable backends.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -139,9 +140,9 @@ struct SharedScanCounters {
   uint64_t ShardSteps = 0;
 };
 
-/// A reusable shared-scan engine for one similarity model. Like the
-/// sweep's RunArena detectors, an engine is acquired per worker and
-/// reconfigured per group: cursor arrays, shard pools, and kernel
+/// A reusable shared-scan engine for one similarity model. The sweep
+/// harness keeps one per model in each worker's arena and reuses it
+/// for every group the worker runs: cursor arrays, shard pools, and kernel
 /// count arrays all survive between run() calls, so a sweep performs a
 /// handful of allocations per worker rather than one per group.
 ///

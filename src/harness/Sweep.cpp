@@ -10,7 +10,6 @@
 #include "analysis/ConfigAnalysis.h"
 #include "analysis/KernelBounds.h"
 #include "core/DetectorRunner.h"
-#include "core/FastDetector.h"
 #include "core/SharedScan.h"
 #include "support/Format.h"
 #include "support/Parallel.h"
@@ -18,6 +17,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
@@ -26,82 +26,8 @@ using namespace opd;
 
 namespace {
 
-/// Shared accumulator for the per-run stats the worker threads report.
-class SweepAccumulator {
-  Mutex M;
-  SweepStats S OPD_GUARDED_BY(M);
-
-public:
-  void addRun(double DetectSeconds, double ScoreSeconds) {
-    LockGuard Lock(M);
-    S.RunsExecuted += 1;
-    S.DetectSeconds += DetectSeconds;
-    S.ScoreSeconds += ScoreSeconds;
-  }
-
-  SweepStats take(size_t NumConfigs) {
-    LockGuard Lock(M);
-    S.NumConfigs = NumConfigs;
-    S.RunsPruned = NumConfigs - S.RunsExecuted;
-    return S;
-  }
-};
-
-/// Per-worker scratch state reused across the runs one worker executes:
-/// the monomorphic fast detectors (one per shape, reconfigure()d between
-/// runs so the kernels' per-site count arrays survive) and the
-/// DetectorRun output storage. A 5,880-run sweep thus performs a handful
-/// of kernel allocations per worker instead of one per run.
-class RunArena {
-  SiteIndex NumSites = 0;
-  std::array<std::unique_ptr<FastDetectorBase>, NumFastShapes> Shapes;
-
-public:
-  /// The reused run output.
-  DetectorRun Run;
-
-  /// The fast detector for \p Config, reconfigured and ready to run.
-  /// \p BatchAdmitted is the KernelBounds admission verdict for the
-  /// config (admitsBatchLanes): a batch kernel must refuse a config
-  /// whose certificate does not admit its compiled lane plan, so the
-  /// arena applies the verdict on every acquire — the flag survives
-  /// reconfigure(), and consecutive runs of one shape may differ in it.
-  OnlineDetector &acquire(const DetectorConfig &Config, SiteIndex Sites,
-                          bool BatchAdmitted) {
-    if (Sites != NumSites) {
-      for (std::unique_ptr<FastDetectorBase> &S : Shapes)
-        S.reset();
-      NumSites = Sites;
-    }
-    std::unique_ptr<FastDetectorBase> &Slot = Shapes[fastShapeIndex(Config)];
-    if (Slot)
-      Slot->reconfigure(Config);
-    else
-      Slot = makeFastDetector(Config, Sites);
-    Slot->setBatchKernels(BatchAdmitted);
-    return *Slot;
-  }
-};
-
-/// Longest-processing-time-first comparator: run the expensive configs
-/// first so a straggler claimed late cannot stretch the sweep's tail.
-/// Cost is dominated by the evaluation count (inverse skip factor), then
-/// by the adaptive policy's recompute-per-evaluation, then window span.
-bool costlierConfig(const DetectorConfig &A, const DetectorConfig &B) {
-  const WindowConfig &WA = A.Window;
-  const WindowConfig &WB = B.Window;
-  if (WA.SkipFactor != WB.SkipFactor)
-    return WA.SkipFactor < WB.SkipFactor;
-  bool AdaptiveA = WA.TWPolicy == TWPolicyKind::Adaptive;
-  bool AdaptiveB = WB.TWPolicy == TWPolicyKind::Adaptive;
-  if (AdaptiveA != AdaptiveB)
-    return AdaptiveA;
-  return static_cast<uint64_t>(WA.CWSize) + WA.TWSize >
-         static_cast<uint64_t>(WB.CWSize) + WB.TWSize;
-}
-
 /// Scores \p Run into \p R against every baseline, exactly once per
-/// execution path so both engines score identically.
+/// execution path so both paths score identically.
 void scoreRun(const DetectorRun &Run,
               const std::vector<BaselineSolution> &Baselines,
               const SweepOptions &Options, RunScores &R) {
@@ -116,19 +42,19 @@ void scoreRun(const DetectorRun &Run,
   }
 }
 
-/// Shared-scan execution (core/SharedScan.h): the runs at \p Indices
-/// are grouped by window-kernel shape and each group rides a single
-/// trace pass. LPT scheduling moves from configs to groups — a group's
-/// cost is one shared window advance plus each member's evaluation rate
-/// (inverse skip) and, for adaptive members, their in-phase shard
-/// advances — and per-worker arenas hold one engine per model (cursor
-/// arrays, shard pools, and kernel state all reused across the groups a
-/// worker claims).
+/// Shared-scan execution (core/SharedScan.h), the sweep engine: the
+/// runs at \p Indices are grouped by window-kernel shape and each group
+/// rides a single trace pass. Groups are scheduled longest-first — a
+/// group's cost is one shared window advance plus each member's
+/// evaluation rate (inverse skip) and, for adaptive members, their
+/// in-phase shard advances — and per-worker arenas hold one engine per
+/// model (cursor arrays, shard pools, and kernel state all reused across
+/// the groups a worker claims).
 void runConfigsShared(const BranchTrace &Trace,
                       const std::vector<BaselineSolution> &Baselines,
                       const std::vector<DetectorConfig> &Configs,
                       const std::vector<size_t> &Indices,
-                      const SweepOptions &Options, SweepAccumulator &Acc,
+                      const SweepOptions &Options,
                       std::vector<RunScores> &Results) {
   std::vector<DetectorConfig> Planned;
   Planned.reserve(Indices.size());
@@ -152,6 +78,10 @@ void runConfigsShared(const BranchTrace &Trace,
     return GroupCost(Plan.Groups[A]) > GroupCost(Plan.Groups[B]);
   });
 
+  // Certificate-based batch-kernel admission against what the harness
+  // knows about this trace: its length bounds adaptive-TW growth and
+  // per-site multiplicity, the site-table size bounds the distinct
+  // counters. certifyKernel is pure arithmetic.
   TraceBounds Bounds;
   Bounds.TraceLen = Trace.size();
   Bounds.MaxMultiplicity = 0; // unknown; TraceLen already bounds it
@@ -199,101 +129,38 @@ void runConfigsShared(const BranchTrace &Trace,
           RunScores &R = Results[Global];
           R.Config = Configs[Global];
           scoreRun(Arena.Runs[I], Baselines, Options, R);
-          Acc.addRun(R.DetectSeconds, R.ScoreSeconds);
         }
       },
       /*Grain=*/1);
 }
 
-/// Executes the detector runs for the configurations at \p Indices,
-/// writing each result into Results[Indices[I]].
-///
-/// The plain path runs the monomorphic fast detectors out of per-worker
-/// arenas; with CollectStats it instantiates the reference PhaseDetector
-/// instead, which alone emits the internal observer events the counters
-/// are built from. Both produce bit-identical scores.
-void runConfigsPerConfig(const BranchTrace &Trace,
-                         const std::vector<BaselineSolution> &Baselines,
-                         const std::vector<DetectorConfig> &Configs,
-                         const std::vector<size_t> &Indices,
-                         const SweepOptions &Options, SweepAccumulator &Acc,
-                         std::vector<RunScores> &Results) {
-  // Dynamic scheduling in LPT order: workers claim runs expensive-first
-  // off the shared counter, so the final runs in flight are the cheap
-  // ones and the workers finish together.
-  std::vector<size_t> Order(Indices.size());
-  std::iota(Order.begin(), Order.end(), size_t{0});
-  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
-    return costlierConfig(Configs[Indices[A]], Configs[Indices[B]]);
-  });
-
-  std::vector<RunArena> Arenas(hardwareParallelism());
-
-  // Certificate-based batch-kernel admission, computed once per config
-  // against what the harness knows about this trace (its length bounds
-  // adaptive-TW growth and per-site multiplicity; the site-table size
-  // bounds the distinct counters). certifyKernel is pure arithmetic —
-  // microseconds against runs that stream hundreds of thousands of
-  // elements.
-  TraceBounds Bounds;
-  Bounds.TraceLen = Trace.size();
-  Bounds.MaxMultiplicity = 0; // unknown; TraceLen already bounds it
-  Bounds.NumSites = Trace.numSites();
-
+/// Observed execution for CollectStats: one reference PhaseDetector per
+/// run, the only detector that emits the internal observer events the
+/// counters are built from, with each run's detect and score stages
+/// timed. Scores are bit-identical to the shared-scan engine's.
+void runConfigsObserved(const BranchTrace &Trace,
+                        const std::vector<BaselineSolution> &Baselines,
+                        const std::vector<DetectorConfig> &Configs,
+                        const std::vector<size_t> &Indices,
+                        const SweepOptions &Options,
+                        std::vector<RunScores> &Results) {
   parallelFor(
-      Order.size(),
-      [&](size_t N, unsigned Worker) {
-        size_t I = Indices[Order[N]];
-        const DetectorConfig &Config = Configs[I];
-        RunArena &Arena = Arenas[Worker];
-
-        RunScores &R = Results[I];
-        R.Config = Config;
+      Indices.size(),
+      [&](size_t N, unsigned) {
+        RunScores &R = Results[Indices[N]];
+        R.Config = Configs[Indices[N]];
         CountingObserver Stats;
         Stopwatch Timer;
-        const DetectorRun *Run;
-        DetectorRun ObservedRun;
-        if (Options.CollectStats) {
-          std::unique_ptr<PhaseDetector> Detector =
-              makeDetector(Config, Trace.numSites());
-          ObservedRun = runDetector(*Detector, Trace, &Stats);
-          Run = &ObservedRun;
-          R.DetectSeconds = Timer.seconds();
-          R.Counters = Stats.counters();
-          Timer.restart();
-        } else {
-          bool BatchAdmitted =
-              admitsBatchLanes(certifyKernel(Config, Bounds));
-          OnlineDetector &Detector =
-              Arena.acquire(Config, Trace.numSites(), BatchAdmitted);
-          runDetector(Detector, Trace, Arena.Run);
-          Run = &Arena.Run;
-        }
-
-        scoreRun(*Run, Baselines, Options, R);
-        if (Options.CollectStats)
-          R.ScoreSeconds = Timer.seconds();
-        Acc.addRun(R.DetectSeconds, R.ScoreSeconds);
+        std::unique_ptr<PhaseDetector> Detector =
+            makeDetector(R.Config, Trace.numSites());
+        DetectorRun Run = runDetector(*Detector, Trace, &Stats);
+        R.DetectSeconds = Timer.seconds();
+        R.Counters = Stats.counters();
+        Timer.restart();
+        scoreRun(Run, Baselines, Options, R);
+        R.ScoreSeconds = Timer.seconds();
       },
       /*Grain=*/1);
-}
-
-/// Dispatches the runs at \p Indices to the shared-scan engine (the
-/// default execution plan) or the per-config path (the differential
-/// oracle, and the only path that can carry observers for
-/// CollectStats). Both produce bit-identical scores.
-void runConfigs(const BranchTrace &Trace,
-                const std::vector<BaselineSolution> &Baselines,
-                const std::vector<DetectorConfig> &Configs,
-                const std::vector<size_t> &Indices,
-                const SweepOptions &Options, SweepAccumulator &Acc,
-                std::vector<RunScores> &Results) {
-  if (Options.SharedScan && !Options.CollectStats)
-    runConfigsShared(Trace, Baselines, Configs, Indices, Options, Acc,
-                     Results);
-  else
-    runConfigsPerConfig(Trace, Baselines, Configs, Indices, Options, Acc,
-                        Results);
 }
 
 } // namespace
@@ -311,32 +178,40 @@ opd::runSweep(const BranchTrace &Trace,
     std::abort();
   }
 
-  std::vector<RunScores> Results(Configs.size());
-  SweepAccumulator Acc;
-
-  if (!Options.Prune) {
-    std::vector<size_t> All(Configs.size());
-    for (size_t I = 0; I < All.size(); ++I)
-      All[I] = I;
-    runConfigs(Trace, Baselines, Configs, All, Options, Acc, Results);
-    if (Stats)
-      *Stats = Acc.take(Configs.size());
-    return Results;
+  // A pruned sweep runs one representative per provable equivalence
+  // class, then fans its scores out to every member. Anchored scoring
+  // keeps the anchor-affecting merge rules disabled so the fanned-out
+  // anchored scores are as bit-identical as the plain ones.
+  ConfigPartition Partition;
+  std::vector<size_t> Indices;
+  if (Options.Prune) {
+    ConfigCanonOptions Canon;
+    Canon.AnchoredScoring = Options.ScoreAnchored;
+    Partition = partitionConfigs(Configs, Canon);
+    Indices.reserve(Partition.Classes.size());
+    for (const ConfigClass &Class : Partition.Classes)
+      Indices.push_back(Class.Representative);
+  } else {
+    Indices.resize(Configs.size());
+    std::iota(Indices.begin(), Indices.end(), size_t{0});
   }
 
-  // Pruned sweep: run one representative per provable equivalence class,
-  // then fan its scores out to every member. Anchored scoring keeps the
-  // anchor-affecting merge rules disabled so the fanned-out anchored
-  // scores are as bit-identical as the plain ones.
-  ConfigCanonOptions Canon;
-  Canon.AnchoredScoring = Options.ScoreAnchored;
-  ConfigPartition Partition = partitionConfigs(Configs, Canon);
+  std::vector<RunScores> Results(Configs.size());
+  if (Options.CollectStats)
+    runConfigsObserved(Trace, Baselines, Configs, Indices, Options, Results);
+  else
+    runConfigsShared(Trace, Baselines, Configs, Indices, Options, Results);
 
-  std::vector<size_t> Reps;
-  Reps.reserve(Partition.Classes.size());
-  for (const ConfigClass &Class : Partition.Classes)
-    Reps.push_back(Class.Representative);
-  runConfigs(Trace, Baselines, Configs, Reps, Options, Acc, Results);
+  if (Stats) {
+    *Stats = SweepStats();
+    Stats->NumConfigs = Configs.size();
+    Stats->RunsExecuted = Indices.size();
+    Stats->RunsPruned = Configs.size() - Indices.size();
+    for (size_t I : Indices) {
+      Stats->DetectSeconds += Results[I].DetectSeconds;
+      Stats->ScoreSeconds += Results[I].ScoreSeconds;
+    }
+  }
 
   for (const ConfigClass &Class : Partition.Classes) {
     const RunScores &Rep = Results[Class.Representative];
@@ -349,8 +224,6 @@ opd::runSweep(const BranchTrace &Trace,
       R.Config = Configs[Member];
     }
   }
-  if (Stats)
-    *Stats = Acc.take(Configs.size());
   return Results;
 }
 

@@ -12,6 +12,9 @@
 /// describes one cross product; runSweep() executes every configuration
 /// over a trace once and scores it against each baseline MPL. A detector
 /// run does not depend on the MPL, so one run serves all MPL scorings.
+/// The runs go through the shared-scan engine (core/SharedScan.h): the
+/// configurations are grouped by window-kernel shape and each group
+/// rides a single trace pass.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,8 +54,11 @@ struct RunScores {
 struct SweepOptions {
   bool ScoreAnchored = false;
   /// Attach a CountingObserver to every run and record per-stage wall
-  /// times into RunScores. Off by default: the unobserved hot path is
-  /// what the benches measure.
+  /// times into RunScores. The runs then go through the reference
+  /// PhaseDetector, the only detector that emits observer events,
+  /// instead of the shared-scan engine (core/SharedScan.h); the scores
+  /// are bit-identical. Off by default: the unobserved engine is what
+  /// the benches measure.
   bool CollectStats = false;
   /// Partition the configurations into provable equivalence classes
   /// (analysis/ConfigAnalysis.h) and run only one representative per
@@ -62,15 +68,6 @@ struct SweepOptions {
   /// anchored scoring is on (ScoreAnchored), so anchor-affecting fields
   /// are only merged when the anchored output is not being observed.
   bool Prune = false;
-  /// Execute the runs through the shared-scan engine
-  /// (core/SharedScan.h): configs are grouped by window-kernel shape
-  /// and each group rides a single trace pass, with per-config state
-  /// reduced to an analyzer cursor (plus a detached window shard while
-  /// an adaptive config is in phase). Output is bit-identical to the
-  /// per-config path — SharedScan=false keeps that path as the
-  /// differential oracle. Ignored under CollectStats, whose observer
-  /// events only the reference detector emits.
-  bool SharedScan = true;
 };
 
 /// Work accounting of one runSweep() call.

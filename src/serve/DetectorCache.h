@@ -6,16 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The sweep harness reuses monomorphic fast detectors through per-worker
-/// RunArenas, reconfigure()ing one instance per shape across thousands of
-/// sequential runs. Serving needs the same reconfigure-don't-reallocate
-/// economics with a different lifetime: sessions hold their detector for
-/// as long as the client streams, and detectors return to the pool when
-/// sessions close. DetectorCache is that pool — free lists per
-/// (fastShapeIndex, numSites), so a server handling a homogeneous fleet
-/// of sessions (the common multi-tenant case: many clients streaming the
-/// same workload family) allocates kernel count arrays only for the
-/// concurrency high-water mark, not once per session.
+/// A monomorphic fast detector can be reconfigure()d to another config
+/// of its shape, keeping its kernels' per-site arrays. Serving uses that
+/// reconfigure-don't-reallocate economy across sessions: a session holds
+/// its detector for as long as the client streams, and detectors return
+/// to the pool when sessions close. DetectorCache is that pool — free
+/// lists per (fastShapeIndex, numSites), so a server handling a
+/// homogeneous fleet of sessions (the common multi-tenant case: many
+/// clients streaming the same workload family) allocates kernel count
+/// arrays only for the concurrency high-water mark, not once per
+/// session.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -24,8 +24,7 @@
 ///    buffers between the I/O thread and the worker.
 ///  * Detectors come from a shared DetectorCache, so session churn
 ///    reconfigures pooled FastPhaseDetectors instead of reallocating
-///    kernel arrays (the sweep harness's RunArena pattern with a
-///    serving lifetime).
+///    kernel arrays.
 ///
 /// Backpressure: a session whose ingress backlog reaches the
 /// ServeLimits watermark stops being read (its TCP window closes, the

@@ -12,9 +12,9 @@
 /// shape grid through the engine and requires equal StateSequences,
 /// detected phases, and anchored phases against both the per-config
 /// fast path and the reference PhaseDetector, on both the batch and
-/// portable kernel backends; it holds the sweep harness's shared and
-/// per-config engines to bit-identical scores (pruned and unpruned);
-/// and it pins the paper preset's group structure so plan regressions
+/// portable kernel backends; it holds the sweep harness's shared-scan
+/// engine to bit-identical scores against its reference-detector stats
+/// path (pruned and unpruned); and it pins the paper preset's group structure so plan regressions
 /// are loud.
 ///
 /// In-phase adaptive shards are shared by the windows they hold, not by
@@ -236,9 +236,11 @@ TEST(SharedScanTest, StrideAndWindowCornerCases) {
   }
 }
 
-// The sweep harness's two engines — shared-scan (default) and
-// per-config — must produce bit-identical scores, pruned or not.
-TEST(SharedScanTest, SweepSharedEngineMatchesPerConfigScores) {
+// The sweep harness's two paths — the shared-scan engine (default) and
+// the reference detector with a CountingObserver (CollectStats) — must
+// produce bit-identical scores and the same work accounting, pruned or
+// not.
+TEST(SharedScanTest, SweepSharedEngineMatchesReferenceStatsPath) {
   const BenchmarkData &B = testBenchmark();
   SweepSpec Spec;
   Spec.CWSizes = {250};
@@ -246,7 +248,9 @@ TEST(SharedScanTest, SweepSharedEngineMatchesPerConfigScores) {
   Spec.Models = {ModelKind::UnweightedSet, ModelKind::WeightedSet};
   Spec.Analyzers = {{AnalyzerKind::Threshold, 0.6},
                     {AnalyzerKind::Average, 0.05},
-                    {AnalyzerKind::Hysteresis, 0.4}};
+                    {AnalyzerKind::Hysteresis, 0.4},
+                    // Always in phase: gives pruning classes to fan out.
+                    {AnalyzerKind::Threshold, 0.0}};
   Spec.Anchors = {AnchorKind::RightmostNoisy, AnchorKind::LeftmostNonNoisy};
   Spec.Resizes = {ResizeKind::Slide, ResizeKind::Move};
   std::vector<DetectorConfig> Configs = enumerateConfigs(Spec);
@@ -255,37 +259,44 @@ TEST(SharedScanTest, SweepSharedEngineMatchesPerConfigScores) {
     SweepOptions SharedOptions;
     SharedOptions.ScoreAnchored = true;
     SharedOptions.Prune = Prune;
-    SharedOptions.SharedScan = true;
-    SweepOptions PerConfigOptions = SharedOptions;
-    PerConfigOptions.SharedScan = false;
+    SweepOptions StatsOptions = SharedOptions;
+    StatsOptions.CollectStats = true;
 
-    SweepStats SharedStats;
+    SweepStats SharedStats, ReferenceStats;
     std::vector<RunScores> Shared =
         runSweep(B.Trace, B.Baselines, Configs, SharedOptions, &SharedStats);
-    std::vector<RunScores> PerConfig =
-        runSweep(B.Trace, B.Baselines, Configs, PerConfigOptions);
+    std::vector<RunScores> Reference = runSweep(
+        B.Trace, B.Baselines, Configs, StatsOptions, &ReferenceStats);
 
-    EXPECT_EQ(SharedStats.NumConfigs, Configs.size());
-    EXPECT_EQ(SharedStats.RunsExecuted + SharedStats.RunsPruned,
-              Configs.size());
+    for (const SweepStats &S : {SharedStats, ReferenceStats}) {
+      EXPECT_EQ(S.NumConfigs, Configs.size());
+      EXPECT_EQ(S.RunsExecuted + S.RunsPruned, Configs.size());
+      EXPECT_EQ(S.RunsExecuted, SharedStats.RunsExecuted);
+      EXPECT_EQ(S.RunsPruned > 0, Prune);
+    }
+    // Only the observed path is timed.
+    EXPECT_EQ(SharedStats.DetectSeconds, 0.0);
+    EXPECT_GT(ReferenceStats.DetectSeconds, 0.0);
 
-    ASSERT_EQ(Shared.size(), PerConfig.size());
+    ASSERT_EQ(Shared.size(), Reference.size());
     for (size_t I = 0; I != Shared.size(); ++I) {
-      ASSERT_EQ(Shared[I].PerMPL.size(), PerConfig[I].PerMPL.size());
+      EXPECT_EQ(Shared[I].Config, Configs[I]);
+      EXPECT_EQ(Reference[I].Config, Configs[I]);
+      ASSERT_EQ(Shared[I].PerMPL.size(), Reference[I].PerMPL.size());
       for (size_t M = 0; M != Shared[I].PerMPL.size(); ++M) {
-        EXPECT_EQ(Shared[I].PerMPL[M].Score, PerConfig[I].PerMPL[M].Score);
+        EXPECT_EQ(Shared[I].PerMPL[M].Score, Reference[I].PerMPL[M].Score);
         EXPECT_EQ(Shared[I].PerMPL[M].Correlation,
-                  PerConfig[I].PerMPL[M].Correlation);
+                  Reference[I].PerMPL[M].Correlation);
         EXPECT_EQ(Shared[I].PerMPL[M].Sensitivity,
-                  PerConfig[I].PerMPL[M].Sensitivity);
+                  Reference[I].PerMPL[M].Sensitivity);
         EXPECT_EQ(Shared[I].PerMPL[M].FalsePositives,
-                  PerConfig[I].PerMPL[M].FalsePositives);
+                  Reference[I].PerMPL[M].FalsePositives);
       }
       ASSERT_EQ(Shared[I].AnchoredPerMPL.size(),
-                PerConfig[I].AnchoredPerMPL.size());
+                Reference[I].AnchoredPerMPL.size());
       for (size_t M = 0; M != Shared[I].AnchoredPerMPL.size(); ++M)
         EXPECT_EQ(Shared[I].AnchoredPerMPL[M].Score,
-                  PerConfig[I].AnchoredPerMPL[M].Score);
+                  Reference[I].AnchoredPerMPL[M].Score);
     }
   }
 }
