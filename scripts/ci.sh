@@ -225,7 +225,8 @@ stage_sweep_shared() {
   # The shared-scan engine ships on a bit-identity contract
   # (core/SharedScan.h): the differential suite must hold under both the
   # default and the forced-portable dispatch, its paper-sweep scores must
-  # equal the reference detector's, and its wall clock must not regress.
+  # equal the reference detector's and the unpruned sweep's, and its wall
+  # clock must not regress.
   # The Release tree is shared with the perf stage.
   local dir="${PREFIX}-perf"
   echo "=== [sweep-shared] configure + build (Release) ==="
@@ -255,6 +256,14 @@ stage_sweep_shared() {
     --workloads jess --mpls 10K > "$dir/sweep-reference.csv" \
     2> "$dir/sweep-reference-stats.txt"
   cmp "$dir/sweep-shared.csv" "$dir/sweep-reference.csv"
+  # Pruning is exact, so the unpruned sweep must write the same bytes.
+  # Its plan puts every pruned-away duplicate in the cohort of its
+  # representative, so this is also the paper-scale test of tied
+  # parameters inside one cohort.
+  echo "=== [sweep-shared] paper sweep scores: pruned vs unpruned ==="
+  "$dir/examples/sweep_tool" --preset paper \
+    --workloads jess --mpls 10K > "$dir/sweep-unpruned.csv"
+  cmp "$dir/sweep-shared.csv" "$dir/sweep-unpruned.csv"
   python3 scripts/check_perf.py --sweep-shared "$best" - BENCH_PERF.json
 }
 

@@ -60,12 +60,48 @@
 //     TW is full, PhaseOpen's windowsFull() variant is always true for
 //     a full window) — so constant cursors never need shards at all.
 //
-// Analyzer state is tiny and per-cursor: the threshold compare, the
-// average analyzer's mean-only Welford stats (reset on both phase
-// edges, updated on P->P with the evaluation's similarity), and the
-// hysteresis analyzer's internal state (which the reference only
-// advances when windowsFull() — forced-Transition evaluations must NOT
-// touch it, and its resetStats() is a no-op, so it survives flushes).
+//  5. Cohorts decide for all their members with one check. A cohort is
+//     a set of cursors in one stride bucket that read one source (the
+//     shared kernel or one shard), are in one state under one analyzer
+//     kind, and — for Average — hold the same Welford stats, because
+//     they entered on that source at the same position and have since
+//     seen the same similarity at every evaluation. Such members differ
+//     only in their parameter, and the decision is monotone in it:
+//       - Threshold: `sim >= T` is monotone in T, and the weighted
+//         kernel's similarityAtLeast(T) is bit-identical to
+//         `similarity() >= T` (the KernelDecisionsAreFunctionsOfTheCounts
+//         property), so it is monotone too. Out of phase the lowest T
+//         enters first; in phase the highest T leaves first.
+//       - Average: the member stays iff `sim >= fl(Mean - delta)`, and
+//         round-to-nearest subtraction is monotone in delta, so the
+//         smallest delta leaves first.
+//     Members are ordered so the first is the first that can flip. If
+//     it stays, every member provably stays and nothing else is done
+//     (Average applies the one stats update for all); if it flips, it
+//     leaves the cohort through the per-cursor path and the next member
+//     is tried. Both paths call one decision function, decide(). Two
+//     kinds of cursor stay on the per-cursor path at every evaluation:
+//     Hysteresis, whose dual-threshold state is per cursor, and any
+//     cursor with a non-finite parameter (a NaN compares unordered, so
+//     the ordering the argument needs does not exist). A cursor in its
+//     refill countdown (2) sleeps: its evaluations are forced
+//     Transitions that change nothing, so it is not visited until the
+//     first evaluation position at or past ResyncAt, and a bucket
+//     holding only sleepers jumps straight there. Runs are kept lazily:
+//     a cursor stores the offset where its pending run started, and the
+//     run extends to whatever evaluation ends it (buckets evaluate at
+//     contiguous batches, so the pending run covers every batch since).
+//     Which cursor of a tie flips first, and in which order cohorts are
+//     visited, cannot change any output: a decision reads only the
+//     windows, and shards are shared by window identity (3).
+//
+// Analyzer state is tiny: the threshold compare, the average analyzer's
+// mean-only Welford stats (reset on both phase edges, updated on P->P
+// with the evaluation's similarity; a cohort member's live copy is its
+// cohort's), and the hysteresis analyzer's internal state (which the
+// reference only advances when windowsFull() — forced-Transition
+// evaluations must NOT touch it, and its resetStats() is a no-op, so it
+// survives flushes).
 //
 // The multi-threshold fan-out: at each evaluation position the shared
 // similarity is computed once (one weighted-kernel division) and every
@@ -82,7 +118,9 @@
 #include "core/FastKernels.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <span>
 
 using namespace opd;
 using namespace opd::fastkernels;
@@ -141,6 +179,12 @@ class SharedScanEngine final : public SharedScanEngineBase {
     explicit Shard(SiteIndex NumSites) : K(NumSites) {}
   };
 
+  /// FastMeanStats's mean-only Welford state (the Average analyzer).
+  struct MeanStats {
+    uint64_t N = 0;
+    double Mean = 0.0;
+  };
+
   /// One config's detector state over the shared window.
   struct Cursor {
     // Config-derived constants.
@@ -159,32 +203,64 @@ class SharedScanEngine final : public SharedScanEngineBase {
     /// First position at which the windows are full again (out of
     /// phase, evaluations before this are forced Transitions).
     uint64_t ResyncAt = 0;
+    /// While asleep: the first evaluation position at or after ResyncAt.
+    uint64_t WakeAt = 0;
     /// The anchored phase-start estimate set at the last T->P edge.
     uint64_t LastAnchor = 0;
     /// Non-null iff adaptive and in phase.
     Shard *Sh = nullptr;
 
-    // Analyzer state (average: mean-only Welford; hysteresis: the
-    // internal dual-threshold state).
-    uint64_t StatsN = 0;
-    double StatsMean = 0.0;
+    // Analyzer state (average: mean-only Welford, a cohort member's live
+    // copy held by its cohort; hysteresis: the internal dual-threshold
+    // state).
+    MeanStats Stats;
     PhaseState HystState = PhaseState::Transition;
 
-    // Run accumulation (mirrors FastPhaseDetector::consumeTrace).
+    // Run accumulation (mirrors FastPhaseDetector::consumeTrace): the
+    // pending run's state and the trace offset it started at. It covers
+    // every batch up to the cursor's last evaluation.
     PhaseState RunState = PhaseState::Transition;
-    uint64_t RunLen = 0;
+    uint64_t RunStart = 0;
     /// The output run this cursor writes.
     DetectorRun *Run = nullptr;
     /// The cursor's AnchoredStarts (pooled by the engine).
     std::vector<uint64_t> *Anchored = nullptr;
   };
 
-  /// Cursors sharing a skip stride, evaluated in lockstep.
+  /// Cursors of one bucket whose decisions one check settles: one
+  /// source, analyzer kind and state, and (Average) one set of stats.
+  struct Cohort {
+    /// The shard the members read, or null for the shared kernel.
+    Shard *Source = nullptr;
+    AnalyzerKind Analyzer = AnalyzerKind::Threshold;
+    PhaseState State = PhaseState::Transition;
+    /// Average in phase: the position every member entered at.
+    uint64_t EntryPos = 0;
+    /// Average: the members' common stats.
+    MeanStats Stats;
+    /// Members, ascending by flipRank(): the member that flips first is
+    /// at the back.
+    std::vector<Cursor *> Members;
+  };
+
+  /// Cursors sharing a skip stride, evaluated in lockstep. Every cursor
+  /// is in exactly one of a cohort, the sleepers, or Solo.
   struct Bucket {
     uint64_t Skip = 0;
     /// The next position this bucket evaluates at.
     uint64_t NextEval = 0;
-    std::vector<uint32_t> Cursors;
+    /// Cohorts[0, NumCohorts) are live; the rest keep their arrays.
+    std::vector<Cohort> Cohorts;
+    size_t NumCohorts = 0;
+    /// Cursors in their refill countdown, ascending by WakeAt from
+    /// SleepHead on.
+    std::vector<Cursor *> Sleepers;
+    size_t SleepHead = 0;
+    /// The first sleeper's WakeAt (UINT64_MAX when none sleeps).
+    uint64_t NextWake = UINT64_MAX;
+    /// Cursors that decide alone at every evaluation: Hysteresis, and
+    /// any non-finite parameter.
+    std::vector<Cursor *> Solo;
   };
 
 public:
@@ -210,35 +286,36 @@ public:
 
     // Main loop: advance the shared window in eval-to-eval bursts.
     uint64_t Pos = 0;
+    uint64_t Checks = 0;
     while (Pos < NumElements) {
       uint64_t Target = NumElements;
-      for (const Bucket &B : Buckets)
+      for (const Bucket &B : buckets())
         Target = std::min<uint64_t>(Target, B.NextEval);
       assert(Target > Pos && "evaluation positions must advance");
       consumeSharedTo(Pos, Target);
       Pos = Target;
-      for (Bucket &B : Buckets) {
+      for (Bucket &B : buckets()) {
         if (B.NextEval != Pos)
           continue;
-        evalBucket(B, Pos, B.Skip);
-        B.NextEval = Pos + B.Skip;
+        evalBucket(B, Pos, Checks);
+        B.NextEval = nextEval(B, Pos);
       }
     }
 
-    // Trailing partial batches: a bucket whose last full evaluation lies
-    // before the trace end evaluates once more over the short remainder,
-    // exactly like the reference's final short batch. (A skip larger
-    // than the trace degenerates to one short batch covering it all.)
-    for (Bucket &B : Buckets) {
-      uint64_t PrevEval = B.NextEval - B.Skip;
-      if (PrevEval < NumElements)
-        evalBucket(B, NumElements, NumElements - PrevEval);
-    }
+    Counters.CohortChecks += Checks;
+
+    // Trailing partial batches: a bucket whose stride does not divide the
+    // trace evaluates once more over the short remainder, exactly like
+    // the reference's final short batch. (A skip larger than the trace
+    // degenerates to one short batch covering it all.)
+    for (Bucket &B : buckets())
+      if (uint64_t Rem = NumElements % B.Skip)
+        evalEachCursor(B, NumElements, Rem);
 
     // Flush the pending runs and finalize the per-config outputs.
     for (Cursor &C : Cursors) {
-      if (C.RunLen != 0)
-        C.Run->States.append(C.RunState, C.RunLen);
+      if (C.RunStart != NumElements)
+        C.Run->States.append(C.RunState, NumElements - C.RunStart);
       finalizeAnchoredPhases(*C.Run, *C.Anchored);
       if (C.Sh)
         releaseShard(C.Sh);
@@ -259,12 +336,12 @@ private:
 
     SharedKernel.reset();
     CWLen = TWLen = 0;
-    CachePos = UINT64_MAX;
+    SimPos = AnchorPos[0] = AnchorPos[1] = UINT64_MAX;
     assert(ActiveShards.empty() && "shards must not leak across runs");
 
     Cursors.clear();
     Cursors.reserve(Members.size());
-    Buckets.clear();
+    NumBuckets = 0;
     if (AnchoredPool.size() < Members.size())
       AnchoredPool.resize(Members.size());
 
@@ -294,22 +371,41 @@ private:
       C.Anchored->clear();
       C.Anchored->reserve(std::min<size_t>(NumBatches / 2 + 1, 1 << 12));
 
-      uint32_t Idx = static_cast<uint32_t>(Cursors.size());
+      // Within the reservation above: cohorts, sleepers and Solo hold
+      // pointers into Cursors.
       Cursors.push_back(C);
-      bucketFor(C.Skip).Cursors.push_back(Idx);
+      Cursor *Ptr = &Cursors.back();
+      // Every cursor starts in the initial fill's countdown.
+      Bucket &B = bucketFor(C.Skip);
+      if (C.Analyzer == AnalyzerKind::Hysteresis || !std::isfinite(C.P0))
+        B.Solo.push_back(Ptr);
+      else
+        sleep(B, *Ptr);
     }
   }
 
+  std::span<Bucket> buckets() { return {Buckets.data(), NumBuckets}; }
+
+  /// The bucket for \p Skip, reusing a previous group's bucket arrays.
   Bucket &bucketFor(uint64_t Skip) {
-    for (Bucket &B : Buckets)
+    for (Bucket &B : buckets())
       if (B.Skip == Skip)
         return B;
-    Buckets.push_back(Bucket{Skip, Skip, {}});
-    return Buckets.back();
+    if (NumBuckets == Buckets.size())
+      Buckets.emplace_back();
+    Bucket &B = Buckets[NumBuckets++];
+    B.Skip = Skip;
+    B.NextEval = Skip;
+    B.NumCohorts = 0;
+    B.Sleepers.clear();
+    B.SleepHead = 0;
+    B.NextWake = UINT64_MAX;
+    B.Solo.clear();
+    return B;
   }
 
   /// Advances the free-running window over Elements[Pos, Target).
-  void consumeSharedTo(uint64_t Pos, uint64_t Target) {
+  OPD_FORCE_INLINE void consumeSharedTo(uint64_t Pos, uint64_t Target) {
     uint64_t Q = Pos;
     // Startup fill: only the first CW+TW elements of the trace.
     while (CWLen < CW && Q < Target) {
@@ -332,12 +428,12 @@ private:
     }
   }
 
-  /// The shared similarity at the cached evaluation position, computed
-  /// once and fanned out to every cursor.
-  OPD_FORCE_INLINE double sharedSim() {
-    if (!SimValid) {
+  /// The shared similarity at evaluation position \p N, computed once
+  /// and fanned out to every cursor.
+  OPD_FORCE_INLINE double sharedSim(uint64_t N) {
+    if (SimPos != N) {
       Sim = SharedKernel.similarity();
-      SimValid = true;
+      SimPos = N;
     }
     return Sim;
   }
@@ -347,9 +443,9 @@ private:
   /// a phase at the same position share the scan.
   uint64_t anchor(AnchorKind Kind, uint64_t N) {
     size_t Slot = Kind == AnchorKind::RightmostNoisy ? 0 : 1;
-    if (!AnchorValid[Slot]) {
+    if (AnchorPos[Slot] != N) {
       AnchorVal[Slot] = anchorPosition(Kind, N);
-      AnchorValid[Slot] = true;
+      AnchorPos[Slot] = N;
     }
     return AnchorVal[Slot];
   }
@@ -455,9 +551,11 @@ private:
     return S;
   }
 
-  void releaseShard(Shard *S) {
-    assert(S->Refs > 0 && "releasing an unreferenced shard");
-    if (--S->Refs != 0)
+  /// Drops \p Count references to \p S, freeing it at zero.
+  void releaseShard(Shard *S, uint32_t Count = 1) {
+    assert(S->Refs >= Count && "releasing an unreferenced shard");
+    S->Refs -= Count;
+    if (S->Refs != 0)
       return;
     if (S->Into) {
       releaseShard(S->Into);
@@ -476,7 +574,7 @@ private:
   /// specialization (the TW grows on every rotation). A refill that
   /// completes here is the one point after entry where two shards with
   /// the same Base converge, so it links \p S to its full-CW twin.
-  void advanceShard(Shard &S, uint64_t N) {
+  OPD_FORCE_INLINE void advanceShard(Shard &S, uint64_t N) {
     bool Filling = S.CWLen < CW;
     Counters.ShardSteps += N - S.LastPos;
     for (uint64_t Q = S.LastPos; Q != N; ++Q) {
@@ -499,89 +597,263 @@ private:
     }
   }
 
-  /// Advances a cursor's shard \p S to \p N and moves the cursor's
-  /// reference along any refill merges; returns the shard it ends on.
-  /// A merged shard is not advanced again: its twin holds the same
-  /// windows from the merge on.
-  Shard *shardAt(Shard *S, uint64_t N) {
+  /// Advances shard \p S to \p N and moves \p Refs references on it (one
+  /// per cursor reading it) along any refill merges; returns the shard
+  /// they end on. A merged shard is not advanced again: its twin holds
+  /// the same windows from the merge on.
+  Shard *shardAt(Shard *S, uint64_t N, uint32_t Refs = 1) {
     for (;;) {
       if (!S->Into)
         advanceShard(*S, N);
       Shard *T = S->Into;
       if (!T)
         return S;
-      ++T->Refs;
-      releaseShard(S);
-      ++Counters.RefillMerges;
+      T->Refs += Refs;
+      releaseShard(S, Refs);
+      Counters.RefillMerges += Refs;
       S = T;
     }
   }
 
-  void evalBucket(Bucket &B, uint64_t N, uint64_t L) {
-    if (CachePos != N) {
-      CachePos = N;
-      SimValid = false;
-      AnchorValid[0] = AnchorValid[1] = false;
+  /// The order a cohort in \p State hands its members to the per-cursor
+  /// path: ascending rank, the back flipping first. In phase the highest
+  /// threshold leaves first; otherwise the lowest threshold enters first
+  /// and the smallest Average delta leaves first.
+  static double flipRank(const Cursor &C, PhaseState State) {
+    return State == PhaseState::InPhase &&
+                   C.Analyzer == AnalyzerKind::Threshold
+               ? C.P0
+               : -C.P0;
+  }
+
+  /// Puts refilling cursor \p C to sleep in \p B until the first
+  /// evaluation position at or after its ResyncAt.
+  void sleep(Bucket &B, Cursor &C) {
+    C.WakeAt = (C.ResyncAt + B.Skip - 1) / B.Skip * B.Skip;
+    auto It = std::upper_bound(
+        B.Sleepers.begin() + B.SleepHead, B.Sleepers.end(), C.WakeAt,
+        [](uint64_t Wake, const Cursor *S) { return Wake < S->WakeAt; });
+    B.Sleepers.insert(It, &C);
+    B.NextWake = B.Sleepers[B.SleepHead]->WakeAt;
+  }
+
+  /// Files cursor \p C, just evaluated or woken at \p N, where its
+  /// next evaluation finds it: asleep, or in the cohort of its source,
+  /// analyzer and state (created if none is live).
+  void fileCursor(Bucket &B, Cursor &C, uint64_t N) {
+    if (C.State == PhaseState::Transition && N < C.ResyncAt) {
+      sleep(B, C);
+      return;
     }
-    for (uint32_t Idx : B.Cursors)
-      evalCursor(Cursors[Idx], N, L);
+    // A cursor filed in phase entered at N; Average cohorts hold the
+    // stats of one entry position.
+    uint64_t Entry = C.State == PhaseState::InPhase &&
+                             C.Analyzer == AnalyzerKind::Average
+                         ? N
+                         : 0;
+    Cohort *K = nullptr;
+    for (size_t I = 0; I != B.NumCohorts && !K; ++I) {
+      Cohort &Cand = B.Cohorts[I];
+      if (Cand.Source == C.Sh && Cand.Analyzer == C.Analyzer &&
+          Cand.State == C.State && Cand.EntryPos == Entry)
+        K = &Cand;
+    }
+    if (!K) {
+      if (B.NumCohorts == B.Cohorts.size())
+        B.Cohorts.emplace_back();
+      K = &B.Cohorts[B.NumCohorts++];
+      K->Source = C.Sh;
+      K->Analyzer = C.Analyzer;
+      K->State = C.State;
+      K->EntryPos = Entry;
+      K->Stats = C.Stats;
+      K->Members.clear();
+    }
+    double Rank = flipRank(C, K->State);
+    auto It = std::upper_bound(
+        K->Members.begin(), K->Members.end(), Rank,
+        [&](double R, const Cursor *X) { return R < flipRank(*X, K->State); });
+    K->Members.insert(It, &C);
+  }
+
+  /// One evaluation of bucket \p B at \p N (a full batch of B.Skip
+  /// elements): wakes the sleepers due, settles each cohort with one
+  /// check plus one evaluation per member that flips, evaluates the Solo
+  /// cursors, then files the flipped cursors for their next evaluation.
+  /// Only the shard advance and the stay-checks are inline; the rare
+  /// paths (wake-ups, flips, merges, filing) are out of line, which
+  /// keeps the scan loop small.
+  /// Adds the stay-checks of the loop to \p Checks (flipMembers counts
+  /// its own): a counter in memory, bumped per check, slows the scan
+  /// loop measurably.
+  OPD_FORCE_INLINE void evalBucket(Bucket &B, uint64_t N, uint64_t &Checks) {
+    if (B.NextWake <= N)
+      wakeSleepers(B, N);
+    Checks += B.NumCohorts;
+    for (size_t I = 0; I != B.NumCohorts; ++I) {
+      Cohort &K = B.Cohorts[I];
+      if (Shard *S = K.Source) {
+        if (S->LastPos != N && !S->Into)
+          advanceShard(*S, N);
+        if (S->Into)
+          followMerge(K, N);
+      }
+      if (!stays(K, N))
+        flipMembers(K, N, B.Skip);
+    }
+    for (Cursor *C : B.Solo)
+      evalCursor(*C, N, B.Skip);
+    if (!Flipped.empty())
+      fileFlipped(B, N);
+  }
+
+  /// Files the sleepers of \p B whose refill is over by \p N.
+  OPD_NOINLINE void wakeSleepers(Bucket &B, uint64_t N) {
+    while (B.SleepHead != B.Sleepers.size() &&
+           B.Sleepers[B.SleepHead]->WakeAt <= N)
+      fileCursor(B, *B.Sleepers[B.SleepHead++], N);
+    if (B.SleepHead == B.Sleepers.size()) {
+      B.Sleepers.clear();
+      B.SleepHead = 0;
+      B.NextWake = UINT64_MAX;
+    } else {
+      B.NextWake = B.Sleepers[B.SleepHead]->WakeAt;
+    }
+  }
+
+  /// Moves cohort \p K, whose shard has refilled into its twin, to the
+  /// twin at \p N — the whole cohort at once (it stays apart from any
+  /// cohort already there).
+  OPD_NOINLINE void followMerge(Cohort &K, uint64_t N) {
+    Shard *S = shardAt(K.Source, N, static_cast<uint32_t>(K.Members.size()));
+    if (S == K.Source)
+      return;
+    K.Source = S;
+    for (Cursor *C : K.Members)
+      C->Sh = S;
+  }
+
+  /// The stay-check of cohort \p K at \p N: whether its first member
+  /// keeps its state, in which case every member provably does (and an
+  /// Average cohort takes the one stats update for all).
+  OPD_FORCE_INLINE bool stays(Cohort &K, uint64_t N) {
+    assert(!K.Members.empty() && "live cohorts are nonempty");
+    Cursor &C = *K.Members.back();
+    if (K.Analyzer == AnalyzerKind::Average)
+      C.Stats = K.Stats;
+    double SimHere = 0.0;
+    if (decide(C, N, SimHere) != K.State)
+      return false;
+    if (K.State == PhaseState::InPhase && K.Analyzer == AnalyzerKind::Average)
+      updateStats(K.Stats, SimHere);
+    return true;
+  }
+
+  /// Hands the first members of \p K to evalCursor (onto Flipped) while
+  /// they flip; called once the first has failed its stay-check.
+  OPD_NOINLINE void flipMembers(Cohort &K, uint64_t N, uint64_t L) {
+    do {
+      Cursor *C = K.Members.back();
+      K.Members.pop_back();
+      evalCursor(*C, N, L);
+      Flipped.push_back(C);
+    } while (!K.Members.empty() && (++Counters.CohortChecks, !stays(K, N)));
+  }
+
+  /// Retires the cohorts the flips of this evaluation emptied (keeping
+  /// their member arrays as spares), then files the flipped cursors.
+  OPD_NOINLINE void fileFlipped(Bucket &B, uint64_t N) {
+    for (size_t I = 0; I < B.NumCohorts;) {
+      if (B.Cohorts[I].Members.empty())
+        std::swap(B.Cohorts[I], B.Cohorts[--B.NumCohorts]);
+      else
+        ++I;
+    }
+    for (Cursor *C : Flipped)
+      fileCursor(B, *C, N);
+    Flipped.clear();
+  }
+
+  /// The position after \p Pos at which \p B evaluates next: one stride
+  /// on, or, when every cursor in it sleeps, the first wake-up.
+  uint64_t nextEval(const Bucket &B, uint64_t Pos) const {
+    uint64_t Next = Pos + B.Skip;
+    if (B.NumCohorts == 0 && B.Solo.empty())
+      Next = std::max(Next, B.NextWake);
+    return Next;
+  }
+
+  /// Evaluates every cursor of \p B one by one at \p N over \p L
+  /// elements (the trailing short batch; nothing is filed afterwards).
+  void evalEachCursor(Bucket &B, uint64_t N, uint64_t L) {
+    for (Cohort &K : std::span(B.Cohorts.data(), B.NumCohorts))
+      for (Cursor *C : K.Members) {
+        C->Stats = K.Stats;
+        evalCursor(*C, N, L);
+      }
+    for (size_t I = B.SleepHead; I != B.Sleepers.size(); ++I)
+      evalCursor(*B.Sleepers[I], N, L);
+    for (Cursor *C : B.Solo)
+      evalCursor(*C, N, L);
+  }
+
+  /// The state an evaluation of \p C at \p N decides — the decision of
+  /// FastPhaseDetector::processBatchInline, with the phase edges and run
+  /// accounting left to evalCursor. Sets \p SimHere to the similarity an
+  /// Average decision read. The one decision function: cohort
+  /// stay-checks and per-cursor evaluations both call it.
+  OPD_FORCE_INLINE PhaseState decide(Cursor &C, uint64_t N,
+                                     double &SimHere) {
+    if (C.State == PhaseState::Transition && N < C.ResyncAt)
+      // Refilling after a flush: windows provably not full — forced
+      // Transition, and the analyzer is NOT consulted (the hysteresis
+      // state must survive untouched).
+      return PhaseState::Transition;
+    if (C.Sh) {
+      // Adaptive, in phase: decide off the detached shard (most
+      // evaluations find it already advanced here by another cursor).
+      if (C.Sh->LastPos != N || C.Sh->Into)
+        C.Sh = shardAt(C.Sh, N);
+      Kernel &K = C.Sh->K;
+      if (C.Sh->TWLen == 0 || C.Sh->CWLen == 0)
+        // The in-phase windowsFull(): an anchor drop that emptied the
+        // TW (Move) or a slide that emptied the CW forces a Transition.
+        return PhaseState::Transition;
+      switch (C.Analyzer) {
+      case AnalyzerKind::Threshold:
+        // Keep the kernel-side decision: the envelope defers dirty
+        // recomputes the raw similarity would force.
+        return K.similarityAtLeast(C.P0) ? PhaseState::InPhase
+                                         : PhaseState::Transition;
+      case AnalyzerKind::Average:
+        SimHere = K.similarity();
+        return averageDecide(C, SimHere);
+      case AnalyzerKind::Hysteresis:
+        return hysteresisDecide(C, K.similarity());
+      }
+    }
+    // Synced (constant cursors in or out of phase; adaptive out of
+    // phase): decide off the shared kernel, one similarity for all.
+    switch (C.Analyzer) {
+    case AnalyzerKind::Threshold:
+      return sharedSim(N) >= C.P0 ? PhaseState::InPhase
+                                 : PhaseState::Transition;
+    case AnalyzerKind::Average:
+      SimHere = sharedSim(N);
+      return averageDecide(C, SimHere);
+    case AnalyzerKind::Hysteresis:
+      return hysteresisDecide(C, sharedSim(N));
+    }
+    return PhaseState::Transition;
   }
 
   /// One evaluation of \p C at position \p N covering \p L elements —
   /// the cursor replica of FastPhaseDetector::processBatchInline plus
   /// consumeTrace's run accumulation.
   void evalCursor(Cursor &C, uint64_t N, uint64_t L) {
-    PhaseState New = PhaseState::Transition;
+    ++Counters.CursorEvaluations;
     double SimHere = 0.0;
-    if (C.State == PhaseState::Transition && N < C.ResyncAt) {
-      // Refilling after a flush: windows provably not full — forced
-      // Transition, and the analyzer is NOT consulted (the hysteresis
-      // state must survive untouched).
-      New = PhaseState::Transition;
-    } else if (C.Sh) {
-      // Adaptive, in phase: decide off the detached shard (most
-      // evaluations find it already advanced here by another cursor).
-      if (C.Sh->LastPos != N || C.Sh->Into)
-        C.Sh = shardAt(C.Sh, N);
-      Shard &S = *C.Sh;
-      if (S.TWLen == 0 || S.CWLen == 0) {
-        // The in-phase windowsFull(): an anchor drop that emptied the
-        // TW (Move) or a slide that emptied the CW forces a Transition.
-        New = PhaseState::Transition;
-      } else {
-        switch (C.Analyzer) {
-        case AnalyzerKind::Threshold:
-          // Keep the kernel-side decision: the envelope defers dirty
-          // recomputes the raw similarity would force.
-          New = S.K.similarityAtLeast(C.P0) ? PhaseState::InPhase
-                                            : PhaseState::Transition;
-          break;
-        case AnalyzerKind::Average:
-          SimHere = S.K.similarity();
-          New = averageDecide(C, SimHere);
-          break;
-        case AnalyzerKind::Hysteresis:
-          New = hysteresisDecide(C, S.K.similarity());
-          break;
-        }
-      }
-    } else {
-      // Synced (constant cursors in or out of phase; adaptive out of
-      // phase): decide off the shared kernel, one similarity for all.
-      switch (C.Analyzer) {
-      case AnalyzerKind::Threshold:
-        New = sharedSim() >= C.P0 ? PhaseState::InPhase
-                                  : PhaseState::Transition;
-        break;
-      case AnalyzerKind::Average:
-        SimHere = sharedSim();
-        New = averageDecide(C, SimHere);
-        break;
-      case AnalyzerKind::Hysteresis:
-        New = hysteresisDecide(C, sharedSim());
-        break;
-      }
-    }
+    PhaseState New = decide(C, N, SimHere);
 
     // Phase edges, in processBatchInline's order.
     if (C.State == PhaseState::Transition && New == PhaseState::InPhase) {
@@ -590,11 +862,11 @@ private:
       if (C.Policy == TWPolicyKind::Adaptive)
         C.Sh = acquireShard(N, A, C.Resize);
       if (C.Analyzer == AnalyzerKind::Average)
-        resetStats(C);
+        C.Stats = MeanStats();
     } else if (C.State == PhaseState::InPhase &&
                New == PhaseState::InPhase &&
                C.Analyzer == AnalyzerKind::Average) {
-      updateStats(C, SimHere);
+      updateStats(C.Stats, SimHere);
     }
     if (C.State == PhaseState::InPhase && New == PhaseState::Transition) {
       // endPhase: the seed kept is min(skip, CWSize, window length);
@@ -609,20 +881,20 @@ private:
         C.Sh = nullptr;
       }
       if (C.Analyzer == AnalyzerKind::Average)
-        resetStats(C);
+        C.Stats = MeanStats();
     }
 
-    // Run accumulation, exactly as consumeTrace.
-    if (New == C.RunState) {
-      C.RunLen += L;
-    } else {
+    // Run accumulation, as consumeTrace: the batch is [N - L, N), and
+    // the pending run covers every batch before it since RunStart.
+    if (New != C.RunState) {
+      uint64_t Begin = N - L;
       if (C.RunState == PhaseState::Transition &&
           New == PhaseState::InPhase)
         C.Anchored->push_back(C.LastAnchor);
-      if (C.RunLen != 0)
-        C.Run->States.append(C.RunState, C.RunLen);
+      if (Begin != C.RunStart)
+        C.Run->States.append(C.RunState, Begin - C.RunStart);
       C.RunState = New;
-      C.RunLen = L;
+      C.RunStart = Begin;
     }
     C.State = New;
   }
@@ -631,10 +903,10 @@ private:
   /// sweep path never sets an entry threshold, so an empty-stats
   /// evaluation opens a phase unconditionally).
   static PhaseState averageDecide(const Cursor &C, double Similarity) {
-    if (C.StatsN == 0)
+    if (C.Stats.N == 0)
       return PhaseState::InPhase;
-    return Similarity >= C.StatsMean - C.P0 ? PhaseState::InPhase
-                                            : PhaseState::Transition;
+    return Similarity >= C.Stats.Mean - C.P0 ? PhaseState::InPhase
+                                             : PhaseState::Transition;
   }
 
   /// FastHysteresisAnalyzer::processValue over the cursor's state.
@@ -646,16 +918,10 @@ private:
     return C.HystState;
   }
 
-  static void resetStats(Cursor &C) {
-    C.StatsN = 0;
-    C.StatsMean = 0.0;
-  }
-
   /// FastMeanStats::push — the identical Welford mean update.
-  static void updateStats(Cursor &C, double Similarity) {
-    ++C.StatsN;
-    C.StatsMean +=
-        (Similarity - C.StatsMean) / static_cast<double>(C.StatsN);
+  static void updateStats(MeanStats &S, double Similarity) {
+    ++S.N;
+    S.Mean += (Similarity - S.Mean) / static_cast<double>(S.N);
   }
 
   // Shared free-running window.
@@ -671,17 +937,21 @@ private:
   const SiteIndex *Elements = nullptr;
   size_t NumElements = 0;
 
-  // Per-evaluation-position memoization.
-  uint64_t CachePos = UINT64_MAX;
+  // Per-evaluation-position memoization: each value and the position it
+  // was taken at.
+  uint64_t SimPos = UINT64_MAX;
   double Sim = 0.0;
-  bool SimValid = false;
+  uint64_t AnchorPos[2] = {UINT64_MAX, UINT64_MAX};
   uint64_t AnchorVal[2] = {0, 0};
-  bool AnchorValid[2] = {false, false};
 
-  // Cursors and their stride buckets (rebuilt per group, capacity kept).
+  // Cursors and their stride buckets (rebuilt per group, capacity kept:
+  // Buckets[0, NumBuckets) are this group's).
   std::vector<Cursor> Cursors;
   std::vector<Bucket> Buckets;
+  size_t NumBuckets = 0;
   std::vector<std::vector<uint64_t>> AnchoredPool;
+  /// Cursors that flipped in the current evaluation, to be filed.
+  std::vector<Cursor *> Flipped;
 
   // Shard storage: ShardPool owns, Active/Free partition the pointers.
   std::vector<std::unique_ptr<Shard>> ShardPool;

@@ -14,16 +14,23 @@
 /// fast path and the reference PhaseDetector, on both the batch and
 /// portable kernel backends; it holds the sweep harness's shared-scan
 /// engine to bit-identical scores against its reference-detector stats
-/// path (pruned and unpruned); and it pins the paper preset's group structure so plan regressions
-/// are loud.
+/// path (pruned and unpruned); and it pins the paper preset's group
+/// structure so plan regressions are loud.
 ///
 /// In-phase adaptive shards are shared by the windows they hold, not by
 /// how they were created. The corner cases of that identity rule run on
 /// a hand-built trace whose shard timeline is known exactly (forks,
-/// joins and refill merges are pinned through the engine's counters),
-/// and a property test pins its premise: every kernel's similarity is a
-/// function of the CW/TW count vectors alone, whatever the order of the
-/// operations that produced them.
+/// joins, refill merges and the evaluation work are pinned through the
+/// engine's counters), and a property test pins its premise: every
+/// kernel's similarity is a function of the CW/TW count vectors alone,
+/// whatever the order of the operations that produced them.
+///
+/// Cursors are evaluated by cohort: one check of the member that would
+/// flip first settles all of them. Hand-built cases drive the cohort
+/// corners (members entering and leaving together or one by one, ties,
+/// a cohort moved by a refill merge, the trailing short batch), and a
+/// seeded property test runs random groups, non-finite parameters
+/// included.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +48,8 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -387,49 +396,74 @@ DetectorConfig idConfig(ResizeKind Resize, uint32_t Skip,
 /// (resize, skip) per cursor, in group (and therefore bucket) order.
 using CursorSpec = std::vector<std::pair<ResizeKind, uint32_t>>;
 
+/// What one shared-scan group run left behind: the engine's counters
+/// and every member's run (batch kernels on).
+struct GroupResult {
+  SharedScanCounters Counters;
+  std::vector<DetectorRun> Runs;
+};
+
+/// Runs \p Configs (one shape) as one shared-scan group over \p Trace
+/// on both kernel backends, requiring every member's run to be
+/// bit-identical to its own FastPhaseDetector and (unless
+/// \p CheckReference is false) reference detector.
+GroupResult runCheckedGroup(const std::vector<DetectorConfig> &Configs,
+                            const BranchTrace &Trace,
+                            bool CheckReference = true) {
+  std::vector<size_t> Members(Configs.size());
+  for (size_t I = 0; I != Members.size(); ++I)
+    Members[I] = I;
+  std::unique_ptr<SharedScanEngineBase> Engine =
+      makeSharedScanEngine(Configs.front().Model, Trace.numSites());
+  GroupResult Result;
+  for (bool Batch : {false, true}) {
+    Engine->setBatchKernels(Batch);
+    Result.Runs.assign(Configs.size(), DetectorRun());
+    Engine->run(Configs, Members, Trace.elements().data(), Trace.size(),
+                Result.Runs);
+    Result.Counters = Engine->counters();
+    for (size_t I = 0; I != Configs.size(); ++I) {
+      std::unique_ptr<FastDetectorBase> Fast =
+          makeFastDetector(Configs[I], Trace.numSites());
+      expectRunsEqual(runDetector(*Fast, Trace), Result.Runs[I], Configs[I],
+                      Batch ? "group vs fast" : "group portable vs fast");
+      if (!CheckReference)
+        continue;
+      std::unique_ptr<PhaseDetector> Reference =
+          makeDetector(Configs[I], Trace.numSites());
+      expectRunsEqual(runDetector(*Reference, Trace), Result.Runs[I],
+                      Configs[I], "group vs reference");
+    }
+  }
+  return Result;
+}
+
 /// Runs \p Spec as one shared-scan group under \p Analyzer and \p Model
-/// on both kernel backends, requiring every cursor's run to be
-/// bit-identical to its own FastPhaseDetector and reference detector,
-/// and returns the engine's counters.
+/// through runCheckedGroup and returns the engine's counters.
 SharedScanCounters runIdentityGroup(const CursorSpec &Spec,
                                     AnalyzerKind Analyzer, ModelKind Model,
                                     const BranchTrace &Trace) {
   std::vector<DetectorConfig> Configs;
-  std::vector<size_t> Members;
-  for (const auto &[Resize, Skip] : Spec) {
-    Members.push_back(Configs.size());
+  for (const auto &[Resize, Skip] : Spec)
     Configs.push_back(idConfig(Resize, Skip, Analyzer, Model));
-  }
-  std::unique_ptr<SharedScanEngineBase> Engine =
-      makeSharedScanEngine(Model, Trace.numSites());
-  SharedScanCounters Counters;
-  for (bool Batch : {false, true}) {
-    Engine->setBatchKernels(Batch);
-    std::vector<DetectorRun> Runs(Configs.size());
-    Engine->run(Configs, Members, Trace.elements().data(), Trace.size(),
-                Runs);
-    Counters = Engine->counters();
-    for (size_t I = 0; I != Configs.size(); ++I) {
-      std::unique_ptr<FastDetectorBase> Fast =
-          makeFastDetector(Configs[I], Trace.numSites());
-      expectRunsEqual(runDetector(*Fast, Trace), Runs[I], Configs[I],
-                      Batch ? "identity vs fast" : "identity portable");
-      std::unique_ptr<PhaseDetector> Reference =
-          makeDetector(Configs[I], Trace.numSites());
-      expectRunsEqual(runDetector(*Reference, Trace), Runs[I], Configs[I],
-                      "identity vs reference");
-    }
-  }
-  return Counters;
+  return runCheckedGroup(Configs, Trace).Counters;
 }
+
+/// Per analyzer (Threshold, then Average): full per-cursor evaluations
+/// and cohort stay-checks.
+struct ExpectedWork {
+  uint64_t Evaluations, Checks;
+};
 
 struct ExpectedShards {
   uint64_t Forked, Joins, Merges;
+  std::array<ExpectedWork, 2> Work;
 };
 
 /// runIdentityGroup under both analyzers on every model, pinning the
 /// unweighted counters to \p Expected (on this trace the other models'
-/// similarities differ, and with them the entry positions).
+/// similarities differ, and with them the entry positions). The shard
+/// counters of an Average group are pinned only if \p AverageMatches.
 void checkIdentityCase(const CursorSpec &Spec, const BranchTrace &Trace,
                        ExpectedShards Expected,
                        bool AverageMatches = true) {
@@ -441,8 +475,13 @@ void checkIdentityCase(const CursorSpec &Spec, const BranchTrace &Trace,
                    << "analyzer " << static_cast<int>(Analyzer) << " model "
                    << static_cast<int>(Model));
       SharedScanCounters C = runIdentityGroup(Spec, Analyzer, Model, Trace);
-      if (Model != ModelKind::UnweightedSet ||
-          (Analyzer == AnalyzerKind::Average && !AverageMatches))
+      if (Model != ModelKind::UnweightedSet)
+        continue;
+      const ExpectedWork &Work =
+          Expected.Work[Analyzer == AnalyzerKind::Threshold ? 0 : 1];
+      EXPECT_EQ(C.CursorEvaluations, Work.Evaluations);
+      EXPECT_EQ(C.CohortChecks, Work.Checks);
+      if (Analyzer == AnalyzerKind::Average && !AverageMatches)
         continue;
       EXPECT_EQ(C.ShardsForked, Expected.Forked);
       EXPECT_EQ(C.ShardJoins, Expected.Joins);
@@ -459,9 +498,14 @@ constexpr ResizeKind Move = ResizeKind::Move;
 
 // Two cursors entering a phase at different positions (40 and 42) with
 // the same Base hold the same windows from 42 on: one fork, one join.
-// Keyed by entry event, they would have forked a shard each.
+// Keyed by entry event, they would have forked a shard each. The work
+// is one full evaluation per entry plus the skip-7 cursor's trailing
+// short batch (120 = 17 * 7 + 1), and one stay-check per cohort per
+// evaluation from each cursor's wake-up on: 1 + 80 at skip 1 (40, then
+// 41..120), 1 + 11 at skip 7 (42, then 49..119).
 TEST(SharedScanIdentityTest, DifferentEntriesSameBaseForkOneShard) {
-  checkIdentityCase({{Move, 1}, {Move, 7}}, makeLoopTrace(120), {1, 1, 0});
+  checkIdentityCase({{Move, 1}, {Move, 7}}, makeLoopTrace(120),
+                    {1, 1, 0, {{{3, 93}, {3, 93}}}});
 }
 
 // A Slide cursor (entered at 40) refills at 50 into the Move shard
@@ -469,7 +513,8 @@ TEST(SharedScanIdentityTest, DifferentEntriesSameBaseForkOneShard) {
 // The sliding cursor is the shard's only one, so it leaves (and frees)
 // its shard on the evaluation where it merges.
 TEST(SharedScanIdentityTest, SlideRefillsIntoMoveShardEnteredElsewhere) {
-  checkIdentityCase({{Move, 7}, {Slide, 1}}, makeLoopTrace(120), {2, 0, 1});
+  checkIdentityCase({{Move, 7}, {Slide, 1}}, makeLoopTrace(120),
+                    {2, 0, 1, {{{3, 93}, {3, 93}}}});
 }
 
 // Slide forks joining an older same-Base Slide shard (forked at 40 by
@@ -479,7 +524,7 @@ TEST(SharedScanIdentityTest, SlideRefillsIntoMoveShardEnteredElsewhere) {
 // its next evaluation, the last (skip 7, at 56) freeing it.
 TEST(SharedScanIdentityTest, SlideForksJoinOlderSlideShard) {
   checkIdentityCase({{Slide, 5}, {Slide, 7}, {Slide, 3}, {Move, 2}},
-                    makeLoopTrace(120), {2, 2, 3});
+                    makeLoopTrace(120), {2, 2, 3, {{{5, 97}, {5, 97}}}});
 }
 
 // The loop ends at 45, so at 50 the Threshold cursors leave the phase:
@@ -488,14 +533,16 @@ TEST(SharedScanIdentityTest, SlideForksJoinOlderSlideShard) {
 // too. (The Average cursors leave at other positions.)
 TEST(SharedScanIdentityTest, MergeOnTheEvaluationThatEndsThePhase) {
   checkIdentityCase({{Slide, 10}, {Move, 1}}, makeLoopTrace(120, 45),
-                    {2, 0, 1}, /*AverageMatches=*/false);
+                    {2, 0, 1, {{{4, 50}, {6, 50}}}},
+                    /*AverageMatches=*/false);
 }
 
 // The trace ends at 53: the skip-7 Slide cursor last evaluates at 49
 // (CW 19 long), so its refill and merge happen in the trailing short
 // batch.
 TEST(SharedScanIdentityTest, MergeInTheTrailingShortBatch) {
-  checkIdentityCase({{Move, 1}, {Slide, 7}}, makeLoopTrace(53), {2, 0, 1});
+  checkIdentityCase({{Move, 1}, {Slide, 7}}, makeLoopTrace(53),
+                    {2, 0, 1, {{{3, 16}, {3, 16}}}});
 }
 
 // Counters describe the last run() only.
@@ -690,4 +737,294 @@ TEST(SharedScanIdentityTest, KernelDecisionsAreFunctionsOfTheCounts) {
   checkPathIndependence<ModelKind::UnweightedSet>();
   checkPathIndependence<ModelKind::WeightedSet>();
   checkPathIndependence<ModelKind::ManhattanBBV>();
+}
+
+//===----------------------------------------------------------------------===//
+// Cohorts
+//
+// The engine settles a cohort (cursors of one bucket on one source, in
+// one state, under one analyzer kind and, for Average, with one set of
+// stats) with one check of the member that would flip first. Each case
+// below is one group on a hand-built trace at CW = TW = 20, run on all
+// three models and both kernel backends and bit-checked against
+// FastPhaseDetector and the reference detector; the positions in the
+// comments, and the structural expectations, are the unweighted
+// model's. An evaluation at N decides the batch [N - skip, N), so a
+// phase entered at N begins at N - skip.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A trace segment: Len elements looping over Sites sites numbered from
+/// Base, or, with Sites == 0, Len never-repeating sites.
+struct Segment {
+  uint32_t Sites, Len, Base;
+};
+
+BranchTrace makeSegmentTrace(std::initializer_list<Segment> Segments) {
+  BranchTrace Trace;
+  uint32_t Fresh = 1000;
+  for (const Segment &S : Segments)
+    for (uint32_t I = 0; I != S.Len; ++I)
+      Trace.append(ProfileElement(
+          0, S.Sites == 0 ? Fresh++ : S.Base + I % S.Sites, true));
+  return Trace;
+}
+
+DetectorConfig cohortConfig(TWPolicyKind Policy, ResizeKind Resize,
+                            uint32_t Skip, AnalyzerKind Analyzer,
+                            double Param) {
+  DetectorConfig C = idConfig(Resize, Skip, Analyzer);
+  C.Window.TWPolicy = Policy;
+  C.AnalyzerParam = Param;
+  return C;
+}
+
+/// Appends one config per parameter in \p Params.
+void addConfigs(std::vector<DetectorConfig> &Configs, TWPolicyKind Policy,
+                ResizeKind Resize, uint32_t Skip, AnalyzerKind Analyzer,
+                std::initializer_list<double> Params) {
+  for (double P : Params)
+    Configs.push_back(cohortConfig(Policy, Resize, Skip, Analyzer, P));
+}
+
+/// runCheckedGroup on every model; returns the unweighted result.
+GroupResult runCohortCase(std::vector<DetectorConfig> Configs,
+                          const BranchTrace &Trace) {
+  GroupResult Unweighted;
+  for (ModelKind Model : {ModelKind::UnweightedSet, ModelKind::WeightedSet,
+                          ModelKind::ManhattanBBV}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "model " << static_cast<int>(Model));
+    for (DetectorConfig &C : Configs)
+      C.Model = Model;
+    GroupResult R = runCheckedGroup(Configs, Trace);
+    if (Model == ModelKind::UnweightedSet)
+      Unweighted = std::move(R);
+  }
+  return Unweighted;
+}
+
+/// The [begin, end) of each member's \p Nth detected phase.
+std::vector<std::pair<uint64_t, uint64_t>>
+nthPhases(const GroupResult &R, size_t Nth) {
+  std::vector<std::pair<uint64_t, uint64_t>> Out;
+  for (const DetectorRun &Run : R.Runs) {
+    EXPECT_GT(Run.DetectedPhases.size(), Nth);
+    if (Run.DetectedPhases.size() > Nth)
+      Out.emplace_back(Run.DetectedPhases[Nth].Begin,
+                       Run.DetectedPhases[Nth].End);
+    else
+      Out.emplace_back(0, 0);
+  }
+  return Out;
+}
+
+using Phases = std::vector<std::pair<uint64_t, uint64_t>>;
+
+constexpr TWPolicyKind Constant = TWPolicyKind::Constant;
+constexpr TWPolicyKind Adaptive = TWPolicyKind::Adaptive;
+constexpr AnalyzerKind Threshold = AnalyzerKind::Threshold;
+constexpr AnalyzerKind Average = AnalyzerKind::Average;
+
+} // namespace
+
+// Five Average cursors (a tied delta among them) open a phase at 40 on
+// one shard, so they form one cohort with one set of stats. When loop A
+// gives way to loop B at 70 the similarity falls a step per position
+// (4/5, 4/6, 4/7, 4/8), and the deltas leave one per evaluation,
+// smallest first: their phases end at 70 (the tied pair), 71, 72, 73.
+// Every cursor enters twice (again after its refill), each entry a
+// fork or a join.
+TEST(SharedScanCohortTest, AverageDeltasEnterTogetherLeaveOnePerEvaluation) {
+  BranchTrace Trace = makeSegmentTrace({{0, 10, 0}, {4, 60, 0}, {4, 60, 10}});
+  std::vector<DetectorConfig> Configs;
+  addConfigs(Configs, Adaptive, Move, 1, Average,
+             {0.45, 0.1, 0.4, 0.25, 0.1});
+  GroupResult R = runCohortCase(Configs, Trace);
+  EXPECT_EQ(nthPhases(R, 0),
+            (Phases{{39, 73}, {39, 70}, {39, 72}, {39, 71}, {39, 70}}));
+  EXPECT_EQ(R.Counters.ShardsForked + R.Counters.ShardJoins,
+            uint64_t(5 + 5));
+}
+
+// The same cohort at skip 10 meets fresh sites: between evaluations 60
+// and 70 the similarity collapses, and every member leaves on the one
+// evaluation at 70.
+TEST(SharedScanCohortTest, AverageDeltasAllLeaveOnOneEvaluation) {
+  BranchTrace Trace = makeSegmentTrace({{0, 10, 0}, {4, 60, 0}, {0, 40, 0}});
+  std::vector<DetectorConfig> Configs;
+  addConfigs(Configs, Adaptive, Move, 10, Average, {0.1, 0.25, 0.4, 0.45});
+  addConfigs(Configs, Constant, Move, 10, Average, {0.25, 0.1});
+  GroupResult R = runCohortCase(Configs, Trace);
+  EXPECT_EQ(nthPhases(R, 0), Phases(6, {30, 70}));
+  // The adaptive members share one shard on both entries (at 40, and
+  // after the refill at 110): a fork and three joins each time.
+  EXPECT_EQ(R.Counters.ShardsForked, 2u);
+  EXPECT_EQ(R.Counters.ShardJoins, 6u);
+}
+
+// Several thresholds cross on one evaluation, in both directions. In
+// phase on a shard: at 72 (similarity 4/6) thresholds 0.75 and 0.7
+// leave together. Out of phase on the shared kernel: after fresh
+// sites, loop C's sites reach the TW one per position from 150, and
+// the similarity steps 1/4, 2/4, 3/4 — so 0.55, 0.6 and 0.7, all awake
+// by then, enter together at 153.
+TEST(SharedScanCohortTest, SeveralThresholdsCrossOnOneEvaluation) {
+  {
+    SCOPED_TRACE("shard, in phase to transition");
+    BranchTrace Trace =
+        makeSegmentTrace({{0, 10, 0}, {4, 60, 0}, {4, 60, 10}});
+    std::vector<DetectorConfig> Configs;
+    addConfigs(Configs, Adaptive, Move, 1, Threshold,
+               {0.9, 0.75, 0.7, 0.6, 0.55});
+    GroupResult R = runCohortCase(Configs, Trace);
+    EXPECT_EQ(nthPhases(R, 0),
+              (Phases{{39, 70}, {39, 71}, {39, 71}, {39, 72}, {39, 73}}));
+    EXPECT_EQ(R.Counters.ShardsForked, 1u + 4u);
+  }
+  {
+    SCOPED_TRACE("synced, transition to in phase");
+    BranchTrace Trace = makeSegmentTrace(
+        {{0, 10, 0}, {4, 60, 0}, {0, 60, 0}, {4, 60, 10}});
+    std::vector<DetectorConfig> Configs;
+    addConfigs(Configs, Constant, Move, 1, Threshold,
+               {0.5, 0.55, 0.6, 0.7, 0.9});
+    GroupResult R = runCohortCase(Configs, Trace);
+    Phases Second = nthPhases(R, 1);
+    EXPECT_EQ(Second[1].first, 152u);
+    EXPECT_EQ(Second[2].first, 152u);
+    EXPECT_EQ(Second[3].first, 152u);
+    EXPECT_EQ(Second[0].first, 151u);
+    EXPECT_EQ(Second[4].first, 153u);
+  }
+}
+
+// Tied parameters — repeated thresholds and deltas, and -0.0 against
+// 0.0 — share a cohort and must decide alike, in the order the ties
+// happen to sit in it.
+TEST(SharedScanCohortTest, TiedParametersDecideAlike) {
+  BranchTrace Trace = makeSegmentTrace(
+      {{0, 10, 0}, {4, 60, 0}, {4, 60, 10}, {0, 30, 0}, {3, 50, 20}});
+  std::vector<DetectorConfig> Configs;
+  for (TWPolicyKind Policy : {Constant, Adaptive}) {
+    addConfigs(Configs, Policy, Slide, 1, Threshold,
+               {0.6, 0.7, 0.6, 0.0, 0.7, -0.0, 0.6});
+    addConfigs(Configs, Policy, Slide, 1, Average, {0.1, 0.2, 0.1, 0.1});
+  }
+  GroupResult R = runCohortCase(Configs, Trace);
+  for (size_t I = 0; I != Configs.size(); ++I)
+    for (size_t J = I + 1; J != Configs.size(); ++J)
+      if (Configs[I].Window.TWPolicy == Configs[J].Window.TWPolicy &&
+          Configs[I].TheAnalyzer == Configs[J].TheAnalyzer &&
+          Configs[I].AnalyzerParam == Configs[J].AnalyzerParam)
+        expectRunsEqual(R.Runs[I], R.Runs[J], Configs[J], "tie");
+}
+
+// A refill merge moves a whole cohort. Three Slide thresholds enter at
+// 40 on one shard (one fork, two joins), a Move threshold forks the
+// Move shard, and at 50 the Slide shard refills into it: all three
+// cursors move at once, as one cohort (it stays apart from the Move
+// one). Checks: four at 40, where every member of the one out-of-phase
+// cohort flips in turn, then two per position over 41..120.
+TEST(SharedScanCohortTest, RefillMergeMovesAWholeCohort) {
+  BranchTrace Trace = makeLoopTrace(120);
+  std::vector<DetectorConfig> Configs;
+  addConfigs(Configs, Adaptive, Slide, 1, Threshold, {0.5, 0.6, 0.7});
+  addConfigs(Configs, Adaptive, Move, 1, Threshold, {0.5});
+  GroupResult R = runCohortCase(Configs, Trace);
+  EXPECT_EQ(R.Counters.ShardsForked, 2u);
+  EXPECT_EQ(R.Counters.ShardJoins, 2u);
+  EXPECT_EQ(R.Counters.RefillMerges, 3u);
+  EXPECT_EQ(R.Counters.CursorEvaluations, 4u);
+  EXPECT_EQ(R.Counters.CohortChecks, 4u + 2u * 80u);
+
+  // Average cohorts keep their own stats across the move: the Slide and
+  // Move cohorts read one shard from 50 on but stay apart.
+  std::vector<DetectorConfig> Averages;
+  addConfigs(Averages, Adaptive, Slide, 1, Average, {0.1, 0.3});
+  addConfigs(Averages, Adaptive, Move, 1, Average, {0.1});
+  GroupResult A = runCohortCase(Averages, Trace);
+  EXPECT_EQ(A.Counters.RefillMerges, 2u);
+}
+
+// The trailing short batch evaluates every cursor one by one: at 87
+// (87 = 12 * 7 + 3) the skip-7 bucket holds sleepers (thresholds that
+// left at 70 and refill past the trace end) next to a cohort member (an
+// Average delta of 2, which never leaves); the skip-3 bucket holds only
+// sleepers and jumps past its remaining evaluations; and the skip-500
+// bucket's one batch covers the whole trace, its cursors waking in it
+// (threshold 0.1 enters, 0.5 does not).
+TEST(SharedScanCohortTest, TrailingShortBatchHoldsSleepersAndCohorts) {
+  BranchTrace Trace = makeSegmentTrace({{0, 10, 0}, {4, 60, 0}, {0, 17, 0}});
+  ASSERT_EQ(Trace.size(), 87u);
+  std::vector<DetectorConfig> Configs;
+  addConfigs(Configs, Constant, Move, 7, Threshold, {0.5, 0.9});
+  addConfigs(Configs, Adaptive, Move, 7, Average, {0.1, 2.0});
+  addConfigs(Configs, Constant, Move, 3, Threshold, {0.5, 0.6});
+  addConfigs(Configs, Adaptive, Slide, 500, Threshold, {0.1, 0.5});
+  GroupResult R = runCohortCase(Configs, Trace);
+  EXPECT_EQ(R.Runs[3].DetectedPhases.back().End, 87u);
+  EXPECT_EQ(R.Runs[6].DetectedPhases, (std::vector<PhaseInterval>{{0, 87}}));
+  EXPECT_TRUE(R.Runs[7].DetectedPhases.empty());
+}
+
+// Random groups: random shapes, strides, analyzers and policies, with
+// Threshold and Average parameters drawn to include ties, values at or
+// beyond [0, 1], infinities and NaN (cursors with non-finite parameters,
+// like Hysteresis ones, decide alone), over random loop/fresh/noise
+// traces.
+TEST(SharedScanCohortTest, RandomGroupsMatchTheFastDetector) {
+  Xoshiro256 Rng(0xc0407);
+  const double Inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> Pool = {0.5,  0.5,  0.25, 0.75, 0.6, 0.0,
+                                    -0.0, -0.3, 1.0,  1.5,  Inf, -Inf,
+                                    std::numeric_limits<double>::quiet_NaN()};
+  for (int Trial = 0; Trial != 80; ++Trial) {
+    SCOPED_TRACE(::testing::Message() << "trial " << Trial);
+    BranchTrace Trace;
+    uint32_t Fresh = 1000;
+    uint64_t Len = 150 + Rng.nextBelow(300);
+    while (Trace.size() < Len) {
+      uint64_t SegLen = 5 + Rng.nextBelow(70);
+      uint64_t Kind = Rng.nextBelow(3);
+      uint32_t Sites = 1 + static_cast<uint32_t>(Rng.nextBelow(6));
+      uint32_t Base = 8 * static_cast<uint32_t>(Rng.nextBelow(4));
+      for (uint64_t I = 0; I != SegLen; ++I) {
+        uint32_t Site = Kind == 0   ? Fresh++
+                        : Kind == 1 ? Base + static_cast<uint32_t>(I % Sites)
+                                    : static_cast<uint32_t>(Rng.nextBelow(40));
+        Trace.append(ProfileElement(0, Site, true));
+      }
+    }
+
+    ModelKind Model = static_cast<ModelKind>(Rng.nextBelow(3));
+    uint32_t CW = 3 + static_cast<uint32_t>(Rng.nextBelow(25));
+    uint32_t TW = 3 + static_cast<uint32_t>(Rng.nextBelow(25));
+    std::vector<DetectorConfig> Configs(8 + Rng.nextBelow(25));
+    for (DetectorConfig &C : Configs) {
+      C.Model = Model;
+      C.Window.CWSize = CW;
+      C.Window.TWSize = TW;
+      const uint32_t Skips[] = {1, 1, 2, 3, 5, CW,
+                                static_cast<uint32_t>(Trace.size() + 7)};
+      C.Window.SkipFactor = Skips[Rng.nextBelow(std::size(Skips))];
+      C.Window.TWPolicy = Rng.nextBool(0.5) ? Adaptive : Constant;
+      C.Window.Anchor = Rng.nextBool(0.5) ? AnchorKind::RightmostNoisy
+                                          : AnchorKind::LeftmostNonNoisy;
+      C.Window.Resize = Rng.nextBool(0.5) ? Slide : Move;
+      uint64_t Analyzer = Rng.nextBelow(10);
+      C.TheAnalyzer = Analyzer < 5   ? Threshold
+                      : Analyzer < 9 ? Average
+                                     : AnalyzerKind::Hysteresis;
+      C.AnalyzerParam = Rng.nextBool(0.7)
+                            ? Pool[Rng.nextBelow(Pool.size())]
+                            : Rng.nextDouble() * 1.4 - 0.2;
+      // A hysteresis analyzer needs an exit threshold at or below its
+      // enter threshold, which only a non-negative one provides.
+      if (C.TheAnalyzer == AnalyzerKind::Hysteresis)
+        C.AnalyzerParam = Rng.nextDouble();
+    }
+    runCheckedGroup(Configs, Trace, /*CheckReference=*/false);
+  }
 }
