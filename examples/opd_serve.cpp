@@ -52,7 +52,10 @@ int main(int Argc, char **Argv) {
                  "client sessions on 127.0.0.1 and streams P/T transitions "
                  "(protocol spec in docs/SERVING.md).");
   Args.addOption("port", "TCP port to bind (0 picks an ephemeral port)", "0");
-  Args.addOption("shards", "detector worker threads (0 = auto)", "0");
+  Args.addOption("shards",
+                 "event-loop threads, each owning its connections "
+                 "(0 = one per core)",
+                 "0");
   Args.addOption("max-sessions", "concurrent session cap", "8192");
   Args.addOption("idle-timeout",
                  "seconds of silence before eviction (0 disables)", "60");

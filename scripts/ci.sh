@@ -37,7 +37,10 @@
 #                 cleanly on SIGTERM
 #   tsan:         ThreadSanitizer over the concurrency-exercising tests,
 #                 with OPD_THREADS=4 so single-core runners still run
-#                 real threads
+#                 real threads, then the serve-smoke loadgen run against
+#                 a TSan opd_serve at its default shard count (shards
+#                 racing accept4 on one listener, the global session
+#                 count, the stop-pipe drain on SIGTERM)
 #   sweep-shared: the shared-scan engine's bit-identity differential
 #                 (tests/SharedScanTest.cpp) on the default and portable
 #                 dispatches, then a Release pruned paper sweep: its
@@ -217,8 +220,17 @@ stage_serve_smoke() {
 
 stage_tsan() {
   configure_build tsan -DOPD_SANITIZE=thread
-  OPD_THREADS=4 ctest --test-dir "${PREFIX}-tsan" --output-on-failure \
+  local dir="${PREFIX}-tsan"
+  OPD_THREADS=4 ctest --test-dir "$dir" --output-on-failure \
     -j "$JOBS" -R 'Parallel|Sweep|Observ|Config|Serve'
+  # The gtests start one or two shards; this run covers the default
+  # count. stop_opd_serve fails the stage on any TSan report, since the
+  # daemon then exits nonzero.
+  OPD_THREADS=4 start_opd_serve "$dir/examples/opd_serve" \
+    "$dir/serve_smoke.log"
+  "$dir/examples/opd_loadgen" --port "$SERVE_PORT" \
+    --sessions 64 --total 300 --workload db --scale 0.05 --verify
+  stop_opd_serve
 }
 
 stage_sweep_shared() {

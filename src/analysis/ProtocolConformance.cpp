@@ -239,8 +239,8 @@ struct LockstepDriver {
   uint16_t Flags;
 
   ProtoConfigState S;
-  /// The I/O thread's sticky read-pause bit, re-derived from the session
-  /// predicates exactly as Server.cpp maintains it.
+  /// The owning shard's sticky read-pause bit, re-derived from the
+  /// session predicates exactly as Server.cpp maintains it.
   bool TrackedPaused = false;
   /// Model-side accumulation of decided elements.
   uint64_t Processed = 0;

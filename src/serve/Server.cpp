@@ -8,16 +8,18 @@
 // Implementation notes (the design rationale lives in Server.h and
 // docs/SERVING.md):
 //
-//  * The I/O thread is the only thread that touches sockets, the
-//    connection registry, and each connection's write buffer. Workers
-//    touch only the ServeSession under the per-connection mutex and
-//    signal the I/O thread through an atomic flag plus a self-pipe.
-//  * Connections are shared_ptr so a worker's queue entry keeps the
-//    object alive across a racing close; a closed connection's session
-//    is reset under the mutex, and every session access null-checks.
-//  * The Queued flag is cleared *before* a worker pumps, so an enqueue
-//    racing with the pump re-queues the connection instead of losing
-//    the wakeup; the per-shard single worker keeps pumping serial.
+//  * Every shard thread runs the same poll() loop over the stop pipe,
+//    the shared listener and the connections it accepted. A connection
+//    never leaves the shard that accepted it, so its socket, its write
+//    buffer and its ServeSession are touched by one thread only and need
+//    no locking.
+//  * The only state the shards share is the listener (nonblocking
+//    accept4: the losers of an accept race get EAGAIN), the session-id
+//    counter, the live-session count behind MaxSessions, the lifetime
+//    counters and the DetectorCache.
+//  * stop() writes one byte into the stop pipe and nobody reads it, so
+//    the level-triggered POLLIN wakes every shard until it has noticed
+//    the drain.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,9 +29,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <thread>
 
@@ -45,12 +45,15 @@ using namespace opd;
 
 namespace {
 
-/// Elements one worker pump decides before rotating to the next queued
+/// Elements one pump decides before the shard rotates to its next
 /// session, so one heavy session cannot starve its shard peers.
 constexpr size_t PumpChunk = 64u << 10;
 
 /// Socket read chunk.
 constexpr size_t ReadChunk = 64u << 10;
+
+/// poll() timeout while no session has pump work left, in milliseconds.
+constexpr int IdlePollMs = 250;
 
 using Clock = std::chrono::steady_clock;
 
@@ -72,30 +75,19 @@ struct PhaseServer::Impl {
   std::mutex LifecycleM;
 
   int ListenFd = -1;
-  int WakeRd = -1;
-  int WakeWr = -1;
+  int StopRd = -1;
+  int StopWr = -1;
   uint16_t BoundPort = 0;
-  unsigned NumShards = 1;
 
   /// One client connection: the socket-facing shell around a
-  /// ServeSession.
+  /// ServeSession, confined to the shard that accepted it.
   struct Conn {
-    Conn(uint64_t Id, const ServeLimits &Limits, DetectorCache &Cache)
-        : Id(Id), Sess(std::make_unique<ServeSession>(Id, Limits, Cache)) {}
+    Conn(uint64_t Id, int Fd, const ServeLimits &Limits, DetectorCache &Cache,
+         Clock::time_point Now)
+        : Fd(Fd), Sess(Id, Limits, Cache), LastActivity(Now) {}
 
-    const uint64_t Id;
-    int Fd = -1;
-    unsigned Shard = 0;
-    /// True while an entry for this connection sits in its shard queue.
-    std::atomic<bool> Queued{false};
-    /// Worker-to-I/O signal: a pump ran; pull output / recheck state.
-    std::atomic<bool> NeedFlush{false};
-
-    Mutex M;
-    /// Null once the connection closed (stats already harvested).
-    std::unique_ptr<ServeSession> Sess OPD_GUARDED_BY(M);
-
-    // I/O-thread-confined state.
+    int Fd;
+    ServeSession Sess;
     bool ReadPaused = false; ///< Backpressure: stop POLLIN until relieved.
     bool ReadEof = false;    ///< Client half-closed its send direction.
     bool Closing = false;    ///< Terminal: close once WriteBuf drains.
@@ -103,47 +95,37 @@ struct PhaseServer::Impl {
     std::vector<uint8_t> WriteBuf;
     size_t WritePos = 0;
   };
+  using ConnList = std::vector<std::unique_ptr<Conn>>;
 
-  /// One worker shard: a queue of connections with pump work.
-  struct Shard {
-    std::mutex QM;
-    std::condition_variable QCv;
-    std::deque<std::shared_ptr<Conn>> Queue;
-    bool Stop = false;
-    std::thread Worker;
-  };
-
-  std::vector<std::unique_ptr<Shard>> Shards;
-  std::thread IoThread;
-
-  // I/O-thread-confined.
-  std::vector<std::shared_ptr<Conn>> Conns;
-  uint64_t NextSessionId = 1;
+  std::atomic<uint64_t> NextSessionId{1};
+  /// Open connections across all shards (the MaxSessions cap).
+  std::atomic<size_t> LiveSessions{0};
 
   // Lifetime counters (see ServerStats).
   std::atomic<uint64_t> NAccepted{0}, NCompleted{0}, NEvicted{0},
       NProtocolErrors{0}, NDrainClosed{0}, NElements{0}, NTransitions{0},
       NBytesIn{0}, NBytesOut{0};
 
+  /// Declared after everything the shard threads use.
+  std::vector<std::thread> Shards;
+
   bool start(std::string &Error);
   void stop();
   ServerStats stats() const;
 
-  void ioLoop();
-  void workerLoop(Shard &S);
+  void shardLoop();
 
-  void wake();
-  void enqueue(const std::shared_ptr<Conn> &C);
-  void acceptNew(Clock::time_point Now);
-  void handleRead(const std::shared_ptr<Conn> &C, Clock::time_point Now);
-  void handleEof(const std::shared_ptr<Conn> &C);
-  void pullOutput(const std::shared_ptr<Conn> &C);
+  void acceptOne(ConnList &Conns, Clock::time_point Now);
+  bool pumpOnce(Conn &C);
+  void handleRead(Conn &C, Clock::time_point Now);
+  void handleEof(Conn &C);
+  void takeOutput(Conn &C);
   void tryWrite(Conn &C, Clock::time_point Now);
   void closeConn(Conn &C);
-  void reapClosed();
-  void idleSweep(Clock::time_point Now);
-  void beginDrain(Clock::time_point Now);
-  void closeFd(int &Fd);
+  void idleSweep(ConnList &Conns, Clock::time_point Now);
+  void beginDrain(ConnList &Conns, Clock::time_point Now);
+  static void reapClosed(ConnList &Conns);
+  static void closeFd(int &Fd);
 };
 
 void PhaseServer::Impl::closeFd(int &Fd) {
@@ -160,22 +142,21 @@ bool PhaseServer::Impl::start(std::string &Error) {
     return false;
   }
 
-  unsigned HW = hardwareParallelism();
-  NumShards = Opts.Shards ? Opts.Shards : std::max(1u, HW > 1 ? HW - 1 : 1u);
+  unsigned NumShards = Opts.Shards ? Opts.Shards : hardwareParallelism();
 
   int P[2];
   if (::pipe2(P, O_NONBLOCK | O_CLOEXEC) != 0) {
     Error = std::string("pipe2: ") + std::strerror(errno);
     return false;
   }
-  WakeRd = P[0];
-  WakeWr = P[1];
+  StopRd = P[0];
+  StopWr = P[1];
 
   ListenFd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (ListenFd < 0) {
     Error = std::string("socket: ") + std::strerror(errno);
-    closeFd(WakeRd);
-    closeFd(WakeWr);
+    closeFd(StopRd);
+    closeFd(StopWr);
     return false;
   }
   int One = 1;
@@ -190,8 +171,8 @@ bool PhaseServer::Impl::start(std::string &Error) {
       ::listen(ListenFd, 1024) != 0) {
     Error = std::string("bind/listen: ") + std::strerror(errno);
     closeFd(ListenFd);
-    closeFd(WakeRd);
-    closeFd(WakeWr);
+    closeFd(StopRd);
+    closeFd(StopWr);
     return false;
   }
   socklen_t AddrLen = sizeof(Addr);
@@ -199,20 +180,16 @@ bool PhaseServer::Impl::start(std::string &Error) {
                     &AddrLen) != 0) {
     Error = std::string("getsockname: ") + std::strerror(errno);
     closeFd(ListenFd);
-    closeFd(WakeRd);
-    closeFd(WakeWr);
+    closeFd(StopRd);
+    closeFd(StopWr);
     return false;
   }
   BoundPort = ntohs(Addr.sin_port);
 
   StopRequested.store(false, std::memory_order_release);
   Shards.clear();
-  for (unsigned I = 0; I != NumShards; ++I) {
-    auto S = std::make_unique<Shard>();
-    S->Worker = std::thread([this, Raw = S.get()] { workerLoop(*Raw); });
-    Shards.push_back(std::move(S));
-  }
-  IoThread = std::thread([this] { ioLoop(); });
+  for (unsigned I = 0; I != NumShards; ++I)
+    Shards.emplace_back([this] { shardLoop(); });
   Running.store(true, std::memory_order_release);
   return true;
 }
@@ -223,23 +200,15 @@ void PhaseServer::Impl::stop() {
     return;
 
   StopRequested.store(true, std::memory_order_release);
-  wake();
-  IoThread.join();
-
-  for (auto &S : Shards) {
-    {
-      std::lock_guard<std::mutex> QL(S->QM);
-      S->Stop = true;
-    }
-    S->QCv.notify_all();
-  }
-  for (auto &S : Shards)
-    S->Worker.join();
+  uint8_t B = 1;
+  (void)!::write(StopWr, &B, 1);
+  for (std::thread &T : Shards)
+    T.join();
   Shards.clear();
 
   closeFd(ListenFd);
-  closeFd(WakeRd);
-  closeFd(WakeWr);
+  closeFd(StopRd);
+  closeFd(StopWr);
   Running.store(false, std::memory_order_release);
 }
 
@@ -258,118 +227,64 @@ ServerStats PhaseServer::Impl::stats() const {
   return S;
 }
 
-void PhaseServer::Impl::wake() {
-  uint8_t B = 1;
-  // Best-effort: a full pipe already guarantees a pending wakeup.
-  (void)!::write(WakeWr, &B, 1);
-}
+void PhaseServer::Impl::acceptOne(ConnList &Conns, Clock::time_point Now) {
+  int Fd = -1;
+  do {
+    // Re-checked here so a shard that has not yet noticed a drain does
+    // not take a connection another shard would already refuse.
+    if (StopRequested.load(std::memory_order_acquire))
+      return;
+    Fd = ::accept4(ListenFd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+  } while (Fd < 0 && errno == EINTR);
+  if (Fd < 0)
+    return; // EAGAIN (another shard won the race) or a transient failure.
+  int One = 1;
+  ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
 
-void PhaseServer::Impl::enqueue(const std::shared_ptr<Conn> &C) {
-  if (C->Queued.exchange(true, std::memory_order_acq_rel))
+  if (LiveSessions.fetch_add(1) >= Opts.MaxSessions) {
+    LiveSessions.fetch_sub(1);
+    std::vector<uint8_t> Err;
+    appendError(Err, ServeError::Overload, "server at session capacity");
+    (void)!::send(Fd, Err.data(), Err.size(), MSG_NOSIGNAL);
+    ::close(Fd);
     return;
-  Shard &S = *Shards[C->Shard];
-  {
-    std::lock_guard<std::mutex> L(S.QM);
-    S.Queue.push_back(C);
   }
-  S.QCv.notify_one();
-}
 
-void PhaseServer::Impl::workerLoop(Shard &S) {
-  while (true) {
-    std::shared_ptr<Conn> C;
-    {
-      std::unique_lock<std::mutex> L(S.QM);
-      S.QCv.wait(L, [&] { return S.Stop || !S.Queue.empty(); });
-      if (S.Queue.empty())
-        return;
-      C = std::move(S.Queue.front());
-      S.Queue.pop_front();
-    }
-    // Clear Queued before pumping: a racing enqueue re-queues us instead
-    // of losing its wakeup.
-    C->Queued.store(false, std::memory_order_release);
-
-    bool More = false;
-    {
-      LockGuard L(C->M);
-      if (C->Sess)
-        More = C->Sess->pump(PumpChunk);
-    }
-    // Always signal the I/O thread: even an output-free pump may have
-    // drained the backlog below the backpressure low watermark.
-    if (!C->NeedFlush.exchange(true, std::memory_order_acq_rel))
-      wake();
-    if (More)
-      enqueue(C);
-  }
-}
-
-void PhaseServer::Impl::acceptNew(Clock::time_point Now) {
-  while (true) {
-    sockaddr_in Addr;
-    socklen_t AddrLen = sizeof(Addr);
-    int Fd = ::accept4(ListenFd, reinterpret_cast<sockaddr *>(&Addr),
-                       &AddrLen, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (Fd < 0) {
-      if (errno == EINTR)
-        continue;
-      return; // EAGAIN or a transient accept failure; poll again.
-    }
-    int One = 1;
-    ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-
-    if (Conns.size() >= Opts.MaxSessions) {
-      std::vector<uint8_t> Err;
-      appendError(Err, ServeError::Overload, "server at session capacity");
-      (void)!::send(Fd, Err.data(), Err.size(), MSG_NOSIGNAL);
-      ::close(Fd);
-      continue;
-    }
-
-    uint64_t Id = NextSessionId++;
-    auto C = std::make_shared<Conn>(Id, Opts.Limits, Cache);
-    C->Fd = Fd;
-    C->Shard = unsigned(Id % NumShards);
-    C->LastActivity = Now;
-    NAccepted.fetch_add(1, std::memory_order_relaxed);
-    Conns.push_back(std::move(C));
-  }
+  uint64_t Id = NextSessionId.fetch_add(1);
+  Conns.push_back(std::make_unique<Conn>(Id, Fd, Opts.Limits, Cache, Now));
+  NAccepted.fetch_add(1, std::memory_order_relaxed);
 }
 
 void PhaseServer::Impl::closeConn(Conn &C) {
-  {
-    LockGuard L(C.M);
-    if (C.Sess) {
-      NElements.fetch_add(C.Sess->elementsProcessed(),
-                          std::memory_order_relaxed);
-      NTransitions.fetch_add(C.Sess->transitions(),
-                             std::memory_order_relaxed);
-      if (C.Sess->done()) {
-        NCompleted.fetch_add(1, std::memory_order_relaxed);
-      } else if (C.Sess->failed()) {
-        switch (C.Sess->error()) {
-        case ServeError::Evicted:
-          NEvicted.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case ServeError::Shutdown:
-          NDrainClosed.fetch_add(1, std::memory_order_relaxed);
-          break;
-        default:
-          NProtocolErrors.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-      }
-      // Destroying the session returns its detector to the cache.
-      C.Sess.reset();
+  if (C.Fd == -1)
+    return;
+  const ServeSession &S = C.Sess;
+  NElements.fetch_add(S.elementsProcessed(), std::memory_order_relaxed);
+  NTransitions.fetch_add(S.transitions(), std::memory_order_relaxed);
+  if (S.done()) {
+    NCompleted.fetch_add(1, std::memory_order_relaxed);
+  } else if (S.failed()) {
+    switch (S.error()) {
+    case ServeError::Evicted:
+      NEvicted.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case ServeError::Shutdown:
+      NDrainClosed.fetch_add(1, std::memory_order_relaxed);
+      break;
+    default:
+      NProtocolErrors.fetch_add(1, std::memory_order_relaxed);
+      break;
     }
   }
   closeFd(C.Fd);
+  LiveSessions.fetch_sub(1);
 }
 
-void PhaseServer::Impl::reapClosed() {
+void PhaseServer::Impl::reapClosed(ConnList &Conns) {
+  // Destroying a Conn destroys its session, which returns the detector
+  // to the cache.
   Conns.erase(std::remove_if(Conns.begin(), Conns.end(),
-                             [](const std::shared_ptr<Conn> &C) {
+                             [](const std::unique_ptr<Conn> &C) {
                                return C->Fd == -1;
                              }),
               Conns.end());
@@ -402,63 +317,49 @@ void PhaseServer::Impl::tryWrite(Conn &C, Clock::time_point Now) {
   }
 }
 
-void PhaseServer::Impl::pullOutput(const std::shared_ptr<Conn> &C) {
-  bool Relieved = false;
-  {
-    LockGuard L(C->M);
-    if (!C->Sess)
-      return;
-    if (C->Sess->hasOutput())
-      C->Sess->takeOutput(C->WriteBuf);
-    if (C->Sess->done() || C->Sess->failed())
-      C->Closing = true;
-    Relieved = C->Sess->ingressRelieved();
-  }
-  if (C->ReadPaused && Relieved && !C->ReadEof)
-    C->ReadPaused = false;
+void PhaseServer::Impl::takeOutput(Conn &C) {
+  if (C.Sess.hasOutput())
+    C.Sess.takeOutput(C.WriteBuf);
+  if (C.Sess.done() || C.Sess.failed())
+    C.Closing = true;
 }
 
-void PhaseServer::Impl::handleRead(const std::shared_ptr<Conn> &C,
-                                   Clock::time_point Now) {
+bool PhaseServer::Impl::pumpOnce(Conn &C) {
+  if (C.Sess.pendingElements() == 0 &&
+      C.Sess.state() != ServeSession::State::Draining)
+    return false;
+  bool More = C.Sess.pump(PumpChunk);
+  takeOutput(C);
+  // Even an output-free pump may have drained the backlog below the
+  // backpressure low watermark.
+  if (C.ReadPaused && !C.ReadEof && C.Sess.ingressRelieved())
+    C.ReadPaused = false;
+  return More;
+}
+
+void PhaseServer::Impl::handleRead(Conn &C, Clock::time_point Now) {
   uint8_t Buf[ReadChunk];
   while (true) {
-    ssize_t N = ::recv(C->Fd, Buf, sizeof(Buf), 0);
+    ssize_t N = ::recv(C.Fd, Buf, sizeof(Buf), 0);
     if (N > 0) {
       NBytesIn.fetch_add(uint64_t(N), std::memory_order_relaxed);
-      C->LastActivity = Now;
-      bool Ok;
-      bool Saturated = false;
-      bool NeedsPump = false;
-      {
-        LockGuard L(C->M);
-        if (!C->Sess)
-          return;
-        Ok = C->Sess->feed(Buf, size_t(N));
-        if (C->Sess->hasOutput())
-          C->Sess->takeOutput(C->WriteBuf);
-        if (Ok) {
-          Saturated = C->Sess->ingressSaturated();
-          NeedsPump = C->Sess->pendingElements() > 0 ||
-                      C->Sess->state() == ServeSession::State::Draining;
-        }
-      }
+      C.LastActivity = Now;
+      bool Ok = C.Sess.feed(Buf, size_t(N));
+      takeOutput(C);
       if (!Ok) {
-        // Terminal protocol error: the Error frame is in WriteBuf; flush
-        // it and close.
-        C->Closing = true;
-        tryWrite(*C, Now);
-        if (C->Fd != -1 && C->WriteBuf.empty())
-          closeConn(*C);
+        // Terminal: the Error frame (or Finished summary) is in WriteBuf;
+        // flush it and close.
+        tryWrite(C, Now);
+        if (C.WriteBuf.empty())
+          closeConn(C);
         return;
       }
-      if (NeedsPump)
-        enqueue(C);
-      if (!C->WriteBuf.empty())
-        tryWrite(*C, Now); // Handshake ack fast path.
-      if (C->Fd == -1)
+      if (!C.WriteBuf.empty())
+        tryWrite(C, Now); // Handshake ack fast path.
+      if (C.Fd == -1)
         return;
-      if (Saturated) {
-        C->ReadPaused = true;
+      if (C.Sess.ingressSaturated()) {
+        C.ReadPaused = true;
         return;
       }
       if (size_t(N) < sizeof(Buf))
@@ -473,90 +374,63 @@ void PhaseServer::Impl::handleRead(const std::shared_ptr<Conn> &C,
       continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK)
       return;
-    closeConn(*C);
+    closeConn(C);
     return;
   }
 }
 
-void PhaseServer::Impl::handleEof(const std::shared_ptr<Conn> &C) {
-  C->ReadEof = true;
-  bool KeepOpen = false;
-  {
-    LockGuard L(C->M);
-    if (C->Sess) {
-      ServeSession::State St = C->Sess->state();
-      // A client may half-close after Finish and read the remaining
-      // event stream; anything earlier is abandonment.
-      KeepOpen =
-          St == ServeSession::State::Draining || St == ServeSession::State::Done;
-    }
-  }
-  if (KeepOpen)
-    enqueue(C);
-  else
-    closeConn(*C);
+void PhaseServer::Impl::handleEof(Conn &C) {
+  C.ReadEof = true;
+  ServeSession::State St = C.Sess.state();
+  // A client may half-close after Finish and read the remaining event
+  // stream (the pump pass finishes a Draining session); anything earlier
+  // is abandonment.
+  if (St != ServeSession::State::Draining && St != ServeSession::State::Done)
+    closeConn(C);
 }
 
-void PhaseServer::Impl::idleSweep(Clock::time_point Now) {
+void PhaseServer::Impl::idleSweep(ConnList &Conns, Clock::time_point Now) {
   if (Opts.IdleTimeoutSeconds <= 0)
     return;
-  for (auto &C : Conns) {
-    if (C->Fd == -1)
+  for (auto &CP : Conns) {
+    Conn &C = *CP;
+    if (C.Fd == -1 ||
+        secondsBetween(C.LastActivity, Now) < Opts.IdleTimeoutSeconds)
       continue;
-    if (secondsBetween(C->LastActivity, Now) < Opts.IdleTimeoutSeconds)
-      continue;
-    if (C->Closing) {
+    if (C.Closing) {
       // Already terminal and the peer will not drain our flush; cut it.
-      closeConn(*C);
+      closeConn(C);
       continue;
     }
-    bool Active = false;
-    {
-      LockGuard L(C->M);
-      if (!C->Sess)
-        continue;
-      if (C->Sess->pendingElements() > 0 ||
-          C->Sess->state() == ServeSession::State::Draining) {
-        Active = true; // Worker still has decisions to make; not idle.
-      } else {
-        C->Sess->shutdown(ServeError::Evicted);
-        if (C->Sess->hasOutput())
-          C->Sess->takeOutput(C->WriteBuf);
-      }
-    }
-    if (Active) {
-      C->LastActivity = Now;
+    if (C.Sess.pendingElements() > 0 ||
+        C.Sess.state() == ServeSession::State::Draining) {
+      C.LastActivity = Now; // Pump work remains; not idle.
       continue;
     }
-    C->Closing = true;
-    tryWrite(*C, Now);
+    C.Sess.shutdown(ServeError::Evicted);
+    takeOutput(C);
+    tryWrite(C, Now);
   }
 }
 
-void PhaseServer::Impl::beginDrain(Clock::time_point Now) {
-  closeFd(ListenFd);
-  for (auto &C : Conns) {
-    if (C->Fd == -1)
+void PhaseServer::Impl::beginDrain(ConnList &Conns, Clock::time_point Now) {
+  for (auto &CP : Conns) {
+    Conn &C = *CP;
+    if (C.Fd == -1)
       continue;
-    {
-      LockGuard L(C->M);
-      if (C->Sess) {
-        // Delivers every decidable transition, completes Draining
-        // sessions, and fails the rest with ServeError::Shutdown.
-        C->Sess->shutdown(ServeError::Shutdown);
-        if (C->Sess->hasOutput())
-          C->Sess->takeOutput(C->WriteBuf);
-      }
-    }
-    C->ReadPaused = true;
-    C->Closing = true;
-    tryWrite(*C, Now);
+    // Delivers every decidable transition, completes Draining sessions,
+    // and fails the rest with ServeError::Shutdown.
+    C.Sess.shutdown(ServeError::Shutdown);
+    takeOutput(C);
+    C.ReadPaused = true;
+    C.Closing = true;
+    tryWrite(C, Now);
   }
 }
 
-void PhaseServer::Impl::ioLoop() {
+void PhaseServer::Impl::shardLoop() {
+  ConnList Conns;
   std::vector<pollfd> Pfds;
-  std::vector<std::shared_ptr<Conn>> PfdConn;
   bool Draining = false;
   Clock::time_point DrainDeadline{};
 
@@ -567,22 +441,23 @@ void PhaseServer::Impl::ioLoop() {
       DrainDeadline =
           Now + std::chrono::duration_cast<Clock::duration>(
                     std::chrono::duration<double>(Opts.DrainTimeoutSeconds));
-      beginDrain(Now);
+      beginDrain(Conns, Now);
     }
 
-    // Flush pass: react to worker pumps (output, backpressure relief,
-    // completion) and retire drained terminal connections.
-    for (auto &C : Conns) {
-      if (C->Fd == -1)
+    // Pump pass: one chunk per session with buffered work, round robin;
+    // then flush output and retire drained terminal connections.
+    bool More = false;
+    for (auto &CP : Conns) {
+      Conn &C = *CP;
+      if (C.Fd == -1)
         continue;
-      if (C->NeedFlush.exchange(false, std::memory_order_acq_rel))
-        pullOutput(C);
-      if (!C->WriteBuf.empty())
-        tryWrite(*C, Now);
-      if (C->Fd != -1 && C->Closing && C->WriteBuf.empty())
-        closeConn(*C);
+      More |= pumpOnce(C);
+      if (!C.WriteBuf.empty())
+        tryWrite(C, Now);
+      if (C.Closing && C.WriteBuf.empty())
+        closeConn(C);
     }
-    reapClosed();
+    reapClosed(Conns);
 
     if (Draining) {
       if (Conns.empty())
@@ -590,91 +465,77 @@ void PhaseServer::Impl::ioLoop() {
       if (Now >= DrainDeadline) {
         for (auto &C : Conns)
           closeConn(*C);
-        reapClosed();
         break;
       }
     }
 
-    // Poll set: the wake pipe, the listener (unless draining or at the
-    // session cap — the cap is enforced in acceptNew so new arrivals
-    // still get a clean Overload error), and every connection.
+    // Poll set: the stop pipe and the listener (until the drain begins),
+    // then every connection. At the session cap the listener stays in
+    // the set so new arrivals still get a clean Overload error.
     Pfds.clear();
-    PfdConn.clear();
-    Pfds.push_back({WakeRd, POLLIN, 0});
-    PfdConn.push_back(nullptr);
-    bool PollListen = !Draining;
-    if (PollListen) {
+    size_t First = 0;
+    if (!Draining) {
+      Pfds.push_back({StopRd, POLLIN, 0});
       Pfds.push_back({ListenFd, POLLIN, 0});
-      PfdConn.push_back(nullptr);
+      First = 2;
     }
-    for (auto &C : Conns) {
+    for (auto &CP : Conns) {
+      const Conn &C = *CP;
       short Ev = 0;
-      if (!C->ReadPaused && !C->ReadEof && !C->Closing)
+      if (!C.ReadPaused && !C.ReadEof && !C.Closing)
         Ev |= POLLIN;
-      if (!C->WriteBuf.empty())
+      if (!C.WriteBuf.empty())
         Ev |= POLLOUT;
       // Included even with no requested events: POLLERR/POLLHUP are
       // always reported, which is how paused connections notice a dead
       // peer.
-      Pfds.push_back({C->Fd, Ev, 0});
-      PfdConn.push_back(C);
+      Pfds.push_back({C.Fd, Ev, 0});
     }
 
-    int TimeoutMs = 250;
+    int TimeoutMs = More ? 0 : IdlePollMs;
     if (Draining) {
       double Left = secondsBetween(Now, DrainDeadline);
       TimeoutMs = std::min(TimeoutMs, int(std::max(0.0, Left) * 1000.0) + 1);
     }
     int NReady = ::poll(Pfds.data(), nfds_t(Pfds.size()), TimeoutMs);
-    if (NReady < 0 && errno != EINTR)
-      break; // Unrecoverable poll failure.
+    if (NReady < 0 && errno != EINTR) {
+      // Unrecoverable poll failure: drop this shard's connections.
+      for (auto &C : Conns)
+        closeConn(*C);
+      break;
+    }
     Now = Clock::now();
 
     if (NReady > 0) {
-      if (Pfds[0].revents & POLLIN) {
-        uint8_t Drain[256];
-        while (::read(WakeRd, Drain, sizeof(Drain)) > 0) {
-        }
-      }
-      size_t First = 1;
-      if (PollListen) {
-        if (Pfds[1].revents & POLLIN)
-          acceptNew(Now);
-        First = 2;
-      }
+      // Pfds[First + I] is Conns[I].
       for (size_t I = First; I < Pfds.size(); ++I) {
-        const std::shared_ptr<Conn> &C = PfdConn[I];
-        if (!C || C->Fd == -1)
-          continue;
+        Conn &C = *Conns[I - First];
         short Re = Pfds[I].revents;
         if (Re & POLLOUT)
-          tryWrite(*C, Now);
-        if (C->Fd == -1)
+          tryWrite(C, Now);
+        if (C.Fd == -1)
           continue;
         if (Re & POLLIN) {
           handleRead(C, Now);
           continue;
         }
         if (Re & (POLLERR | POLLHUP)) {
-          if (!C->WriteBuf.empty() || C->Closing) {
+          if (!C.WriteBuf.empty() || C.Closing) {
             // Peer gone while we were flushing; nothing left to deliver.
-            closeConn(*C);
+            closeConn(C);
           } else {
             handleEof(C);
           }
         }
       }
-      PfdConn.clear();
-      reapClosed();
+      if (!Draining && (Pfds[1].revents & POLLIN))
+        acceptOne(Conns, Now);
+      reapClosed(Conns);
     }
 
     if (!Draining)
-      idleSweep(Now);
-    reapClosed();
+      idleSweep(Conns, Now);
   }
-
-  // The loop exited: every connection is closed; the listener is closed
-  // by beginDrain() (or by stop() on an abnormal exit).
 }
 
 PhaseServer::PhaseServer(const ServerOptions &Options)

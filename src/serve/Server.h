@@ -13,22 +13,20 @@
 ///
 /// Threading model (docs/SERVING.md has the full picture):
 ///
-///  * One I/O thread owns every socket: a poll() loop accepts
-///    connections, reads frames into ServeSessions, and flushes their
-///    response bytes. It never runs detector kernels.
-///  * N shard workers own detector compute: sessions are pinned to a
-///    shard (session id modulo N), each worker drains its queue of
-///    ready sessions through ServeSession::pump(). Pinning means one
-///    session is only ever pumped by one thread, so detector state
-///    needs no locking beyond the per-connection mutex that hands
-///    buffers between the I/O thread and the worker.
+///  * N shard threads each run a poll() loop over the one listener and
+///    the connections they accepted. The shard that accepts a
+///    connection owns it for life: it reads frames into the
+///    ServeSession, pumps it, and flushes its response bytes. Nothing
+///    about a connection is shared, so nothing about it is locked.
+///  * Within a shard, sessions with buffered work get one bounded
+///    ServeSession::pump() each per loop iteration, round robin.
 ///  * Detectors come from a shared DetectorCache, so session churn
 ///    reconfigures pooled FastPhaseDetectors instead of reallocating
 ///    kernel arrays.
 ///
 /// Backpressure: a session whose ingress backlog reaches the
 /// ServeLimits watermark stops being read (its TCP window closes, the
-/// client's sends stall) until a worker drains it below half. Idle
+/// client's sends stall) until its shard pumps it below half. Idle
 /// sessions are evicted after IdleTimeoutSeconds. stop() drains
 /// gracefully: every buffered element whose batch is full is decided
 /// and its transitions delivered before connections close.
@@ -51,11 +49,11 @@ struct ServerOptions {
   /// Port to bind on 127.0.0.1; 0 picks an ephemeral port (read it back
   /// with port()).
   uint16_t Port = 0;
-  /// Shard worker threads; 0 means max(1, hardwareParallelism() - 1),
-  /// leaving one core's worth of time for the I/O thread.
+  /// Event-loop threads, each owning the connections it accepts; 0
+  /// means hardwareParallelism().
   unsigned Shards = 0;
-  /// Concurrent-session cap: accepting stops while at the cap (the
-  /// listen backlog queues the overflow).
+  /// Concurrent-session cap across all shards: a connection arriving
+  /// at the cap is sent ServeError::Overload and closed.
   size_t MaxSessions = 8192;
   /// Sessions that sent no bytes for this long are evicted with
   /// ServeError::Evicted; 0 disables eviction.
@@ -92,9 +90,9 @@ struct ServerStats {
   DetectorCache::Stats Cache;
 };
 
-/// The serving daemon. start() spawns the I/O thread and shard workers;
-/// stop() drains gracefully and joins them. Thread-safe: start/stop/
-/// stats may be called from any thread.
+/// The serving daemon. start() spawns the shard threads; stop() drains
+/// gracefully and joins them. Thread-safe: start/stop/stats may be
+/// called from any thread.
 class PhaseServer {
 public:
   explicit PhaseServer(const ServerOptions &Options);

@@ -22,9 +22,9 @@
 /// decided as they fill, and the sub-batch tail is decided only at
 /// Finish, matching consumeTrace()'s trailing short batch.
 ///
-/// feed() and pump() may be called from different threads but never
-/// concurrently: the session is externally synchronized (the server
-/// holds one per-connection mutex around either call).
+/// The session is not thread-safe: one owning thread calls
+/// feed/pump/takeOutput (the server's shard that accepted the
+/// connection).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,9 +9,9 @@
 /// PhaseServer over real TCP on an ephemeral port: handshake, streamed
 /// equivalence vs offline runDetector, concurrent sessions, idle
 /// eviction, graceful drain on stop(), and the at-capacity Overload
-/// reject. These are the cross-thread paths ServeSessionTest cannot
-/// reach: the I/O thread, the shard workers, and the per-connection
-/// handoff between them.
+/// reject. These are the paths ServeSessionTest cannot reach: shard
+/// threads racing to accept on one listener, and each shard reading,
+/// pumping, pausing and resuming many sessions on its own thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -111,12 +111,6 @@ TEST(ServeServer, StreamedSessionMatchesOffline) {
 
 TEST(ServeServer, ConcurrentSessionsAllVerify) {
   const BranchTrace &Trace = testTrace().Trace;
-  ServerOptions Options;
-  Options.Shards = 2;
-  PhaseServer Server(Options);
-  std::string Error;
-  ASSERT_TRUE(Server.start(Error)) << Error;
-
   HelloMsg Hello = baseHello(Trace);
   DetectorRun Reference;
   {
@@ -125,47 +119,65 @@ TEST(ServeServer, ConcurrentSessionsAllVerify) {
     Reference = runDetector(*Ref, Trace);
   }
 
-  constexpr unsigned NumClients = 16;
-  std::atomic<unsigned> Failures{0};
-  std::vector<std::thread> Clients;
-  for (unsigned I = 0; I != NumClients; ++I)
-    Clients.emplace_back([&, I] {
-      StreamedRun Run;
-      std::string Err;
-      // Vary the chunking per client so sessions interleave unevenly.
-      size_t Chunk = 128 + I * 97;
-      if (!streamSession(Server.port(), Hello, Trace.elements().data(),
-                         Trace.size(), Chunk, Run, Err) ||
-          Run.GotError || !Run.GotFinished) {
-        Failures.fetch_add(1);
-        return;
-      }
-      DetectorRun Streamed = streamedToDetectorRun(Run);
-      bool Same = Streamed.States.runs().size() ==
-                      Reference.States.runs().size() &&
-                  Streamed.AnchoredPhases == Reference.AnchoredPhases;
-      for (size_t J = 0; Same && J != Reference.States.runs().size(); ++J) {
-        const StateRun &A = Reference.States.runs()[J];
-        const StateRun &B = Streamed.States.runs()[J];
-        Same = A.Begin == B.Begin && A.Length == B.Length &&
-               A.State == B.State;
-      }
-      if (!Same)
-        Failures.fetch_add(1);
-    });
-  for (std::thread &T : Clients)
-    T.join();
-  EXPECT_EQ(Failures.load(), 0u);
+  // One shard owning every session, and two racing to accept. A 64-
+  // element watermark (skip factor 25) pauses reading after nearly every
+  // recv, so each session goes through pause, pump and resume many times
+  // on the thread that also reads it.
+  for (unsigned Shards : {1u, 2u})
+    for (size_t MaxPending : {ServeLimits().MaxPendingElements, size_t(64)}) {
+      SCOPED_TRACE("shards=" + std::to_string(Shards) +
+                   " max_pending=" + std::to_string(MaxPending));
+      ServerOptions Options;
+      Options.Shards = Shards;
+      Options.Limits.MaxPendingElements = MaxPending;
+      PhaseServer Server(Options);
+      std::string Error;
+      ASSERT_TRUE(Server.start(Error)) << Error;
 
-  Server.stop();
-  ServerStats Stats = Server.stats();
-  EXPECT_EQ(Stats.Completed, NumClients);
-  EXPECT_EQ(Stats.Elements, uint64_t(NumClients) * Trace.size());
-  // Every session returned its detector to the pool, and every
-  // acquisition was served (hit or build). How many were hits depends on
-  // how many sessions were live at once, so only the totals are exact.
-  EXPECT_EQ(Stats.Cache.Releases, uint64_t(NumClients));
-  EXPECT_EQ(Stats.Cache.Hits + Stats.Cache.Misses, uint64_t(NumClients));
+      constexpr unsigned NumClients = 16;
+      std::atomic<unsigned> Failures{0};
+      std::vector<std::thread> Clients;
+      for (unsigned I = 0; I != NumClients; ++I)
+        Clients.emplace_back([&, I] {
+          StreamedRun Run;
+          std::string Err;
+          // Vary the chunking per client so sessions interleave unevenly.
+          size_t Chunk = 128 + I * 97;
+          if (!streamSession(Server.port(), Hello, Trace.elements().data(),
+                             Trace.size(), Chunk, Run, Err) ||
+              Run.GotError || !Run.GotFinished) {
+            Failures.fetch_add(1);
+            return;
+          }
+          DetectorRun Streamed = streamedToDetectorRun(Run);
+          bool Same = Streamed.States.runs().size() ==
+                          Reference.States.runs().size() &&
+                      Streamed.AnchoredPhases == Reference.AnchoredPhases;
+          for (size_t J = 0; Same && J != Reference.States.runs().size();
+               ++J) {
+            const StateRun &A = Reference.States.runs()[J];
+            const StateRun &B = Streamed.States.runs()[J];
+            Same = A.Begin == B.Begin && A.Length == B.Length &&
+                   A.State == B.State;
+          }
+          if (!Same)
+            Failures.fetch_add(1);
+        });
+      for (std::thread &T : Clients)
+        T.join();
+      EXPECT_EQ(Failures.load(), 0u);
+
+      Server.stop();
+      ServerStats Stats = Server.stats();
+      EXPECT_EQ(Stats.Completed, NumClients);
+      EXPECT_EQ(Stats.Elements, uint64_t(NumClients) * Trace.size());
+      // Every session returned its detector to the pool, and every
+      // acquisition was served (hit or build). How many were hits
+      // depends on how many sessions were live at once, so only the
+      // totals are exact.
+      EXPECT_EQ(Stats.Cache.Releases, uint64_t(NumClients));
+      EXPECT_EQ(Stats.Cache.Hits + Stats.Cache.Misses, uint64_t(NumClients));
+    }
 }
 
 TEST(ServeServer, HandshakeRejectOverTcp) {
@@ -242,7 +254,7 @@ TEST(ServeServer, StopDrainsPendingTransitions) {
   ASSERT_TRUE(Client.recvEvent(Ev, Error)) << Error;
   ASSERT_EQ(Ev.K, ServeClient::Event::Kind::HelloAck);
 
-  // Give the worker a moment to pump the backlog, then drain the server
+  // Give the shard a moment to pump the backlog, then drain the server
   // while the client is NOT sending (so the Error frame survives; see
   // docs/SERVING.md on close semantics).
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -319,7 +331,7 @@ TEST(ServeServer, OverloadRejectAtSessionCap) {
     ASSERT_TRUE(Third.recvEvent(Ev, Error)) << Error;
     if (Ev.K == ServeClient::Event::Kind::HelloAck)
       break;
-    // The I/O thread may not have retired the first session yet.
+    // The shard owning the first session may not have retired it yet.
     ASSERT_EQ(Ev.Err.Code, ServeError::Overload);
     ASSERT_LT(Attempt, 100) << "session slot never freed";
     Third.close();
