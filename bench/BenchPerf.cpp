@@ -10,8 +10,9 @@
 /// to investigate and optimize the overhead of accurate phase
 /// detection"). This google-benchmark binary provides that measurement
 /// for this implementation: per-element detector cost across model and
-/// window policies, kernel and analyzer costs, and the costs of the
-/// offline stages (interpretation, oracle construction, scoring).
+/// window policies, kernel and analyzer costs, the costs of the offline
+/// stages (interpretation, oracle construction, scoring), and the serving
+/// session's ingest path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,7 @@
 #include "harness/Experiment.h"
 #include "metrics/Scoring.h"
 #include "obs/RunTrace.h"
+#include "serve/Session.h"
 #include "support/Random.h"
 #include "workloads/Workloads.h"
 
@@ -262,6 +264,60 @@ static void BM_WeightedKernelDirtyRecompute(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_WeightedKernelDirtyRecompute)->Arg(64)->Arg(256)->Arg(1024);
+
+//===----------------------------------------------------------------------===//
+// Serving ingest
+//===----------------------------------------------------------------------===//
+
+// One db session streamed through ServeSession in-process, with the
+// perfbench serve_bulk shape: CW = TW = 1000, skip 100, unweighted
+// constant, threshold 0.5, 4096-element frames. Arg 0 feeds and pumps
+// one frame at a time, as a server does per read; arg 1 feeds until the
+// ingress watermark and then pumps the backlog, which is where the
+// pending buffer's growth policy shows.
+static void BM_ServeSessionIngest(benchmark::State &State) {
+  static const ExecutionResult Exec = executeWorkload(*findWorkload("db"), 2.0);
+  const std::vector<SiteIndex> &E = Exec.Branches.elements();
+  HelloMsg Hello;
+  Hello.Flags = HelloWantProgress | HelloWantAnchors;
+  Hello.NumSites = Exec.Branches.numSites();
+  Hello.Config.Window.CWSize = 1000;
+  Hello.Config.Window.TWSize = 1000;
+  Hello.Config.Window.SkipFactor = 100;
+  Hello.Config.AnalyzerParam = 0.5;
+  std::vector<uint8_t> HelloBytes, FinishBytes;
+  appendHello(HelloBytes, Hello);
+  appendFinish(FinishBytes);
+  std::vector<std::vector<uint8_t>> Frames;
+  for (size_t At = 0; At < E.size(); At += 4096) {
+    Frames.emplace_back();
+    appendElements(Frames.back(), E.data() + At,
+                   std::min<size_t>(4096, E.size() - At));
+  }
+
+  const bool FillFirst = State.range(0) != 0;
+  DetectorCache Cache;
+  std::vector<uint8_t> Out;
+  for (auto _ : State) {
+    ServeSession Sess(1, ServeLimits(), Cache);
+    Sess.feed(HelloBytes.data(), HelloBytes.size());
+    for (const std::vector<uint8_t> &F : Frames) {
+      Sess.feed(F.data(), F.size());
+      if (!FillFirst || Sess.ingressSaturated())
+        while (Sess.pump()) {
+        }
+    }
+    Sess.feed(FinishBytes.data(), FinishBytes.size());
+    while (Sess.pump()) {
+    }
+    Out.clear();
+    Sess.takeOutput(Out);
+    benchmark::DoNotOptimize(Out.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations() * static_cast<int64_t>(E.size()));
+}
+BENCHMARK(BM_ServeSessionIngest)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 //===----------------------------------------------------------------------===//
 // Offline stages

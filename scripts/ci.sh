@@ -33,8 +33,9 @@
 #                 repeat with OPD_SIMD=off so the portable blocks are
 #                 sanitized too
 #   serve-smoke:  a real opd_serve daemon under ASan/UBSan takes a few
-#                 hundred opd_loadgen --verify sessions, then drains
-#                 cleanly on SIGTERM
+#                 hundred opd_loadgen --verify sessions (4096-element
+#                 frames, then 37-element frames under a 5000-element
+#                 skip), then drains cleanly on SIGTERM
 #   tsan:         ThreadSanitizer over the concurrency-exercising tests,
 #                 with OPD_THREADS=4 so single-core runners still run
 #                 real threads, then the serve-smoke loadgen run against
@@ -209,12 +210,18 @@ stage_serve_smoke() {
   # sessions with --verify (every streamed transition sequence is rebuilt
   # and compared against offline runDetector), then drains cleanly on
   # SIGTERM. Any sanitizer report, session failure, equivalence mismatch,
-  # or unclean shutdown fails CI.
+  # or unclean shutdown fails CI. The second run sends 37-element frames
+  # under a 5000-element skip, so batches straddle frames and element
+  # payloads sit at odd offsets in the server's read buffer.
   configure_build asan-ubsan -DOPD_SANITIZE="address;undefined"
   local dir="${PREFIX}-asan-ubsan"
   start_opd_serve "$dir/examples/opd_serve" "$dir/serve_smoke.log"
   "$dir/examples/opd_loadgen" --port "$SERVE_PORT" \
     --sessions 64 --total 300 --workload db --scale 0.05 --verify
+  "$dir/examples/opd_loadgen" --port "$SERVE_PORT" \
+    --sessions 64 --total 300 --workload db --scale 0.05 --verify \
+    --chunk 37 --skip 5000 --twpolicy adaptive --model weighted \
+    --analyzer average --param 0.05
   stop_opd_serve
 }
 

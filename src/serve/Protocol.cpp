@@ -7,7 +7,9 @@
 
 #include "serve/Protocol.h"
 
+#include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
 
 using namespace opd;
@@ -244,19 +246,37 @@ void opd::appendError(std::vector<uint8_t> &Out, ServeError Code,
 //===----------------------------------------------------------------------===//
 
 void FrameReader::feed(const uint8_t *Data, size_t N) {
-  // Drop the consumed prefix before growing: steady-state sessions keep
-  // the buffer at roughly one frame.
-  if (Pos > 0 && (Pos == Buf.size() || Pos >= (64u << 10))) {
-    Buf.erase(Buf.begin(), Buf.begin() + static_cast<ptrdiff_t>(Pos));
+  if (N == 0)
+    return;
+  std::memcpy(prepare(N), Data, N);
+  commit(N);
+}
+
+uint8_t *FrameReader::prepare(size_t N) {
+  // Drop the consumed prefix when it is free (nothing live) or when the
+  // room would not fit behind it: the live part is then at most one
+  // partial frame, and the buffer stays at about one read plus one frame.
+  if (Pos == End) {
+    Pos = End = 0;
+  } else if (Pos > 0 && End + N > Buf.size()) {
+    std::memmove(Buf.data(), Buf.data() + Pos, End - Pos);
+    End -= Pos;
     Pos = 0;
   }
-  Buf.insert(Buf.end(), Data, Data + N);
+  if (End + N > Buf.size())
+    Buf.resize(std::max(End + N, 2 * Buf.size()));
+  return Buf.data() + End;
+}
+
+void FrameReader::commit(size_t N) {
+  assert(End + N <= Buf.size() && "commit past the prepared room");
+  End += N;
 }
 
 FrameReader::Status FrameReader::next(Frame &Out) {
   if (Corrupted)
     return Status::Corrupt;
-  size_t Avail = Buf.size() - Pos;
+  size_t Avail = End - Pos;
   if (Avail < 4)
     return Status::NeedMore;
   uint32_t Len = getU32(Buf.data() + Pos);

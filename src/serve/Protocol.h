@@ -187,6 +187,10 @@ struct Frame {
 /// Incremental frame decoder: feed() raw bytes in arbitrary chunks, then
 /// drain complete frames with next(). Corruption (zero or oversized
 /// length prefix) is sticky — the stream cannot be resynchronized.
+///
+/// A socket reader can skip feed()'s copy: prepare(N) hands out room for
+/// N bytes at the end of the buffer, the caller reads into it, and
+/// commit(K) appends the first K of them to the stream.
 class FrameReader {
 public:
   /// Outcome of one next() call.
@@ -199,11 +203,20 @@ public:
   /// Appends \p N raw bytes to the internal buffer.
   void feed(const uint8_t *Data, size_t N);
 
+  /// Returns writable room for \p N bytes after the buffered ones. It
+  /// stays valid until the next call on the reader, and invalidates the
+  /// last Frame returned by next().
+  uint8_t *prepare(size_t N);
+
+  /// Appends the first \p N bytes of the last prepare() region
+  /// (\p N at most the size prepared) to the buffered stream.
+  void commit(size_t N);
+
   /// Decodes the next complete frame into \p Out.
   Status next(Frame &Out);
 
   /// Bytes buffered but not yet consumed by next().
-  size_t buffered() const { return Buf.size() - Pos; }
+  size_t buffered() const { return End - Pos; }
 
   /// Diagnostic for Status::Corrupt.
   const std::string &corruptReason() const { return Reason; }
@@ -213,8 +226,11 @@ public:
   bool corruptOversized() const { return OversizedLen; }
 
 private:
+  /// [Pos, End) is buffered input; [End, Buf.size()) is spare room that
+  /// prepare() hands out without clearing it again.
   std::vector<uint8_t> Buf;
   size_t Pos = 0;
+  size_t End = 0;
   bool Corrupted = false;
   bool OversizedLen = false;
   std::string Reason;

@@ -49,7 +49,8 @@ namespace {
 /// session, so one heavy session cannot starve its shard peers.
 constexpr size_t PumpChunk = 64u << 10;
 
-/// Socket read chunk.
+/// Socket read chunk, received straight into the session's frame
+/// buffer.
 constexpr size_t ReadChunk = 64u << 10;
 
 /// poll() timeout while no session has pump work left, in milliseconds.
@@ -338,13 +339,12 @@ bool PhaseServer::Impl::pumpOnce(Conn &C) {
 }
 
 void PhaseServer::Impl::handleRead(Conn &C, Clock::time_point Now) {
-  uint8_t Buf[ReadChunk];
   while (true) {
-    ssize_t N = ::recv(C.Fd, Buf, sizeof(Buf), 0);
+    ssize_t N = ::recv(C.Fd, C.Sess.prepare(ReadChunk), ReadChunk, 0);
     if (N > 0) {
       NBytesIn.fetch_add(uint64_t(N), std::memory_order_relaxed);
       C.LastActivity = Now;
-      bool Ok = C.Sess.feed(Buf, size_t(N));
+      bool Ok = C.Sess.commit(size_t(N));
       takeOutput(C);
       if (!Ok) {
         // Terminal: the Error frame (or Finished summary) is in WriteBuf;
@@ -362,7 +362,7 @@ void PhaseServer::Impl::handleRead(Conn &C, Clock::time_point Now) {
         C.ReadPaused = true;
         return;
       }
-      if (size_t(N) < sizeof(Buf))
+      if (size_t(N) < ReadChunk)
         return; // Socket drained.
       continue;
     }

@@ -8,6 +8,7 @@
 #include "serve/Session.h"
 
 #include <cmath>
+#include <cstring>
 
 using namespace opd;
 
@@ -49,6 +50,18 @@ bool ServeSession::feed(const uint8_t *Data, size_t N) {
   if (St == State::Failed || St == State::Done)
     return false;
   Reader.feed(Data, N);
+  return decodeFrames();
+}
+
+bool ServeSession::commit(size_t N) {
+  // Same terminal rule as feed(): the bytes are dropped unparsed.
+  if (St == State::Failed || St == State::Done)
+    return false;
+  Reader.commit(N);
+  return decodeFrames();
+}
+
+bool ServeSession::decodeFrames() {
   Frame F;
   while (true) {
     switch (Reader.next(F)) {
@@ -88,19 +101,7 @@ bool ServeSession::handleFrame(const Frame &F) {
       fail(ServeError::BadFrame, "malformed elements frame");
       return false;
     }
-    Pending.reserve(Pending.size() + View.Count);
-    for (uint32_t I = 0; I != View.Count; ++I) {
-      SiteIndex E = View.element(I);
-      if (E >= NumSites) {
-        fail(ServeError::SiteRange,
-             "element " + std::to_string(E) + " outside site space " +
-                 std::to_string(NumSites));
-        return false;
-      }
-      Pending.push_back(E);
-    }
-    Ingested += View.Count;
-    return true;
+    return handleElements(View);
   }
 
   case MsgKind::Finish:
@@ -128,6 +129,33 @@ bool ServeSession::handleFrame(const Frame &F) {
   fail(ServeError::BadFrame,
        "unknown frame kind " + std::to_string(unsigned(F.Kind)));
   return false;
+}
+
+bool ServeSession::handleElements(const ElementsView &View) {
+  // One branch-free pass decides whether the whole frame is in range;
+  // only a failing frame is scanned again, for the first offender the
+  // error names.
+  uint32_t Bad = 0;
+  for (uint32_t I = 0; I != View.Count; ++I)
+    Bad |= View.element(I) >= NumSites;
+  if (Bad) {
+    uint32_t I = 0;
+    while (View.element(I) < NumSites)
+      ++I;
+    fail(ServeError::SiteRange, "element " + std::to_string(View.element(I)) +
+                                    " outside site space " +
+                                    std::to_string(NumSites));
+    return false;
+  }
+  // resize() grows the capacity geometrically, so a backlog built from
+  // many frames is copied O(log n) times, not once per frame. One memcpy
+  // moves the payload: its words may be unaligned, so they are never
+  // read through a SiteIndex pointer.
+  size_t At = Pending.size();
+  Pending.resize(At + View.Count);
+  std::memcpy(Pending.data() + At, View.Data, size_t(View.Count) * 4);
+  Ingested += View.Count;
+  return true;
 }
 
 bool ServeSession::validateHello(const HelloMsg &M, std::string &Why) const {

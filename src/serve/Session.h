@@ -7,12 +7,13 @@
 ///
 /// \file
 /// ServeSession is the socket-free heart of the server: it consumes raw
-/// protocol bytes (feed), buffers decoded profile elements, streams them
-/// through a pooled FastPhaseDetector in skip-factor batches (pump), and
-/// produces the response byte stream (takeOutput). The server wires
-/// sockets to these three calls; tests drive sessions directly with byte
-/// buffers and hold the streamed output equivalent to offline
-/// runDetector() on the same element sequence.
+/// protocol bytes (feed, or prepare/commit to read into its own frame
+/// buffer), buffers decoded profile elements, streams them through a
+/// pooled FastPhaseDetector in skip-factor batches (pump), and produces
+/// the response byte stream (takeOutput). The server wires sockets to
+/// these calls; tests drive sessions directly with byte buffers and hold
+/// the streamed output equivalent to offline runDetector() on the same
+/// element sequence.
 ///
 /// Equivalence contract: for any element sequence E delivered over any
 /// chunking of Elements frames followed by Finish, the Transition events
@@ -83,6 +84,15 @@ public:
   /// completed session never regresses to Failed on trailing input.
   bool feed(const uint8_t *Data, size_t N);
 
+  /// Returns room for \p N raw client bytes inside the session's frame
+  /// buffer, so a socket can be read without a staging copy. Valid until
+  /// the next call on the session.
+  uint8_t *prepare(size_t N) { return Reader.prepare(N); }
+
+  /// Consumes the first \p N bytes written into the last prepare()
+  /// region; otherwise exactly feed() of those bytes.
+  bool commit(size_t N);
+
   /// Streams buffered elements through the detector: decides every full
   /// skip-factor batch (at most \p MaxElements per call, rounded up to
   /// whole batches), emits Transition events, and — once Finish was
@@ -146,9 +156,16 @@ public:
   const DetectorConfig &config() const { return Config; }
 
 private:
+  /// Decodes and handles every complete buffered frame; feed() and
+  /// commit() share it.
+  bool decodeFrames();
+
   /// Handles one decoded frame; returns false when it failed the
   /// session.
   bool handleFrame(const Frame &F);
+
+  /// Range-checks an Elements payload and appends it to Pending.
+  bool handleElements(const ElementsView &View);
 
   /// Accepts or rejects the handshake.
   bool handleHello(const Frame &F);

@@ -23,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 using namespace opd;
 
 namespace {
@@ -254,6 +256,105 @@ TEST(ServeSession, OutOfRangeElementFails) {
   appendElements(Wire, E, 3);
   EXPECT_FALSE(Sess.feed(Wire.data(), Wire.size()));
   EXPECT_EQ(Sess.error(), ServeError::SiteRange);
+}
+
+TEST(ServeSession, OutOfRangeElementInLaterFrameNamesFirstOffender) {
+  DetectorCache Cache;
+  ServeSession Sess(1, ServeLimits(), Cache);
+  DetectorConfig C = baseConfig();
+  C.Window.SkipFactor = 1; // Any pump would decide (and flip) at once.
+  std::vector<uint8_t> Wire = helloBytes(C, /*NumSites=*/10);
+  SiteIndex Good[] = {1, 2, 3, 4, 5, 6};
+  appendElements(Wire, Good, 6);
+  // The third element is the first offender; a later one is larger.
+  SiteIndex Bad[] = {7, 8, 12, 9, 4000000000u, 11};
+  appendElements(Wire, Bad, 6);
+  EXPECT_FALSE(Sess.feed(Wire.data(), Wire.size()));
+  EXPECT_EQ(Sess.error(), ServeError::SiteRange);
+  // The valid frame before it was buffered, then dropped with the
+  // session: nothing was decided and nothing stays pending.
+  EXPECT_EQ(Sess.elementsProcessed(), 0u);
+  EXPECT_EQ(Sess.pendingElements(), 0u);
+
+  std::vector<uint8_t> Out;
+  Sess.takeOutput(Out);
+  FrameReader Reader;
+  Reader.feed(Out.data(), Out.size());
+  Frame F;
+  std::vector<MsgKind> Kinds;
+  ErrorMsg Err;
+  while (Reader.next(F) == FrameReader::Status::Frame) {
+    Kinds.push_back(F.Kind);
+    if (F.Kind == MsgKind::Error) {
+      ASSERT_TRUE(parseError(F, Err));
+    }
+  }
+  // HelloAck, then the Error: no Transition came first.
+  ASSERT_EQ(Kinds.size(), 2u);
+  EXPECT_EQ(Kinds[0], MsgKind::HelloAck);
+  EXPECT_EQ(Kinds[1], MsgKind::Error);
+  EXPECT_EQ(Err.Code, ServeError::SiteRange);
+  EXPECT_EQ(Err.Message, "element 12 outside site space 10");
+}
+
+TEST(ServeSession, FeedAndPrepareCommitAgree) {
+  const BranchTrace &Trace = testTrace().Trace;
+  const std::vector<SiteIndex> &E = Trace.elements();
+  DetectorConfig C = baseConfig();
+  // Larger than a frame, so every batch straddles many frames.
+  C.Window.SkipFactor = 5000;
+  std::vector<uint8_t> Wire = helloBytes(
+      C, Trace.numSites(), HelloWantAnchors | HelloWantProgress);
+  // 37-element frames put every payload at an odd offset in the stream.
+  for (size_t Pos = 0; Pos < E.size(); Pos += 37)
+    appendElements(Wire, E.data() + Pos, std::min<size_t>(37, E.size() - Pos));
+  appendFinish(Wire);
+
+  std::unique_ptr<PhaseDetector> Ref = makeDetector(C, Trace.numSites());
+  DetectorRun Reference = runDetector(*Ref, Trace);
+
+  // The server's read size: prepare() always asks for this much room,
+  // and a read fills only part of it.
+  constexpr size_t Room = 64u << 10;
+  for (size_t Chunk : {size_t(1), size_t(3), size_t(4097), size_t(65536)}) {
+    std::string What = "chunk " + std::to_string(Chunk);
+    DetectorCache Cache;
+    ServeSession Fed(1, ServeLimits(), Cache);
+    ServeSession Committed(1, ServeLimits(), Cache);
+    std::vector<uint8_t> FedOut, CommittedOut;
+    for (size_t Pos = 0; Pos < Wire.size(); Pos += Chunk) {
+      size_t N = std::min(Chunk, Wire.size() - Pos);
+      ASSERT_TRUE(Fed.feed(Wire.data() + Pos, N)) << What;
+      uint8_t *Into = Committed.prepare(Room);
+      // Bytes past the commit must never be parsed (0xFF... would read
+      // as an oversized length prefix).
+      std::memset(Into, 0xFF, std::min(Room, N + 16));
+      std::memcpy(Into, Wire.data() + Pos, N);
+      ASSERT_TRUE(Committed.commit(N)) << What;
+      while (Fed.pump()) {
+      }
+      while (Committed.pump()) {
+      }
+      Fed.takeOutput(FedOut);
+      Committed.takeOutput(CommittedOut);
+    }
+    ASSERT_TRUE(Fed.done()) << What;
+    ASSERT_TRUE(Committed.done()) << What;
+    // A finished session ignores further input on both paths.
+    EXPECT_FALSE(Fed.feed(Wire.data(), 5)) << What;
+    std::memcpy(Committed.prepare(5), Wire.data(), 5);
+    EXPECT_FALSE(Committed.commit(5)) << What;
+    EXPECT_FALSE(Fed.hasOutput()) << What;
+    EXPECT_FALSE(Committed.hasOutput()) << What;
+    EXPECT_EQ(FedOut, CommittedOut) << What;
+
+    StreamedRun Run;
+    collectEvents(CommittedOut, Run);
+    ASSERT_TRUE(Run.GotFinished) << What;
+    EXPECT_EQ(Run.Summary.Elements, E.size()) << What;
+    EXPECT_EQ(Run.LastProgress, E.size()) << What;
+    expectRunsEqual(Reference, streamedToDetectorRun(Run), What);
+  }
 }
 
 TEST(ServeSession, DuplicateHelloAndFinishFail) {
