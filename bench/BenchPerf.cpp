@@ -171,6 +171,27 @@ static void BM_DetectorSkipFactor(benchmark::State &State) {
 }
 BENCHMARK(BM_DetectorSkipFactor)->Arg(1)->Arg(16)->Arg(256)->Arg(5000);
 
+// The fast path at the same skip factors. Above skip 1 a batch advances
+// the windows in one append and one steady-state loop (consumeBatch in
+// core/FastKernels.h); over BM_DetectorSkipFactor at the same argument
+// this is the fast/reference ratio at skip > 1.
+static void BM_FastDetectorSkipFactor(benchmark::State &State) {
+  const BenchmarkData &B = sharedBenchmark();
+  DetectorConfig C =
+      configFor(ModelKind::UnweightedSet, TWPolicyKind::Constant);
+  C.Window.SkipFactor = static_cast<uint32_t>(State.range(0));
+  std::unique_ptr<FastDetectorBase> D =
+      makeFastDetector(C, B.Trace.numSites());
+  DetectorRun Run;
+  for (auto _ : State) {
+    runDetector(*D, B.Trace, Run);
+    benchmark::DoNotOptimize(Run.States.size());
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(B.Trace.size()));
+}
+BENCHMARK(BM_FastDetectorSkipFactor)->Arg(1)->Arg(16)->Arg(256)->Arg(5000);
+
 // The observability hooks must be zero-cost when no observer is attached
 // (the BM_Detector numbers above) and cheap when one is: this measures a
 // full run with a CountingObserver against unweighted_adaptive above.

@@ -51,7 +51,8 @@
 #                 (scripts/check_perf.py --sweep-shared)
 #   perf:         Release perf smoke vs BENCH_PERF.json — the fast and
 #                 batch-backend detector ratios within 25% and the
-#                 serving ratio within 50% (scripts/check_perf.py)
+#                 serving ratio within 50% (scripts/check_perf.py);
+#                 the skip-factor pairs are recorded, not gated
 #
 # All ctest configurations include the jp_lint_* / config_check_* tests,
 # which lint the bundled .jp workloads and the shipped sweep specs. The
@@ -292,7 +293,7 @@ stage_perf() {
   cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build "$dir" -j "$JOBS" --target bench_perf opd_serve opd_loadgen
   "$dir/bench/bench_perf" \
-    --benchmark_filter='BM_Detector/|BM_FastDetector/|BM_BatchSimdDetector/|BM_BatchPortableDetector/' \
+    --benchmark_filter='BM_Detector/|BM_FastDetector/|BM_BatchSimdDetector/|BM_BatchPortableDetector/|BM_FastDetectorSkipFactor/|BM_DetectorSkipFactor/' \
     --benchmark_min_time=0.5 \
     --benchmark_format=json > "$dir/bench_smoke.json"
   start_opd_serve "$dir/examples/opd_serve" "$dir/serve_smoke.log"

@@ -10,12 +10,13 @@
 // unobserved processBatchImpl with every model/analyzer call resolved at
 // compile time, two decision-identical substitutions documented on the
 // kernel classes (dropped confidence bookkeeping; shared-product MinSum
-// deltas), and a consumeTrace() that accumulates state runs in
-// registers. Like the reference kernels, every fast kernel is
-// parameterized by an arithmetic policy (PlainKernelArith in production,
-// compiled to the exact pre-policy arithmetic; CheckedKernelArith in the
-// KernelBounds shadow mode, where every step is overflow-checked and
-// recorded).
+// deltas), a window advance of one append and one loop per skip batch
+// (FastWindowedModel::consumeBatch), and a consumeTrace() that
+// accumulates state runs in registers. Like the reference kernels,
+// every fast kernel is parameterized by an arithmetic policy
+// (PlainKernelArith in production, compiled to the exact pre-policy
+// arithmetic; CheckedKernelArith in the KernelBounds shadow mode, where
+// every step is overflow-checked and recorded).
 //
 // The average analyzer's similarity() calls and the threshold
 // analyzer's division-free similarityAtLeast() decisions here are the
@@ -78,9 +79,10 @@ public:
     PhaseState RunState = PhaseState::Transition;
     uint64_t RunLen = 0;
     if (Batch == 1) {
-      // skip == 1 is both the common sweep setting and the per-element
-      // worst case; with the batch length a compile-time constant the
-      // inner batch loop and the length clamp fold away entirely.
+      // skip == 1 is the per-element worst case, where a batch has no
+      // steady state to amortize: with the batch length a compile-time
+      // constant, consumeBatch() folds to a single consume() and the
+      // length clamp folds away entirely.
       for (uint64_t Offset = 0; Offset != NumElements; ++Offset) {
         PhaseState S = processBatchInline(Elements + Offset, 1);
         if (S == RunState) {
@@ -173,8 +175,7 @@ private:
 
   OPD_FORCE_INLINE PhaseState processBatchInline(const SiteIndex *Elements,
                                                  size_t N) {
-    for (size_t I = 0; I != N; ++I)
-      Model.consume(Elements[I]);
+    Model.consumeBatch(Elements, N);
 
     PhaseState NewState;
     if (!Model.windowsFull()) {

@@ -834,6 +834,7 @@ inline double hysteresisExitThreshold(double EnterThreshold) {
 /// emits it as an out-of-line call per element, and the call forces
 /// every cached kernel pointer back to memory around it). The hot push
 /// is a compare, a store, and an increment; growth stays out of line.
+/// append() is the batch form: one capacity check and one memcpy.
 class ElementBuffer {
 public:
   ElementBuffer() = default;
@@ -843,8 +844,14 @@ public:
 
   OPD_FORCE_INLINE void push_back(SiteIndex S) {
     if (Size == Cap)
-      grow();
+      grow(1);
     Data[Size++] = S;
+  }
+  OPD_FORCE_INLINE void append(const SiteIndex *Src, size_t N) {
+    if (Cap - Size < N)
+      grow(N);
+    std::memcpy(Data + Size, Src, N * sizeof(SiteIndex));
+    Size += N;
   }
   SiteIndex operator[](size_t I) const {
     assert(I < Size && "buffer index out of range");
@@ -869,8 +876,10 @@ public:
   }
 
 private:
-  OPD_NOINLINE void grow() {
-    size_t NewCap = Cap ? Cap * 2 : 1024;
+  /// Doubles (first allocation 1024), or sizes to fit when \p Need more
+  /// elements would not fit in the doubled capacity.
+  OPD_NOINLINE void grow(size_t Need) {
+    size_t NewCap = std::max<size_t>(Cap ? Cap * 2 : 1024, Size + Need);
     SiteIndex *NewData = new SiteIndex[NewCap];
     std::copy(Data, Data + Size, NewData);
     delete[] Data;
@@ -912,8 +921,7 @@ public:
 
     SiteIndex Y = Buffer[Head + TWLen];
     TheKernel.cwReplace(S, Y);
-    bool TWGrows = (Policy == TWPolicyKind::Adaptive && InPhaseGrowth) ||
-                   TWLen < Config.TWSize;
+    bool TWGrows = twGrowsInPhase() || TWLen < Config.TWSize;
     if (TWGrows) {
       TheKernel.twAdd(Y);
       ++TWLen;
@@ -922,6 +930,62 @@ public:
       TheKernel.twReplace(Y, Z);
       ++Head;
     }
+    compactBuffer();
+  }
+
+  /// Advances the windows over one skip batch. The kernels see exactly
+  /// the operation sequence of N consume() calls: a one-element batch is
+  /// consume() itself, the fill edges go through consume() one element
+  /// at a time, and the steady state is one advanceSteady() call.
+  OPD_FORCE_INLINE void consumeBatch(const SiteIndex *E, size_t N) {
+    if (N == 1) {
+      consume(E[0]);
+      return;
+    }
+    size_t Done = windowsFilling() ? consumeFillEdges(E, N) : 0;
+    if (Done != N)
+      advanceSteady(E + Done, N - Done);
+    assert(Head + TWLen + CWLen == Buffer.size() &&
+           "window bookkeeping out of sync");
+  }
+
+  /// consumeBatch's fill edges, out of line: consumes elements one at a
+  /// time until the steady state begins (or \p N run out); returns how
+  /// many it consumed.
+  OPD_NOINLINE size_t consumeFillEdges(const SiteIndex *E, size_t N) {
+    size_t I = 0;
+    while (I != N && windowsFilling())
+      consume(E[I++]);
+    return I;
+  }
+
+  /// consumeBatch's steady state: appends the N elements with one copy,
+  /// then runs one loop over three streams into the buffer — the
+  /// incoming CW elements S, the CW elements they push into the TW (Y),
+  /// and, unless the TW is growing in phase, the TW elements Y pushes
+  /// out (Z). The bookkeeping moves once per batch; compaction only
+  /// moves bytes, so running it once after the loop changes no kernel
+  /// input. Out of line, like the fill path, so the per-batch code
+  /// inlined into the detector stays small.
+  OPD_NOINLINE void advanceSteady(const SiteIndex *E, size_t N) {
+    Buffer.append(E, N);
+    const SiteIndex *Y = Buffer.begin() + Head + TWLen;
+    const SiteIndex *S = Y + CWLen;
+    if (twGrowsInPhase()) {
+      for (size_t J = 0; J != N; ++J) {
+        TheKernel.cwReplace(S[J], Y[J]);
+        TheKernel.twAdd(Y[J]);
+      }
+      TWLen += N;
+    } else {
+      const SiteIndex *Z = Buffer.begin() + Head;
+      for (size_t J = 0; J != N; ++J) {
+        TheKernel.cwReplace(S[J], Y[J]);
+        TheKernel.twReplace(Y[J], Z[J]);
+      }
+      Head += N;
+    }
+    GlobalConsumed += N;
     compactBuffer();
   }
 
@@ -1019,6 +1083,18 @@ public:
   bool batchKernelsEnabled() const { return TheKernel.batchEnabled(); }
 
 private:
+  /// Whether the TW grows even at or past its size (adaptive, in phase).
+  bool twGrowsInPhase() const {
+    return Policy == TWPolicyKind::Adaptive && InPhaseGrowth;
+  }
+
+  /// Whether consume() would take a fill edge: the CW is filling, or the
+  /// TW is filling out of phase.
+  bool windowsFilling() const {
+    return CWLen < Config.CWSize ||
+           (!twGrowsInPhase() && TWLen < Config.TWSize);
+  }
+
   uint64_t offsetOfTWIndex(uint64_t I) const {
     return GlobalConsumed - (TWLen + CWLen) + I;
   }

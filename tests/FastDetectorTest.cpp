@@ -22,12 +22,14 @@
 #include "core/DetectorRunner.h"
 #include "core/FastDetector.h"
 #include "core/SweepSpec.h"
+#include "core/WindowedModel.h"
 #include "harness/Experiment.h"
 #include "harness/Sweep.h"
 #include "metrics/Scoring.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <set>
 
@@ -79,6 +81,64 @@ void expectRunsEqual(const DetectorRun &Reference, const DetectorRun &Fast,
   }
   ASSERT_EQ(Reference.DetectedPhases, Fast.DetectedPhases) << Desc;
   ASSERT_EQ(Reference.AnchoredPhases, Fast.AnchoredPhases) << Desc;
+}
+
+/// Which window edges a lockstep batch drive reached (see
+/// driveBatchesInLockstep).
+struct BatchEdgeCounts {
+  /// Batches right after a Slide phase entry that moved CW elements into
+  /// the TW, long enough to refill the CW and then grow the TW in phase.
+  unsigned SlideRefillThenGrowth = 0;
+  /// Batches longer than CW + TW right after a phase end.
+  unsigned LongBatchAfterPhaseEnd = 0;
+};
+
+/// Feeds \p Elements to a reference and a fast detector through
+/// processBatch, with batch lengths cycling through \p Lengths, and
+/// requires the same state and phase-start estimate after every call.
+void driveBatchesInLockstep(const DetectorConfig &Config,
+                            const std::vector<SiteIndex> &Elements,
+                            SiteIndex NumSites,
+                            const std::vector<size_t> &Lengths,
+                            BatchEdgeCounts &Counts) {
+  std::unique_ptr<PhaseDetector> Reference = makeDetector(Config, NumSites);
+  std::unique_ptr<FastDetectorBase> Fast = makeFastDetector(Config, NumSites);
+  const WindowConfig &W = Config.Window;
+  std::string Desc = Config.describe();
+  PhaseState Prev = PhaseState::Transition;
+  // CW elements the last phase entry moved into the TW (Slide only).
+  uint64_t Moved = 0;
+  bool JustEnded = false;
+  size_t Offset = 0;
+  for (size_t Call = 0; Offset != Elements.size(); ++Call) {
+    size_t N = std::min(Lengths[Call % Lengths.size()],
+                        Elements.size() - Offset);
+    if (Moved != 0 && N > Moved)
+      ++Counts.SlideRefillThenGrowth;
+    if (JustEnded && N > W.CWSize + W.TWSize)
+      ++Counts.LongBatchAfterPhaseEnd;
+
+    PhaseState S = Reference->processBatch(Elements.data() + Offset, N);
+    ASSERT_EQ(S, Fast->processBatch(Elements.data() + Offset, N))
+        << Desc << " call " << Call;
+    ASSERT_EQ(Reference->lastPhaseStartEstimate(),
+              Fast->lastPhaseStartEstimate())
+        << Desc << " call " << Call;
+    Offset += N;
+
+    Moved = 0;
+    if (Prev == PhaseState::Transition && S == PhaseState::InPhase &&
+        W.TWPolicy == TWPolicyKind::Adaptive && W.Resize == ResizeKind::Slide) {
+      // Out of phase the windows are exactly full at entry, so the
+      // estimate places the anchor at TW index A; Slide moves
+      // min(A, CW) elements.
+      uint64_t A = Reference->lastPhaseStartEstimate() -
+                   (Offset - W.CWSize - W.TWSize);
+      Moved = std::min<uint64_t>(A, W.CWSize);
+    }
+    JustEnded = Prev == PhaseState::InPhase && S == PhaseState::Transition;
+    Prev = S;
+  }
 }
 
 } // namespace
@@ -237,4 +297,69 @@ TEST(FastDetectorTest, PartialTrailingBatchMatchesReference) {
   DetectorRun FastRun = runDetector(*Fast, B.Trace);
   ASSERT_NE(B.Trace.size() % Config.Window.SkipFactor, 0u);
   expectRunsEqual(ReferenceRun, FastRun, Config);
+}
+
+// processBatch with batch lengths unrelated to the skip factor, chosen to
+// straddle every edge of the fast model's batched window advance: the
+// first batch fills the CW, fills the TW and reaches the steady state,
+// and outgrows the buffer's first 1024-element allocation; later ones
+// refill a Slide-shrunk CW and then grow the TW in phase, or follow a
+// phase end with more than CW + TW elements. A second run keeps one
+// phase open past CompactionThreshold, so buffer compaction falls inside
+// batches.
+TEST(FastDetectorTest, BatchEdgesMatchReference) {
+  const BenchmarkData &B = testBenchmark();
+  const std::vector<SiteIndex> &Trace = B.Trace.elements();
+  SiteIndex NumSites = B.Trace.numSites();
+
+  const std::vector<size_t> Lengths = {1500, 1, 350, 7, 130, 401, 3,
+                                       64,   999, 5, 257, 2, 333};
+  BatchEdgeCounts Counts;
+  for (ModelKind M : {ModelKind::UnweightedSet, ModelKind::WeightedSet,
+                      ModelKind::ManhattanBBV})
+    for (TWPolicyKind P : {TWPolicyKind::Constant, TWPolicyKind::Adaptive})
+      for (AnchorKind Anchor :
+           {AnchorKind::RightmostNoisy, AnchorKind::LeftmostNonNoisy})
+        for (ResizeKind R : {ResizeKind::Slide, ResizeKind::Move})
+          for (double Param : {0.5, 0.9}) {
+            if (P == TWPolicyKind::Constant &&
+                (Anchor != AnchorKind::RightmostNoisy ||
+                 R != ResizeKind::Slide))
+              continue;
+            DetectorConfig Config;
+            Config.Model = M;
+            Config.Window.CWSize = 30;
+            Config.Window.TWSize = 300;
+            Config.Window.SkipFactor = 10;
+            Config.Window.TWPolicy = P;
+            Config.Window.Anchor = Anchor;
+            Config.Window.Resize = R;
+            Config.AnalyzerParam = Param;
+            ASSERT_NO_FATAL_FAILURE(driveBatchesInLockstep(
+                Config, Trace, NumSites, Lengths, Counts));
+          }
+  EXPECT_GT(Counts.SlideRefillThenGrowth, 0u);
+  EXPECT_GT(Counts.LongBatchAfterPhaseEnd, 0u);
+
+  // Compaction inside a batch. With a constant TW Head advances one per
+  // steady-state element and only returns to zero through compaction (or
+  // a phase end), which fires once the default CW + TW (2000) have filled
+  // and Head has passed CompactionThreshold. The first batch crosses it
+  // by itself; always in phase (threshold 0), Head crosses it again
+  // through ordinary batches within 140K elements.
+  std::vector<SiteIndex> Long;
+  while (Long.size() <= 140000)
+    Long.insert(Long.end(), Trace.begin(), Trace.end());
+  const std::vector<size_t> LongLengths = {
+      WindowedModel::CompactionThreshold + 4000, 97, 4099, 13, 777, 2, 12289};
+  for (ModelKind M : {ModelKind::UnweightedSet, ModelKind::WeightedSet,
+                      ModelKind::ManhattanBBV})
+    for (double Param : {0.0, 0.5}) {
+      DetectorConfig Config;
+      Config.Model = M;
+      Config.Window.SkipFactor = 97;
+      Config.AnalyzerParam = Param;
+      ASSERT_NO_FATAL_FAILURE(
+          driveBatchesInLockstep(Config, Long, NumSites, LongLengths, Counts));
+    }
 }
