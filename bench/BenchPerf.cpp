@@ -22,6 +22,7 @@
 #include "core/DetectorRunner.h"
 #include "core/FastDetector.h"
 #include "core/RelatedWork.h"
+#include "core/SharedScan.h"
 #include "harness/Experiment.h"
 #include "metrics/Scoring.h"
 #include "obs/RunTrace.h"
@@ -109,6 +110,37 @@ BENCHMARK_CAPTURE(BM_FastDetector, weighted_constant,
 BENCHMARK_CAPTURE(BM_FastDetector, weighted_adaptive,
                   ModelKind::WeightedSet, TWPolicyKind::Adaptive);
 
+// The configurations of BM_FastDetector as one-config groups through
+// the shared-scan engine (core/SharedScan.h), the way the sweep harness
+// runs a config whose (model, CW, TW) shape no other config shares. The
+// output is the fast detector's; over BM_FastDetector at the same
+// capture this is the size-1 group's cost (docs/PERFORMANCE.md).
+static void BM_SharedScanGroupOfOne(benchmark::State &State, ModelKind Model,
+                                    TWPolicyKind Policy) {
+  const BenchmarkData &B = sharedBenchmark();
+  const std::vector<DetectorConfig> Configs = {configFor(Model, Policy)};
+  const std::vector<size_t> Members = {0};
+  std::unique_ptr<SharedScanEngineBase> Engine =
+      makeSharedScanEngine(Model, B.Trace.numSites());
+  std::vector<DetectorRun> Runs(1);
+  for (auto _ : State) {
+    Engine->run(Configs, Members, B.Trace.elements().data(), B.Trace.size(),
+                Runs);
+    benchmark::DoNotOptimize(Runs[0].States.size());
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(B.Trace.size()));
+}
+
+BENCHMARK_CAPTURE(BM_SharedScanGroupOfOne, unweighted_constant,
+                  ModelKind::UnweightedSet, TWPolicyKind::Constant);
+BENCHMARK_CAPTURE(BM_SharedScanGroupOfOne, unweighted_adaptive,
+                  ModelKind::UnweightedSet, TWPolicyKind::Adaptive);
+BENCHMARK_CAPTURE(BM_SharedScanGroupOfOne, weighted_constant,
+                  ModelKind::WeightedSet, TWPolicyKind::Constant);
+BENCHMARK_CAPTURE(BM_SharedScanGroupOfOne, weighted_adaptive,
+                  ModelKind::WeightedSet, TWPolicyKind::Adaptive);
+
 // The fast path again, with the batch-kernel dispatch backend pinned
 // (core/BatchKernel.h): the SIMD/portable pair isolates what the AVX2
 // lanes buy over the portable scalar blocks on the same SoA layout,
@@ -172,8 +204,8 @@ static void BM_DetectorSkipFactor(benchmark::State &State) {
 BENCHMARK(BM_DetectorSkipFactor)->Arg(1)->Arg(16)->Arg(256)->Arg(5000);
 
 // The fast path at the same skip factors. Above skip 1 a batch advances
-// the windows in one append and one steady-state loop (consumeBatch in
-// core/FastKernels.h); over BM_DetectorSkipFactor at the same argument
+// the windows in one append and one KernelWindows::advance (consumeBatch
+// in core/FastKernels.h); over BM_DetectorSkipFactor at the same argument
 // this is the fast/reference ratio at skip > 1.
 static void BM_FastDetectorSkipFactor(benchmark::State &State) {
   const BenchmarkData &B = sharedBenchmark();

@@ -192,7 +192,7 @@ stage_ubsan_int() {
   # certified never to need (analysis/KernelBounds.h). gcc has no
   # -fsanitize=integer, so the fallback rides the plain undefined
   # sanitizer there.
-  local tests='KernelBounds|CoreKernel|FastDetector|BatchKernel'
+  local tests='KernelBounds|CoreKernel|FastDetector|BatchKernel|SharedScan|KernelWindows'
   if command -v clang++ >/dev/null 2>&1; then
     configure_build ubsan-int -DCMAKE_CXX_COMPILER=clang++ \
       -DOPD_SANITIZE="undefined;integer"
@@ -203,7 +203,7 @@ stage_ubsan_int() {
   run_ctest ubsan-int -R "$tests"
   echo "=== [ubsan-int] portable dispatch (OPD_SIMD=off) ==="
   OPD_SIMD=off ctest --test-dir "${PREFIX}-ubsan-int" --output-on-failure \
-    -j "$JOBS" -R 'BatchKernel|FastDetector'
+    -j "$JOBS" -R 'BatchKernel|FastDetector|SharedScan|KernelWindows'
 }
 
 stage_serve_smoke() {
@@ -293,7 +293,7 @@ stage_perf() {
   cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build "$dir" -j "$JOBS" --target bench_perf opd_serve opd_loadgen
   "$dir/bench/bench_perf" \
-    --benchmark_filter='BM_Detector/|BM_FastDetector/|BM_BatchSimdDetector/|BM_BatchPortableDetector/|BM_FastDetectorSkipFactor/|BM_DetectorSkipFactor/' \
+    --benchmark_filter='BM_Detector/|BM_FastDetector/|BM_BatchSimdDetector/|BM_BatchPortableDetector/|BM_FastDetectorSkipFactor/|BM_DetectorSkipFactor/|BM_SharedScanGroupOfOne/' \
     --benchmark_min_time=0.5 \
     --benchmark_format=json > "$dir/bench_smoke.json"
   start_opd_serve "$dir/examples/opd_serve" "$dir/serve_smoke.log"

@@ -30,8 +30,9 @@
 /// not silently wrapped) plus an explicit "unbounded" top element for
 /// the adaptive trailing window when no trace length is known.
 ///
-/// The derivation mirrors the window invariants of WindowedModel /
-/// FastWindowedModel:
+/// The derivation mirrors the window invariants of WindowedModel and
+/// KernelWindows (the windows of the fast detector and the shared-scan
+/// engine):
 ///
 ///  * |CW| <= CWSize always (fill, slide-refill, and endPhase reseed
 ///    all keep CWLen <= Config.CWSize).

@@ -128,8 +128,8 @@ uint64_t batchMinSumPortable(const uint32_t *Pairs, size_t N, uint64_t NCW,
 
 /// RightmostNoisy anchor scan: 1 + the largest I < N with
 /// Counts[Elements[I]] == 0, or 0 when every element's count is nonzero
-/// (the exact value FastWindowedModel::anchorPosition's descending loop
-/// returns). Dispatches to the active backend.
+/// (the exact value KernelWindows::anchor's descending loop returns).
+/// Dispatches to the active backend.
 uint64_t batchRightmostNoisy(const uint32_t *Counts,
                              const SiteIndex *Elements, uint64_t N);
 

@@ -19,7 +19,7 @@
 /// window fanning results out to many analyzer cursors — without
 /// duplicating a single line of kernel arithmetic. Everything here is
 /// an internal implementation detail of the two engines: the supported
-/// entry points remain makeFastDetector() and runSharedScanGroup().
+/// entry points remain makeFastDetector() and makeSharedScanEngine().
 ///
 /// Bit-identity contract: any behavioral change to the reference
 /// detector must be replicated here — FastDetectorTest and
@@ -892,9 +892,128 @@ private:
   size_t Cap = 0;
 };
 
+/// The CW and TW of one windowed model over a contiguous element array
+/// E: TW = E[Base, Base+TWLen), CW = E[Base+TWLen, end()). The fast
+/// detector's model (over its element buffer), the shared-scan group
+/// window and its in-phase shards (over the trace) all step through
+/// these members, the single copy of the paper's window stepping; the
+/// window sizes, skip and policies stay with the callers.
+template <typename Kernel> struct KernelWindows {
+  Kernel K;
+  uint64_t Base = 0;
+  uint64_t TWLen = 0;
+  uint64_t CWLen = 0;
+
+  /// One past the last CW element (the elements consumed so far).
+  uint64_t end() const { return Base + TWLen + CWLen; }
+
+  /// Consumes E[end(), end()+N) with the operation sequence of N
+  /// per-element WindowedModel::consume() calls: while the CW is below
+  /// \p CWSize an element is added to it; then, while \p Grow holds or
+  /// the TW is below \p TWSize, the CW's oldest element moves into the
+  /// TW; after that both windows rotate one element right. The fill
+  /// edges (CW below CWSize, or TW below TWSize out of growth) are out
+  /// of line; the steady state is one loop, grow() or rotate().
+  OPD_FORCE_INLINE void advance(const SiteIndex *E, uint64_t N,
+                                uint64_t CWSize, uint64_t TWSize, bool Grow) {
+    if (CWLen < CWSize || (!Grow && TWLen < TWSize))
+      N -= fillEdges(E, N, CWSize, TWSize, Grow);
+    if (Grow)
+      grow(E, N);
+    else
+      rotate(E, N);
+  }
+
+  /// The anchor position of \p Kind as a TW index in [0, TWLen].
+  /// Kernels with dense per-site CW counts dispatch to the blocked
+  /// membership scans, which return the index of the first matching
+  /// element in scan order, exactly what the scalar loops below compute
+  /// (core/BatchKernel.h documents the equivalence).
+  uint64_t anchor(const SiteIndex *E, AnchorKind Kind) const {
+    const SiteIndex *TW = E + Base;
+    if constexpr (Kernel::HasDenseCW) {
+      if (K.batchEnabled()) {
+        if (Kind == AnchorKind::RightmostNoisy)
+          return batchRightmostNoisy(K.cwCountsData(), TW, TWLen);
+        return batchLeftmostNonNoisy(K.cwCountsData(), TW, TWLen);
+      }
+    }
+    if (Kind == AnchorKind::RightmostNoisy) {
+      for (uint64_t I = TWLen; I != 0; --I)
+        if (!K.inCW(TW[I - 1]))
+          return I;
+      return 0;
+    }
+    for (uint64_t I = 0; I != TWLen; ++I)
+      if (K.inCW(TW[I]))
+        return I;
+    return TWLen;
+  }
+
+  /// startPhase's resize for anchor \p A: drops the TW prefix before the
+  /// anchor, then, under \p Slide, moves min(A, CWLen) elements from the
+  /// CW's front into the TW (the CW refills as later elements arrive).
+  void resizeForPhase(const SiteIndex *E, uint64_t A, bool Slide) {
+    assert(A <= TWLen && "anchor beyond the trailing window");
+    // Taken against the anchor before the drop counts it down.
+    uint64_t Take = Slide ? std::min(A, CWLen) : 0;
+    for (; A != 0; --A, --TWLen)
+      K.twRemove(E[Base++]);
+    for (; Take != 0; --Take, --CWLen)
+      K.moveCWToTW(E[Base + TWLen++]);
+  }
+
+private:
+  /// advance()'s fill edges: adds up to N elements to the CW until it
+  /// holds \p CWSize (never more: CWLen <= CWSize always), then, unless
+  /// \p Grow, grows the TW with the rest until it holds \p TWSize.
+  /// Returns how many elements it consumed.
+  OPD_NOINLINE uint64_t fillEdges(const SiteIndex *E, uint64_t N,
+                                  uint64_t CWSize, uint64_t TWSize,
+                                  bool Grow) {
+    uint64_t F = std::min(N, CWSize - CWLen);
+    const SiteIndex *S = E + end();
+    for (uint64_t J = 0; J != F; ++J)
+      K.cwAdd(S[J]);
+    CWLen += F;
+    uint64_t G =
+        Grow ? 0 : std::min(N - F, TWSize - std::min(TWSize, TWLen));
+    grow(E, G);
+    return F + G;
+  }
+
+  /// N steps in which the CW's oldest element moves into the TW as
+  /// E[end()] enters the CW.
+  OPD_FORCE_INLINE void grow(const SiteIndex *E, uint64_t N) {
+    const SiteIndex *Y = E + Base + TWLen;
+    const SiteIndex *S = Y + CWLen;
+    for (uint64_t J = 0; J != N; ++J) {
+      K.cwReplace(S[J], Y[J]);
+      K.twAdd(Y[J]);
+    }
+    TWLen += N;
+  }
+
+  /// N steps in which both windows move one element right: E[end()]
+  /// enters the CW, the CW's oldest element moves into the TW, and the
+  /// TW's oldest element leaves.
+  OPD_FORCE_INLINE void rotate(const SiteIndex *E, uint64_t N) {
+    const SiteIndex *Z = E + Base;
+    const SiteIndex *Y = Z + TWLen;
+    const SiteIndex *S = Y + CWLen;
+    for (uint64_t J = 0; J != N; ++J) {
+      K.cwReplace(S[J], Y[J]);
+      K.twReplace(Y[J], Z[J]);
+    }
+    Base += N;
+  }
+};
+
 /// WindowedModel with the kernel held by concrete value and the TW
-/// policy fixed at compile time. Field-for-field and statement-for-
-/// statement mirror of WindowedModel/WindowedModel.cpp.
+/// policy fixed at compile time. Statement-for-statement mirror of
+/// WindowedModel/WindowedModel.cpp, with the window stepping in
+/// KernelWindows over the element buffer (W.Base is the buffer index of
+/// the TW start).
 template <ModelKind M, TWPolicyKind Policy,
           typename ArithT = PlainKernelArith>
 class FastWindowedModel {
@@ -903,7 +1022,7 @@ class FastWindowedModel {
 public:
   FastWindowedModel(const WindowConfig &Config, SiteIndex NumSites,
                     ArithT Arith = ArithT())
-      : Config(Config), TheKernel(NumSites, Arith) {
+      : Config(Config), W{Kernel(NumSites, Arith)} {
     assert(Config.TWPolicy == Policy && "config does not match this shape");
     assert(Config.CWSize > 0 && "current window must be nonempty");
     assert(Config.TWSize > 0 && "trailing window must be nonempty");
@@ -914,101 +1033,68 @@ public:
     ++GlobalConsumed;
     Buffer.push_back(S);
 
-    if (CWLen < Config.CWSize) {
+    if (W.CWLen < Config.CWSize) {
       consumeFill(S);
       return;
     }
 
-    SiteIndex Y = Buffer[Head + TWLen];
-    TheKernel.cwReplace(S, Y);
-    bool TWGrows = twGrowsInPhase() || TWLen < Config.TWSize;
+    SiteIndex Y = Buffer[W.Base + W.TWLen];
+    W.K.cwReplace(S, Y);
+    bool TWGrows = twGrowsInPhase() || W.TWLen < Config.TWSize;
     if (TWGrows) {
-      TheKernel.twAdd(Y);
-      ++TWLen;
+      W.K.twAdd(Y);
+      ++W.TWLen;
     } else {
-      SiteIndex Z = Buffer[Head];
-      TheKernel.twReplace(Y, Z);
-      ++Head;
+      SiteIndex Z = Buffer[W.Base];
+      W.K.twReplace(Y, Z);
+      ++W.Base;
     }
     compactBuffer();
   }
 
   /// Advances the windows over one skip batch. The kernels see exactly
   /// the operation sequence of N consume() calls: a one-element batch is
-  /// consume() itself, the fill edges go through consume() one element
-  /// at a time, and the steady state is one advanceSteady() call.
+  /// consume() itself, anything longer is one advanceBatch() call.
   OPD_FORCE_INLINE void consumeBatch(const SiteIndex *E, size_t N) {
-    if (N == 1) {
+    if (N == 1)
       consume(E[0]);
-      return;
-    }
-    size_t Done = windowsFilling() ? consumeFillEdges(E, N) : 0;
-    if (Done != N)
-      advanceSteady(E + Done, N - Done);
-    assert(Head + TWLen + CWLen == Buffer.size() &&
-           "window bookkeeping out of sync");
+    else
+      advanceBatch(E, N);
   }
 
-  /// consumeBatch's fill edges, out of line: consumes elements one at a
-  /// time until the steady state begins (or \p N run out); returns how
-  /// many it consumed.
-  OPD_NOINLINE size_t consumeFillEdges(const SiteIndex *E, size_t N) {
-    size_t I = 0;
-    while (I != N && windowsFilling())
-      consume(E[I++]);
-    return I;
-  }
-
-  /// consumeBatch's steady state: appends the N elements with one copy,
-  /// then runs one loop over three streams into the buffer — the
-  /// incoming CW elements S, the CW elements they push into the TW (Y),
-  /// and, unless the TW is growing in phase, the TW elements Y pushes
-  /// out (Z). The bookkeeping moves once per batch; compaction only
-  /// moves bytes, so running it once after the loop changes no kernel
-  /// input. Out of line, like the fill path, so the per-batch code
-  /// inlined into the detector stays small.
-  OPD_NOINLINE void advanceSteady(const SiteIndex *E, size_t N) {
+  /// consumeBatch's multi-element path: appends the N elements with one
+  /// copy, steps the windows over them with one KernelWindows::advance,
+  /// and moves the consumed count and compacts once. Compaction only
+  /// moves bytes, so running it after the advance changes no kernel
+  /// input. Out of line, so the per-batch code inlined into the detector
+  /// stays small.
+  OPD_NOINLINE void advanceBatch(const SiteIndex *E, size_t N) {
     Buffer.append(E, N);
-    const SiteIndex *Y = Buffer.begin() + Head + TWLen;
-    const SiteIndex *S = Y + CWLen;
-    if (twGrowsInPhase()) {
-      for (size_t J = 0; J != N; ++J) {
-        TheKernel.cwReplace(S[J], Y[J]);
-        TheKernel.twAdd(Y[J]);
-      }
-      TWLen += N;
-    } else {
-      const SiteIndex *Z = Buffer.begin() + Head;
-      for (size_t J = 0; J != N; ++J) {
-        TheKernel.cwReplace(S[J], Y[J]);
-        TheKernel.twReplace(Y[J], Z[J]);
-      }
-      Head += N;
-    }
+    W.advance(Buffer.begin(), N, Config.CWSize, Config.TWSize,
+              twGrowsInPhase());
     GlobalConsumed += N;
     compactBuffer();
+    assert(W.end() == Buffer.size() && "window bookkeeping out of sync");
   }
 
   /// The CW-fill path, kept out of the hot loop: it only runs for the
   /// first CWSize elements after a flush, where per-element cost is
   /// dominated by the kernel add anyway.
   OPD_NOINLINE void consumeFill(SiteIndex S) {
-    ++CWLen;
-    TheKernel.cwAdd(S);
-    if (PartialCW && CWLen == Config.CWSize)
-      PartialCW = false;
+    ++W.CWLen;
+    W.K.cwAdd(S);
   }
 
   bool windowsFull() const {
     if (PhaseOpen)
-      return TWLen > 0 && CWLen > 0;
-    return CWLen == Config.CWSize && TWLen >= Config.TWSize;
+      return W.TWLen > 0 && W.CWLen > 0;
+    return W.CWLen == Config.CWSize && W.TWLen >= Config.TWSize;
   }
 
-  OPD_FORCE_INLINE double similarity() { return TheKernel.similarity(); }
+  OPD_FORCE_INLINE double similarity() { return W.K.similarity(); }
 
   OPD_FORCE_INLINE bool similarityAtLeast(double T) {
-    return TheKernel.similarityAtLeast(T);
+    return W.K.similarityAtLeast(T);
   }
 
   uint64_t computeAnchorOffset() const {
@@ -1017,21 +1103,8 @@ public:
 
   void startPhase() {
     if constexpr (Policy == TWPolicyKind::Adaptive) {
-      uint64_t A = anchorPosition();
-      if (Config.Resize == ResizeKind::Slide) {
-        uint64_t Take = std::min(A, CWLen);
-        dropTWPrefix(A);
-        for (uint64_t I = 0; I != Take; ++I) {
-          SiteIndex X = Buffer[Head + TWLen];
-          TheKernel.moveCWToTW(X);
-          ++TWLen;
-          --CWLen;
-        }
-        if (CWLen < Config.CWSize)
-          PartialCW = true;
-      } else {
-        dropTWPrefix(A);
-      }
+      W.resizeForPhase(Buffer.begin(), anchorPosition(),
+                       Config.Resize == ResizeKind::Slide);
       InPhaseGrowth = true;
     }
     PhaseOpen = true;
@@ -1040,28 +1113,26 @@ public:
   void endPhase() {
     uint64_t Keep = std::min<uint64_t>(
         std::min<uint64_t>(Config.SkipFactor, Config.CWSize),
-        TWLen + CWLen);
+        W.TWLen + W.CWLen);
     std::copy(Buffer.end() - static_cast<ptrdiff_t>(Keep), Buffer.end(),
               Buffer.begin());
     Buffer.truncate(Keep);
-    Head = 0;
-    TWLen = 0;
-    CWLen = Keep;
-    TheKernel.reset();
+    W.Base = 0;
+    W.TWLen = 0;
+    W.CWLen = Keep;
+    W.K.reset();
     for (SiteIndex S : Buffer)
-      TheKernel.cwAdd(S);
+      W.K.cwAdd(S);
     InPhaseGrowth = false;
-    PartialCW = false;
     PhaseOpen = false;
   }
 
   void reset() {
     Buffer.clear();
-    Head = 0;
-    TWLen = CWLen = 0;
-    InPhaseGrowth = PartialCW = PhaseOpen = false;
+    W.Base = W.TWLen = W.CWLen = 0;
+    InPhaseGrowth = PhaseOpen = false;
     GlobalConsumed = 0;
-    TheKernel.reset();
+    W.K.reset();
   }
 
   /// Swaps in a new same-policy window configuration; the kernel keeps
@@ -1079,8 +1150,8 @@ public:
   uint64_t consumed() const { return GlobalConsumed; }
   const WindowConfig &config() const { return Config; }
 
-  void setBatchKernels(bool Enabled) { TheKernel.setBatchEnabled(Enabled); }
-  bool batchKernelsEnabled() const { return TheKernel.batchEnabled(); }
+  void setBatchKernels(bool Enabled) { W.K.setBatchEnabled(Enabled); }
+  bool batchKernelsEnabled() const { return W.K.batchEnabled(); }
 
 private:
   /// Whether the TW grows even at or past its size (adaptive, in phase).
@@ -1088,72 +1159,30 @@ private:
     return Policy == TWPolicyKind::Adaptive && InPhaseGrowth;
   }
 
-  /// Whether consume() would take a fill edge: the CW is filling, or the
-  /// TW is filling out of phase.
-  bool windowsFilling() const {
-    return CWLen < Config.CWSize ||
-           (!twGrowsInPhase() && TWLen < Config.TWSize);
-  }
-
   uint64_t offsetOfTWIndex(uint64_t I) const {
-    return GlobalConsumed - (TWLen + CWLen) + I;
+    return GlobalConsumed - (W.TWLen + W.CWLen) + I;
   }
 
   uint64_t anchorPosition() const {
-    assert(Head + TWLen + CWLen == Buffer.size() &&
-           "window bookkeeping out of sync");
-    // Kernels with dense per-site CW counts dispatch the anchor scan to
-    // the blocked membership kernels: both scans return the index of the
-    // first matching element in scan order, exactly what the scalar
-    // loops below compute (core/BatchKernel.h documents the equivalence).
-    if constexpr (Kernel::HasDenseCW) {
-      if (TheKernel.batchEnabled()) {
-        const uint32_t *Counts = TheKernel.cwCountsData();
-        const SiteIndex *Window = Buffer.begin() + Head;
-        if (Config.Anchor == AnchorKind::RightmostNoisy)
-          return batchRightmostNoisy(Counts, Window, TWLen);
-        return batchLeftmostNonNoisy(Counts, Window, TWLen);
-      }
-    }
-    if (Config.Anchor == AnchorKind::RightmostNoisy) {
-      for (uint64_t I = TWLen; I != 0; --I)
-        if (!TheKernel.inCW(Buffer[Head + I - 1]))
-          return I;
-      return 0;
-    }
-    for (uint64_t I = 0; I != TWLen; ++I)
-      if (TheKernel.inCW(Buffer[Head + I]))
-        return I;
-    return TWLen;
-  }
-
-  void dropTWPrefix(uint64_t N) {
-    assert(N <= TWLen && "dropping more than the TW holds");
-    for (uint64_t I = 0; I != N; ++I)
-      TheKernel.twRemove(Buffer[Head + I]);
-    Head += N;
-    TWLen -= N;
+    assert(W.end() == Buffer.size() && "window bookkeeping out of sync");
+    return W.anchor(Buffer.begin(), Config.Anchor);
   }
 
   void compactBuffer() {
-    if (Head > WindowedModel::CompactionThreshold &&
-        Head * 2 > Buffer.size()) {
-      Buffer.dropFront(Head);
-      Head = 0;
+    if (W.Base > WindowedModel::CompactionThreshold &&
+        W.Base * 2 > Buffer.size()) {
+      Buffer.dropFront(W.Base);
+      W.Base = 0;
     }
   }
 
   WindowConfig Config;
-  Kernel TheKernel;
+  KernelWindows<Kernel> W;
 
   ElementBuffer Buffer;
-  size_t Head = 0;
-  uint64_t TWLen = 0;
-  uint64_t CWLen = 0;
 
   bool PhaseOpen = false;
   bool InPhaseGrowth = false;
-  bool PartialCW = false;
 
   uint64_t GlobalConsumed = 0;
 };

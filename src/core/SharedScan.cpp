@@ -5,18 +5,24 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Bit-identity argument, in terms of the reference FastWindowedModel
-// (core/FastKernels.h) a per-config detector drives:
+// Bit-identity argument, in terms of the FastWindowedModel
+// (core/FastKernels.h) a per-config detector drives. The model, the
+// engine's group window and its shards all step through one
+// KernelWindows::advance, the single consume: it feeds the kernel the
+// operation sequence of per-element consume() calls (CW fill, TW growth
+// while growing or below TWSize, then rotation), whatever the length of
+// the stretch it is handed. The points below are about which windows
+// each one holds, not how they are stepped.
 //
-//  1. Out of phase, the model's consume() never reads PhaseOpen, and a
+//  1. Out of phase, the model's consume never reads PhaseOpen, and a
 //     constant-equivalent TW (adaptive with InPhaseGrowth=false behaves
 //     identically) caps at TWSize — so the windows are exactly
 //     CW = trace(q-CW, q], TW = trace(q-CW-TW, q-CW] at every position
-//     q, which is what the engine's one free-running window maintains.
-//     Kernel counts are a function of window contents, and the weighted
-//     kernel's MinSum recompute is exact integer arithmetic over those
-//     counts, so decisions off the shared kernel match the reference's
-//     bit for bit.
+//     q, which is what the engine's one free-running window maintains
+//     (advance with Grow off). Kernel counts are a function of window
+//     contents, and the weighted kernel's MinSum recompute is exact
+//     integer arithmetic over those counts, so decisions off the shared
+//     kernel match the reference's bit for bit.
 //
 //  2. endPhase() at position n keeps Keep = min(skip, CWSize,
 //     TWLen+CWLen) seed elements and flushes the kernel. From there the
@@ -34,11 +40,10 @@
 //     none of that depends on any later decision: from then on the TW
 //     start (Base) stays put, the CW refills one element per position
 //     up to CWSize, and the TW takes what the CW rotates out. A shard
-//     seeds its kernel from the shared kernel (phase entry only happens
-//     synced, where the cursor's window IS the shared window by (1)),
-//     applies startPhase's resize, and then consumes with the in-phase
-//     specialization of the reference consume (TWGrows is
-//     unconditionally true, endPhase never reads the buffer beyond the
+//     copies the group window (phase entry only happens synced, where
+//     the cursor's window IS the shared window by (1)), applies the
+//     same KernelWindows::resizeForPhase as startPhase, and then
+//     advances with Grow on (endPhase never reads the buffer beyond the
 //     kept seed). While a phase is open the reference windowsFull() is
 //     TWLen>0 && CWLen>0, which the shard checks before each decision.
 //
@@ -152,22 +157,17 @@ template <ModelKind M>
 class SharedScanEngine final : public SharedScanEngineBase {
   using Kernel = typename KernelOf<M, PlainKernelArith>::type;
 
-  /// A detached in-phase window for adaptive cursors: the shared kernel
-  /// copied at phase entry and resized per the anchor, advancing lazily
-  /// to its cursors' evaluation positions. Window layout invariant:
-  /// TW = Elements[Base, Base+TWLen), CW = Elements[Base+TWLen, LastPos)
-  /// with Base + TWLen + CWLen == LastPos. Base never moves, so a shard's
-  /// identity is (Base, its CW length at a position): see findShard.
+  /// A detached in-phase window for adaptive cursors: the shared
+  /// windows copied at phase entry and resized per the anchor, advancing
+  /// lazily to their cursors' evaluation positions. The TW grows while
+  /// the phase is open, so W.Base never moves, and a shard's identity is
+  /// (W.Base, its CW length at a position): see findShard. The CW is
+  /// below CWSize only after a Slide resize, until it refills.
   struct Shard {
-    /// The detached kernel (assignment reuses its arrays).
-    Kernel K;
-    /// Trace offset of the TW start.
-    uint64_t Base = 0;
-    /// Current TW length (grows while the phase is open).
-    uint64_t TWLen = 0;
-    /// Current CW length (< CWSize only after a Slide resize).
-    uint64_t CWLen = 0;
-    /// Elements consumed so far (lazy advance high-water mark).
+    /// The detached windows over the trace (assignment reuses the
+    /// kernel's arrays).
+    KernelWindows<Kernel> W;
+    /// W.end(), cached: the cohort check reads it at every evaluation.
     uint64_t LastPos = 0;
     /// Set when a refill made this shard a duplicate of a full-CW shard
     /// with the same Base: the shard its cursors move to. Holds one
@@ -176,7 +176,7 @@ class SharedScanEngine final : public SharedScanEngineBase {
     /// Cursors currently reading this shard (plus merged-in shards).
     uint32_t Refs = 0;
 
-    explicit Shard(SiteIndex NumSites) : K(NumSites) {}
+    explicit Shard(SiteIndex NumSites) : W{Kernel(NumSites)} {}
   };
 
   /// FastMeanStats's mean-only Welford state (the Average analyzer).
@@ -265,13 +265,14 @@ class SharedScanEngine final : public SharedScanEngineBase {
 
 public:
   explicit SharedScanEngine(SiteIndex NumSites)
-      : SharedKernel(NumSites), Sites(NumSites) {}
+      : Shared{Kernel(NumSites)}, Sites(NumSites) {}
 
   void setBatchKernels(bool Enabled) override {
-    SharedKernel.setBatchEnabled(Enabled);
-    BatchKernels = Enabled;
+    Shared.K.setBatchEnabled(Enabled);
   }
-  bool batchKernelsEnabled() const override { return BatchKernels; }
+  bool batchKernelsEnabled() const override {
+    return Shared.K.batchEnabled();
+  }
   SiteIndex numSites() const override { return Sites; }
 
   void run(const std::vector<DetectorConfig> &Configs,
@@ -292,7 +293,7 @@ public:
       for (const Bucket &B : buckets())
         Target = std::min<uint64_t>(Target, B.NextEval);
       assert(Target > Pos && "evaluation positions must advance");
-      consumeSharedTo(Pos, Target);
+      Shared.advance(Elements, Target - Pos, CW, TW, /*Grow=*/false);
       Pos = Target;
       for (Bucket &B : buckets()) {
         if (B.NextEval != Pos)
@@ -334,8 +335,8 @@ private:
     assert(CW > 0 && "current window must be nonempty");
     assert(TW > 0 && "trailing window must be nonempty");
 
-    SharedKernel.reset();
-    CWLen = TWLen = 0;
+    Shared.K.reset();
+    Shared.Base = Shared.TWLen = Shared.CWLen = 0;
     SimPos = AnchorPos[0] = AnchorPos[1] = UINT64_MAX;
     assert(ActiveShards.empty() && "shards must not leak across runs");
 
@@ -404,35 +405,11 @@ private:
     return B;
   }
 
-  /// Advances the free-running window over Elements[Pos, Target).
-  OPD_FORCE_INLINE void consumeSharedTo(uint64_t Pos, uint64_t Target) {
-    uint64_t Q = Pos;
-    // Startup fill: only the first CW+TW elements of the trace.
-    while (CWLen < CW && Q < Target) {
-      SharedKernel.cwAdd(Elements[Q]);
-      ++CWLen;
-      ++Q;
-    }
-    while (TWLen < TW && Q < Target) {
-      SiteIndex Y = Elements[Q - CW];
-      SharedKernel.cwReplace(Elements[Q], Y);
-      SharedKernel.twAdd(Y);
-      ++TWLen;
-      ++Q;
-    }
-    // Steady state: the whole rest of the trace takes this loop.
-    for (; Q < Target; ++Q) {
-      SiteIndex Y = Elements[Q - CW];
-      SharedKernel.cwReplace(Elements[Q], Y);
-      SharedKernel.twReplace(Y, Elements[Q - CW - TW]);
-    }
-  }
-
   /// The shared similarity at evaluation position \p N, computed once
   /// and fanned out to every cursor.
   OPD_FORCE_INLINE double sharedSim(uint64_t N) {
     if (SimPos != N) {
-      Sim = SharedKernel.similarity();
+      Sim = Shared.K.similarity();
       SimPos = N;
     }
     return Sim;
@@ -444,42 +421,18 @@ private:
   uint64_t anchor(AnchorKind Kind, uint64_t N) {
     size_t Slot = Kind == AnchorKind::RightmostNoisy ? 0 : 1;
     if (AnchorPos[Slot] != N) {
-      AnchorVal[Slot] = anchorPosition(Kind, N);
+      assert(Shared.end() == N && Shared.TWLen == TW && "window not full yet");
+      AnchorVal[Slot] = Shared.anchor(Elements, Kind);
       AnchorPos[Slot] = N;
     }
     return AnchorVal[Slot];
-  }
-
-  /// Same scan as FastWindowedModel::anchorPosition, over the trace
-  /// slice the shared TW covers at position \p N.
-  uint64_t anchorPosition(AnchorKind Kind, uint64_t N) const {
-    assert(N >= static_cast<uint64_t>(CW) + TW && "window not full yet");
-    const SiteIndex *Window = Elements + (N - CW - TW);
-    if constexpr (Kernel::HasDenseCW) {
-      if (BatchKernels) {
-        const uint32_t *Counts = SharedKernel.cwCountsData();
-        if (Kind == AnchorKind::RightmostNoisy)
-          return batchRightmostNoisy(Counts, Window, TW);
-        return batchLeftmostNonNoisy(Counts, Window, TW);
-      }
-    }
-    if (Kind == AnchorKind::RightmostNoisy) {
-      for (uint64_t I = TW; I != 0; --I)
-        if (!SharedKernel.inCW(Window[I - 1]))
-          return I;
-      return 0;
-    }
-    for (uint64_t I = 0; I != TW; ++I)
-      if (SharedKernel.inCW(Window[I]))
-        return I;
-    return TW;
   }
 
   /// The CW length \p S holds once advanced to \p N (a Slide-resized CW
   /// refills one element per position; a full one stays full).
   uint64_t cwLenAt(const Shard &S, uint64_t N) const {
     assert(S.LastPos <= N && "shards never run ahead of the scan");
-    return std::min<uint64_t>(CW, S.CWLen + (N - S.LastPos));
+    return std::min<uint64_t>(CW, S.W.CWLen + (N - S.LastPos));
   }
 
   /// The active, unmerged shard other than \p Except whose windows at
@@ -489,7 +442,7 @@ private:
   Shard *findShard(uint64_t Base, uint64_t CWLenAtN, uint64_t N,
                    const Shard *Except) const {
     for (Shard *S : ActiveShards)
-      if (S != Except && !S->Into && S->Base == Base &&
+      if (S != Except && !S->Into && S->W.Base == Base &&
           cwLenAt(*S, N) == CWLenAtN)
         return S;
     return nullptr;
@@ -506,8 +459,8 @@ private:
       ++S->Refs;
       ++Counters.ShardJoins;
       S = shardAt(S, N);
-      assert(S->Base == Base && S->TWLen == TW - A + Take &&
-             S->CWLen == CW - Take &&
+      assert(S->W.Base == Base && S->W.TWLen == TW - A + Take &&
+             S->W.CWLen == CW - Take &&
              "a joined shard must hold the windows a fork would build");
       return S;
     }
@@ -522,31 +475,13 @@ private:
     }
     ++Counters.ShardsForked;
 
-    // Seed from the shared window (the entering cursor's window is the
-    // shared window — phase entry only happens synced), then apply
+    // Seed from the shared windows (the entering cursor's windows are
+    // the shared ones: phase entry only happens synced), then apply
     // startPhase's anchor resize.
-    S->K = SharedKernel;
-    S->Base = N - CW - TW;
-    S->TWLen = TW;
-    S->CWLen = CW;
+    S->W = Shared;
+    S->W.resizeForPhase(Elements, A, Resize == ResizeKind::Slide);
     S->LastPos = N;
     S->Refs = 1;
-
-    // dropTWPrefix(A).
-    assert(A <= S->TWLen && "anchor beyond the trailing window");
-    for (uint64_t I = 0; I != A; ++I)
-      S->K.twRemove(Elements[S->Base + I]);
-    S->Base += A;
-    S->TWLen -= A;
-    // Slide the TW right across the CW, as startPhase (Take is taken
-    // against the pre-slide CW length, CW).
-    for (uint64_t I = 0; I != Take; ++I) {
-      SiteIndex X = Elements[S->Base + S->TWLen];
-      S->K.moveCWToTW(X);
-      ++S->TWLen;
-      --S->CWLen;
-    }
-
     ActiveShards.push_back(S);
     return S;
   }
@@ -569,29 +504,18 @@ private:
     FreeShards.push_back(S);
   }
 
-  /// Advances \p S to position \p N with the in-phase consume: the fill
-  /// path while a Slide left the CW partial, then the InPhaseGrowth
-  /// specialization (the TW grows on every rotation). A refill that
-  /// completes here is the one point after entry where two shards with
-  /// the same Base converge, so it links \p S to its full-CW twin.
+  /// Advances \p S to position \p N with the in-phase consume: the CW
+  /// refills while a Slide left it partial, and every later rotation
+  /// grows the TW (InPhaseGrowth). A refill that completes here is the
+  /// one point after entry where two shards with the same Base converge,
+  /// so it links \p S to its full-CW twin.
   OPD_FORCE_INLINE void advanceShard(Shard &S, uint64_t N) {
-    bool Filling = S.CWLen < CW;
+    bool Filling = S.W.CWLen < CW;
     Counters.ShardSteps += N - S.LastPos;
-    for (uint64_t Q = S.LastPos; Q != N; ++Q) {
-      SiteIndex E = Elements[Q];
-      if (S.CWLen < CW) {
-        S.K.cwAdd(E);
-        ++S.CWLen;
-      } else {
-        SiteIndex Y = Elements[S.Base + S.TWLen];
-        S.K.cwReplace(E, Y);
-        S.K.twAdd(Y);
-        ++S.TWLen;
-      }
-    }
+    S.W.advance(Elements, N - S.LastPos, CW, TW, /*Grow=*/true);
     S.LastPos = N;
-    if (Filling && S.CWLen == CW) {
-      S.Into = findShard(S.Base, CW, N, &S);
+    if (Filling && S.W.CWLen == CW) {
+      S.Into = findShard(S.W.Base, CW, N, &S);
       if (S.Into)
         ++S.Into->Refs;
     }
@@ -814,8 +738,8 @@ private:
       // evaluations find it already advanced here by another cursor).
       if (C.Sh->LastPos != N || C.Sh->Into)
         C.Sh = shardAt(C.Sh, N);
-      Kernel &K = C.Sh->K;
-      if (C.Sh->TWLen == 0 || C.Sh->CWLen == 0)
+      Kernel &K = C.Sh->W.K;
+      if (C.Sh->W.TWLen == 0 || C.Sh->W.CWLen == 0)
         // The in-phase windowsFull(): an anchor drop that emptied the
         // TW (Move) or a slide that emptied the CW forces a Transition.
         return PhaseState::Transition;
@@ -872,7 +796,7 @@ private:
       // endPhase: the seed kept is min(skip, CWSize, window length);
       // refill completes (CWSize - Keep) + TWSize elements later.
       uint64_t WindowLen =
-          C.Sh ? C.Sh->TWLen + C.Sh->CWLen : static_cast<uint64_t>(CW) + TW;
+          C.Sh ? C.Sh->W.TWLen + C.Sh->W.CWLen : static_cast<uint64_t>(CW) + TW;
       uint64_t Keep = std::min<uint64_t>(
           std::min<uint64_t>(C.Skip, CW), WindowLen);
       C.ResyncAt = N + (CW - Keep) + TW;
@@ -924,14 +848,11 @@ private:
     S.Mean += (Similarity - S.Mean) / static_cast<double>(S.N);
   }
 
-  // Shared free-running window.
-  Kernel SharedKernel;
+  // Shared free-running windows over the trace, and their sizes.
+  KernelWindows<Kernel> Shared;
   SiteIndex Sites;
   uint64_t CW = 0;
   uint64_t TW = 0;
-  uint64_t CWLen = 0;
-  uint64_t TWLen = 0;
-  bool BatchKernels = true;
 
   // The trace being scanned (valid during run()).
   const SiteIndex *Elements = nullptr;

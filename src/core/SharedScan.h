@@ -34,8 +34,11 @@
 ///    it passes.
 ///  * Only adaptive cursors *inside* a phase have decision-dependent
 ///    window state. Each open phase detaches a **shard** — a copy of
-///    the shared kernel at phase entry, resized per the anchor — that
-///    advances lazily to the owning cursors' evaluation positions.
+///    the shared windows at phase entry, resized per the anchor — that
+///    advances lazily to the owning cursors' evaluation positions. The
+///    shared windows and every shard are KernelWindows
+///    (core/FastKernels.h) over the trace, and step through its one
+///    advance(), the consume the per-config fast detector runs too.
 ///    Shards are shared by what their windows hold, not by how they
 ///    were created. A shard at position p holds TW = [Base, p - CWLen)
 ///    and CW = [p - CWLen, p), and Base never moves; every kernel's

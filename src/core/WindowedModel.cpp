@@ -60,8 +60,6 @@ void WindowedModel::consume(SiteIndex S) {
     // Slide anchor.
     ++CWLen;
     Kernel->cwAdd(S);
-    if (PartialCW && CWLen == Config.CWSize)
-      PartialCW = false;
     return;
   }
 
@@ -123,8 +121,6 @@ void WindowedModel::startPhase() {
         ++TWLen;
         --CWLen;
       }
-      if (CWLen < Config.CWSize)
-        PartialCW = true;
     } else {
       dropTWPrefix(A);
     }
@@ -153,7 +149,6 @@ void WindowedModel::endPhase() {
   for (SiteIndex S : Buffer)
     Kernel->cwAdd(S);
   InPhaseGrowth = false;
-  PartialCW = false;
   PhaseOpen = false;
 }
 
@@ -161,7 +156,7 @@ void WindowedModel::reset() {
   Buffer.clear();
   Head = 0;
   TWLen = CWLen = 0;
-  InPhaseGrowth = PartialCW = PhaseOpen = false;
+  InPhaseGrowth = PhaseOpen = false;
   GlobalConsumed = 0;
   Kernel->reset();
 }

@@ -176,9 +176,6 @@ private:
   bool PhaseOpen = false;
   /// Adaptive TW is currently growing (phase open).
   bool InPhaseGrowth = false;
-  /// After a Slide anchor the CW is below capacity but comparisons
-  /// continue while it refills.
-  bool PartialCW = false;
 
   uint64_t GlobalConsumed = 0;
 };

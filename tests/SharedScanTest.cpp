@@ -32,6 +32,12 @@
 /// seeded property test runs random groups, non-finite parameters
 /// included.
 ///
+/// The group window and the shards step through KernelWindows, the
+/// window layer they share with the fast detector: a property test
+/// steps it one element at a time and in random chunks, with phase
+/// entries and exits between them, and holds both to the window
+/// lengths and similarities per-element consumes would build.
+///
 //===----------------------------------------------------------------------===//
 
 #include "core/DetectorRunner.h"
@@ -1027,4 +1033,127 @@ TEST(SharedScanCohortTest, RandomGroupsMatchTheFastDetector) {
     }
     runCheckedGroup(Configs, Trace, /*CheckReference=*/false);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// KernelWindows
+//
+// The fast detector, the shared-scan group window and its shards step
+// their windows through one KernelWindows::advance, in chunks of
+// whatever length the caller has at hand: one element, a skip batch, or
+// the span to the next evaluation. The windows must not depend on the
+// chunking, and must hold what per-element consume() calls would.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The window lengths per-element WindowedModel::consume() calls and a
+/// startPhase() resize produce, kept as plain arithmetic: the oracle for
+/// KernelWindows' bookkeeping.
+struct WindowLengths {
+  uint64_t Base = 0, TWLen = 0, CWLen = 0;
+
+  void consume(uint64_t CW, uint64_t TW, bool Grow) {
+    if (CWLen < CW)
+      ++CWLen;
+    else if (Grow || TWLen < TW)
+      ++TWLen;
+    else
+      ++Base;
+  }
+  void resize(uint64_t A, bool Slide) {
+    uint64_t Take = Slide ? std::min(A, CWLen) : 0;
+    Base += A;
+    TWLen = TWLen - A + Take;
+    CWLen -= Take;
+  }
+};
+
+template <ModelKind M> void checkChunking() {
+  using Kernel =
+      typename fastkernels::KernelOf<M, PlainKernelArith>::type;
+  using Windows = fastkernels::KernelWindows<Kernel>;
+  constexpr SiteIndex NumSites = 50;
+  constexpr uint64_t CW = 30, TW = 300, Len = 20000;
+  Xoshiro256 Rng(0x3d0c0000 + static_cast<uint64_t>(M));
+  std::vector<SiteIndex> E(Len);
+  for (SiteIndex &S : E)
+    S = static_cast<SiteIndex>(Rng.nextBelow(NumSites));
+
+  Windows Stepped{Kernel(NumSites)};
+  Windows Chunked{Kernel(NumSites)};
+  WindowLengths Expected;
+  bool Grow = false;
+  unsigned Slides = 0, FillEdges = 0, GrowEdges = 0;
+  uint64_t Pos = 0;
+  while (Pos != Len) {
+    uint64_t N = std::min(Len - Pos, 1 + Rng.nextBelow(2 * (CW + TW)));
+    SCOPED_TRACE(::testing::Message() << "chunk [" << Pos << ", "
+                                      << Pos + N << ")");
+    // Chunks that cross from the CW fill, or from TW growth into the
+    // rotation, inside one advance.
+    uint64_t Fill = CW - std::min(CW, Chunked.CWLen);
+    uint64_t GrowRoom = TW - std::min(TW, Chunked.TWLen);
+    FillEdges += Fill != 0 && N > Fill;
+    GrowEdges += !Grow && GrowRoom != 0 && N > Fill + GrowRoom;
+    for (uint64_t I = 0; I != N; ++I) {
+      Stepped.advance(E.data(), 1, CW, TW, Grow);
+      Expected.consume(CW, TW, Grow);
+    }
+    Chunked.advance(E.data(), N, CW, TW, Grow);
+    Pos += N;
+
+    // A phase edge at this position: entry resizes both windows at the
+    // anchor, exit stops the TW growth. Phases are short, so some end
+    // with the TW below TWSize and the TW growth resumes out of phase.
+    if (Rng.nextBool(Grow ? 0.7 : 0.3)) {
+      Grow = !Grow;
+      if (Grow) {
+        AnchorKind Kind = Rng.nextBool(0.5) ? AnchorKind::RightmostNoisy
+                                            : AnchorKind::LeftmostNonNoisy;
+        bool Slide = Rng.nextBool(0.5);
+        uint64_t A = Chunked.anchor(E.data(), Kind);
+        ASSERT_EQ(Stepped.anchor(E.data(), Kind), A);
+        Slides += Slide && std::min(A, Chunked.CWLen) != 0;
+        Stepped.resizeForPhase(E.data(), A, Slide);
+        Chunked.resizeForPhase(E.data(), A, Slide);
+        Expected.resize(A, Slide);
+      }
+    }
+
+    ASSERT_EQ(Stepped.end(), Pos);
+    ASSERT_EQ(Chunked.Base, Expected.Base);
+    ASSERT_EQ(Chunked.TWLen, Expected.TWLen);
+    ASSERT_EQ(Chunked.CWLen, Expected.CWLen);
+    ASSERT_EQ(Stepped.Base, Expected.Base);
+    ASSERT_EQ(Stepped.TWLen, Expected.TWLen);
+    ASSERT_EQ(Stepped.CWLen, Expected.CWLen);
+
+    // A kernel built from scratch over the same windows: decisions are
+    // functions of the counts (KernelDecisionsAreFunctionsOfTheCounts).
+    Kernel Fresh(NumSites);
+    for (uint64_t I = 0; I != Expected.TWLen; ++I)
+      Fresh.twAdd(E[Expected.Base + I]);
+    for (uint64_t I = Expected.Base + Expected.TWLen; I != Pos; ++I)
+      Fresh.cwAdd(E[I]);
+    double Sim = Fresh.similarity();
+    ASSERT_EQ(bitsOf(Stepped.K.similarity()), bitsOf(Sim));
+    ASSERT_EQ(bitsOf(Chunked.K.similarity()), bitsOf(Sim));
+  }
+  // The walk reached the paths the chunking could get wrong.
+  EXPECT_GT(Slides, 0u);
+  EXPECT_GT(FillEdges, 1u);
+  EXPECT_GT(GrowEdges, 1u);
+}
+
+} // namespace
+
+// One element at a time or in chunks of up to 2(CW+TW) elements, with
+// phase entries (Move and Slide resizes) and exits at chunk boundaries:
+// the same windows, and bit-identical similarities, as per-element
+// consume() calls would build.
+TEST(KernelWindowsTest, ChunkingDoesNotChangeTheWindows) {
+  checkChunking<ModelKind::UnweightedSet>();
+  checkChunking<ModelKind::WeightedSet>();
+  checkChunking<ModelKind::ManhattanBBV>();
 }
