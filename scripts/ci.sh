@@ -8,9 +8,7 @@
 #
 #   plain:        configure + build (warnings-as-errors) + full ctest
 #   kernel-check: the shipped sweep specs certify wraparound-free at the
-#                 evaluation's 62M-element trace scale, with the full
-#                 18-shape SIMD lane plan (and its per-shape batch-kernel
-#                 admission verdicts) printed into the CI log
+#                 evaluation's 62M-element trace scale
 #   serve-check:  wire-protocol model checker vs the real ServeSession vs
 #                 docs/SERVING.md, plus a fixed-seed model-guided fuzz run
 #   tidy:         clang-tidy over src/ when it is on PATH (skips otherwise)
@@ -139,8 +137,7 @@ stage_plain() {
 
 stage_kernel_check() {
   configure_build plain
-  "${PREFIX}-plain/examples/kernel_check" --preset paper --trace-len 62M \
-    --lane-plan
+  "${PREFIX}-plain/examples/kernel_check" --preset paper --trace-len 62M
 }
 
 stage_serve_check() {

@@ -7,8 +7,6 @@
 
 #include "analysis/KernelBounds.h"
 
-#include "core/BatchKernel.h"
-
 #include <algorithm>
 #include <limits>
 
@@ -122,22 +120,6 @@ QuantityBound makeBound(KernelQuantity Q, bool Applicable, Interval I) {
   return B;
 }
 
-/// Rounds a bit count up to a machine lane width; 0 when no 64-bit lane
-/// can hold it.
-unsigned laneFor(unsigned Bits) {
-  if (Bits == 0)
-    return 8;
-  if (Bits <= 8)
-    return 8;
-  if (Bits <= 16)
-    return 16;
-  if (Bits <= 32)
-    return 32;
-  if (Bits <= 64)
-    return 64;
-  return 0;
-}
-
 /// Worst case of two exactness claims (ExactWithin53 strongest).
 ThresholdExactness weaker(ThresholdExactness A, ThresholdExactness B) {
   auto Rank = [](ThresholdExactness E) {
@@ -154,30 +136,12 @@ ThresholdExactness weaker(ThresholdExactness A, ThresholdExactness B) {
   return Rank(A) >= Rank(B) ? A : B;
 }
 
-/// Recomputes the derived summary fields (NoWraparound, lane widths)
-/// from the per-quantity bounds.
+/// Recomputes NoWraparound from the per-quantity bounds.
 void summarize(KernelCertificate &Cert) {
   Cert.NoWraparound = true;
-  unsigned CountBits = 0;
-  unsigned WideBits = 0;
-  bool CountsCertified = true;
-  bool WideCertified = true;
-  for (const QuantityBound &B : Cert.Bounds) {
-    if (!B.Applicable)
-      continue;
-    if (!B.Bounded || !B.FitsStorage)
+  for (const QuantityBound &B : Cert.Bounds)
+    if (B.Applicable && (!B.Bounded || !B.FitsStorage))
       Cert.NoWraparound = false;
-    bool Certified = B.Bounded && B.Bits <= 64;
-    if (isCountQuantity(B.Quantity)) {
-      CountsCertified &= Certified;
-      CountBits = std::max(CountBits, B.Bits);
-    } else {
-      WideCertified &= Certified;
-      WideBits = std::max(WideBits, B.Bits);
-    }
-  }
-  Cert.CountLaneBits = CountsCertified ? laneFor(CountBits) : 0;
-  Cert.ProductLaneBits = WideCertified ? laneFor(WideBits) : 0;
 }
 
 } // namespace
@@ -358,63 +322,5 @@ void opd::lintCertificate(const KernelCertificate &Cert,
 }
 
 bool opd::admitsBatchLanes(const KernelCertificate &Cert) {
-  BatchLanePlan Plan = batchLanePlan(Cert.Config.Model);
-  // No batch kernel compiled for the model at all: nothing to admit.
-  if (Plan.CountLaneBits == 0)
-    return false;
-  // The batch kernels assume the certified wraparound-free dataflow (the
-  // AVX2 min-sum derives its exactness from MinSum <= NCW*NTW, and the
-  // per-site counts must fit their uint32_t lanes).
-  if (!Cert.NoWraparound)
-    return false;
-  if (Cert.CountLaneBits == 0 || Cert.CountLaneBits > Plan.CountLaneBits)
-    return false;
-  if (Plan.ProductLaneBits != 0 &&
-      (Cert.ProductLaneBits == 0 ||
-       Cert.ProductLaneBits > Plan.ProductLaneBits))
-    return false;
-  return true;
-}
-
-std::string opd::renderCertificateJSON(const KernelCertificate &Cert) {
-  std::string Out = "{\n";
-  Out += "    \"config\": \"" + Cert.Config.describe() + "\",\n";
-  Out += "    \"shape\": " + std::to_string(Cert.Shape) + ",\n";
-  Out += "    \"configs_merged\": " + std::to_string(Cert.NumConfigs) + ",\n";
-  Out += "    \"no_wraparound\": ";
-  Out += Cert.NoWraparound ? "true" : "false";
-  Out += ",\n";
-  Out += "    \"batch_admitted\": ";
-  Out += admitsBatchLanes(Cert) ? "true" : "false";
-  Out += ",\n";
-  Out += "    \"count_lane_bits\": " + std::to_string(Cert.CountLaneBits) +
-         ",\n";
-  Out +=
-      "    \"product_lane_bits\": " + std::to_string(Cert.ProductLaneBits) +
-      ",\n";
-  Out += "    \"threshold_exactness\": \"";
-  Out += thresholdExactnessName(Cert.Exactness);
-  Out += "\",\n";
-  Out += "    \"bounds\": [";
-  bool First = true;
-  for (const QuantityBound &B : Cert.Bounds) {
-    if (!B.Applicable)
-      continue;
-    if (!First)
-      Out += ",";
-    First = false;
-    Out += "\n      {\"quantity\": \"";
-    Out += kernelQuantityName(B.Quantity);
-    Out += "\", \"bounded\": ";
-    Out += B.Bounded ? "true" : "false";
-    if (B.Bounded) {
-      Out += ", \"max\": " + std::to_string(B.Max);
-      Out += ", \"bits\": " + std::to_string(B.Bits);
-      Out += ", \"fits\": ";
-      Out += B.FitsStorage ? "true" : "false";
-    }
-    Out += "}";
-  }
-  Out += "\n    ]\n  }";
-  return Out;
+  return Cert.NoWraparound;
 }

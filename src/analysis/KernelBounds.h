@@ -15,9 +15,7 @@
 ///
 ///  (a) whether any unsigned count, product, or accumulator can wrap
 ///      its storage width (uint32_t counts, uint64_t everything else);
-///  (b) the minimal bit-width per quantity — rounded up to a machine
-///      lane width, this is the SIMD lane plan for the future
-///      structure-of-arrays batch kernels (the ROADMAP's top open item);
+///  (b) the minimal bit-width per quantity;
 ///  (c) whether the division-free threshold decision
 ///      (FastWeightedSetKernel::similarityAtLeast) is exact outright —
 ///      every integer fed to it below 2^53, so the double conversions
@@ -50,12 +48,12 @@
 ///  * MinSum = sum_s min(cw[s]*|TW|, tw[s]*|CW|) <= sum_s cw[s]*|TW|
 ///    = |CW|*|TW| <= NCWMax*NTWMax.
 ///
-/// Certificates gate the SIMD layer and are validated three ways (see
-/// docs/ANALYSIS.md): the CheckedKernelArith shadow instrumentation in
-/// core asserts observed runtime values stay within these intervals
-/// across the full differential suite, adversarial boundary configs
-/// prove the analyzer rejects what must be rejected, and
-/// examples/kernel_check re-proves every sweep preset in ctest/CI.
+/// Certificates are validated three ways (see docs/ANALYSIS.md): the
+/// CheckedKernelArith shadow instrumentation in core asserts observed
+/// runtime values stay within these intervals across the full
+/// differential suite, adversarial boundary configs prove the analyzer
+/// rejects what must be rejected, and examples/kernel_check re-proves
+/// every sweep preset in ctest/CI.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,7 +65,6 @@
 #include "lang/Diagnostics.h"
 
 #include <array>
-#include <string>
 
 namespace opd {
 
@@ -147,14 +144,6 @@ struct KernelCertificate {
   /// unsigned wraparound anywhere in the kernel dataflow (certificate
   /// component (a)).
   bool NoWraparound = false;
-  /// SIMD lane width (8/16/32/64 bits) covering every applicable
-  /// per-site count quantity, or 0 when none is certifiable
-  /// (certificate component (b)).
-  unsigned CountLaneBits = 0;
-  /// SIMD lane width (8/16/32/64 bits) covering every applicable
-  /// uint64_t quantity (totals, distincts, products, accumulator), or
-  /// 0 when one of them cannot be certified to fit 64 bits.
-  unsigned ProductLaneBits = 0;
   /// Certificate component (c): the threshold-decision exactness.
   ThresholdExactness Exactness = ThresholdExactness::QuotientPath;
 
@@ -172,20 +161,15 @@ KernelCertificate certifyKernel(const DetectorConfig &Config,
                                 const TraceBounds &Stats = TraceBounds());
 
 /// Widens \p Into to also cover \p C (same shape required): per-quantity
-/// interval join, conjunction of the wraparound claims, widest lanes,
-/// weakest exactness. After folding every config of a sweep into one
-/// certificate per shape, the 18 results are the lane-width plan the
-/// SIMD layer must respect.
+/// interval join, conjunction of the wraparound claims, weakest
+/// exactness. Folding every config of a sweep into one certificate per
+/// shape gives each shape's worst case (kernel_check reports those).
 void mergeCertificate(KernelCertificate &Into, const KernelCertificate &C);
 
-/// The admission check of the batch-kernel handshake (core/BatchKernel.h):
-/// true iff \p Cert proves the configuration safe on the batch kernels'
-/// compiled lane plan for its model — the certificate must rule out
-/// wraparound everywhere, certify every per-site count into the plan's
-/// count lanes, and (when the plan forms products) certify every
-/// product/accumulator into the plan's product lanes. A refusing config
-/// must run with FastDetectorBase::setBatchKernels(false); the sweep
-/// harness applies the verdict to every detector it acquires.
+/// Returns Cert.NoWraparound. The batch kernels need no admission
+/// (batchMinSum's runtime totals guard keeps them exact), so this is
+/// kept only because perfbench/Offline.cpp still calls it to choose
+/// SharedScanEngineBase::setBatchKernels; it goes once perfbench stops.
 bool admitsBatchLanes(const KernelCertificate &Cert);
 
 /// Reports \p Cert's findings into \p Diags using the stable diagnostic
@@ -196,11 +180,6 @@ bool admitsBatchLanes(const KernelCertificate &Cert);
 /// within 6 bits of the 64-bit cliff or with unprovable adaptive-TW
 /// growth.
 void lintCertificate(const KernelCertificate &Cert, DiagnosticEngine &Diags);
-
-/// Renders one certificate as a JSON object (the kernel_check --json
-/// payload): config description, shape, per-quantity bounds, the three
-/// certificate components.
-std::string renderCertificateJSON(const KernelCertificate &Cert);
 
 } // namespace opd
 

@@ -20,9 +20,9 @@
 // the whole sum is bounded by sum_i cw_i*NTW = NCW*NTW < 2^64 — every
 // per-lane partial sum is a subset of those non-negative terms, so no
 // addition wraps and lane order cannot matter. Totals at or above 2^32
-// (impossible for certificate-admitted configs, but the primitive must
-// not silently diverge) take the portable loop, which wraps mod 2^64 in
-// exactly the reference kernel's order-invariant way.
+// (an adaptive TW on a trace of 2^32 or more elements) take the
+// portable loop, which wraps mod 2^64 in exactly the reference kernel's
+// order-invariant way.
 //
 //===----------------------------------------------------------------------===//
 
@@ -62,8 +62,8 @@ minSumAVX2(const uint32_t *Pairs, size_t N, uint64_t NCW, uint64_t NTW) {
   if ((NCW * NTW) >> 63 == 0) {
     // Every product is at most NCW*NTW < 2^63, so the signed 64-bit lane
     // compare already orders them correctly — no sign-flip needed. This
-    // covers every certificate-admitted configuration; two accumulators
-    // split the loop-carried add dependency.
+    // covers every bundled sweep preset (widest product about 2^43); two
+    // accumulators split the loop-carried add dependency.
     for (; I + 8 <= N; I += 8) {
       __m256i V0 = _mm256_loadu_si256(
           reinterpret_cast<const __m256i *>(Pairs + 2 * I));
@@ -202,17 +202,6 @@ bool opd::setBatchBackend(BatchBackend B) {
   }
   backendSlot().store(B, std::memory_order_relaxed);
   return true;
-}
-
-BatchLanePlan opd::batchLanePlan(ModelKind Model) {
-  switch (Model) {
-  case ModelKind::WeightedSet:
-    return {/*CountLaneBits=*/32, /*ProductLaneBits=*/64};
-  case ModelKind::UnweightedSet:
-  case ModelKind::ManhattanBBV:
-    return {/*CountLaneBits=*/32, /*ProductLaneBits=*/0};
-  }
-  return {};
 }
 
 uint64_t opd::batchMinSumPortable(const uint32_t *Pairs, size_t N,

@@ -29,14 +29,11 @@
 ///  * The anchor scans are pure reads (find the first/last
 ///    zero-count element); any traversal produces the same index.
 ///
-/// Lane admission: the batch kernels are compiled against a fixed lane
-/// plan per model (batchLanePlan()). A configuration is only run on them
-/// when its KernelBounds certificate admits that plan —
-/// admitsBatchLanes() in analysis/KernelBounds.h performs the check, and
-/// callers wire the verdict in via FastDetectorBase::setBatchKernels()
-/// or, for a whole sweep group, SharedScanEngineBase::setBatchKernels().
-/// Refused configs take the pre-batch scalar paths (still bit-identical;
-/// the refusal is the certificate gate, not a behavioral fork).
+/// Exactness needs no admission step: the runtime totals guard above is
+/// the whole condition. Callers may still pin a whole shared-scan group
+/// to the portable loops with SharedScanEngineBase::setBatchKernels()
+/// (tests use it to cover the scalar anchor scans); the output is the
+/// same either way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,30 +79,6 @@ BatchBackend activeBatchBackend();
 /// force the fallback). Best-effort: requesting AVX2 on a host without
 /// it leaves the backend Portable and returns false.
 bool setBatchBackend(BatchBackend B);
-
-/// The lane plan a model's batch kernels are compiled with — the core
-/// side of the certificate admission handshake. A config may only run on
-/// the batch kernels when its KernelBounds certificate proves every
-/// per-site count fits CountLaneBits and (when ProductLaneBits is
-/// nonzero) every product/accumulator fits ProductLaneBits; see
-/// admitsBatchLanes() in analysis/KernelBounds.h.
-struct BatchLanePlan {
-  /// Lane width holding the packed per-site counts (0 = the model has no
-  /// batch kernel at all).
-  unsigned CountLaneBits = 0;
-  /// Lane width holding cross-products and the min-sum accumulator
-  /// (0 = the model's batch kernels form no products).
-  unsigned ProductLaneBits = 0;
-};
-
-/// The compiled lane plan for \p Model: weighted-set sweeps 32-bit count
-/// lanes into 64-bit product/accumulator lanes; the unweighted-set and
-/// Manhattan batch layers gather 32-bit count lanes only (membership
-/// scans — their similarity arithmetic stays scalar: the unweighted
-/// distinct counters are O(1) per element, and the Manhattan
-/// floating-point sum is order-sensitive, so reordering it into lanes
-/// would break bit-identity).
-BatchLanePlan batchLanePlan(ModelKind Model);
 
 /// sum over i < N of min(Pairs[2i]*NTW, Pairs[2i+1]*NCW), mod 2^64 —
 /// the weighted kernel's MinSum recompute over a packed roster whose

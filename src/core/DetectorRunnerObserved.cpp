@@ -6,11 +6,13 @@
 //===----------------------------------------------------------------------===//
 //
 // The observed variant of runDetector lives in its own translation unit,
-// and duplicates the run structure instead of sharing it, so that
+// and duplicates the streaming loop instead of sharing it, so that
 // attaching the observability layer leaves the unobserved overload's
 // translation unit — and therefore its generated code — untouched (the
 // zero-cost property BenchPerf checks; compiling the events into the
-// shared TU measurably perturbed the hot loop's inlining).
+// shared TU measurably perturbed the hot loop's inlining). Only the
+// phase-list finalization is shared, as an out-of-line call into that
+// TU.
 //
 //===----------------------------------------------------------------------===//
 
@@ -56,21 +58,7 @@ DetectorRun runObserved(OnlineDetector &Detector, const BranchTrace &Trace,
   Observer->onRunEnd(Elements.size());
   Detector.setObserver(nullptr);
 
-  Run.DetectedPhases = Run.States.phases();
-  assert(AnchoredStarts.size() == Run.DetectedPhases.size() &&
-         "one anchored start per detected phase");
-
-  // Build the anchor-corrected phases: each start is pulled back to the
-  // anchor estimate, clamped so the list stays sorted and disjoint.
-  Run.AnchoredPhases.reserve(Run.DetectedPhases.size());
-  uint64_t PrevEnd = 0;
-  for (size_t I = 0; I != Run.DetectedPhases.size(); ++I) {
-    PhaseInterval P = Run.DetectedPhases[I];
-    uint64_t Anchor = I < AnchoredStarts.size() ? AnchoredStarts[I] : P.Begin;
-    P.Begin = std::clamp(Anchor, PrevEnd, P.Begin);
-    Run.AnchoredPhases.push_back(P);
-    PrevEnd = P.End;
-  }
+  finalizeAnchoredPhases(Run, AnchoredStarts);
   return Run;
 }
 

@@ -57,13 +57,6 @@ public:
 
   SiteIndex numSites() const override { return Sites; }
 
-  void setBatchKernels(bool Enabled) override {
-    Model.setBatchKernels(Enabled);
-  }
-  bool batchKernelsEnabled() const override {
-    return Model.batchKernelsEnabled();
-  }
-
   PhaseState processBatch(const SiteIndex *Elements, size_t N) override {
     return processBatchInline(Elements, N);
   }

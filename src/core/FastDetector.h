@@ -55,20 +55,6 @@ public:
   /// (fastShapeIndex, numSites) to decide whether an instance can be
   /// re-targeted at a new stream or must be rebuilt.
   virtual SiteIndex numSites() const = 0;
-
-  /// Enables or disables the structure-of-arrays batch kernels
-  /// (core/BatchKernel.h) for this detector. Enabled by default — every
-  /// batch path is unconditionally bit-identical to the scalar path (see
-  /// BatchKernel.h) — but a batch kernel must refuse a configuration
-  /// whose KernelBounds certificate does not admit its compiled lane
-  /// plan, so certificate-aware callers (tests, benches) pass the
-  /// admitsBatchLanes() verdict here before streaming. The flag
-  /// survives reconfigure().
-  virtual void setBatchKernels(bool Enabled) = 0;
-
-  /// Whether the batch kernels are currently enabled (see
-  /// setBatchKernels()).
-  virtual bool batchKernelsEnabled() const = 0;
 };
 
 /// Number of distinct fast-path instantiations: model (3) x TW policy

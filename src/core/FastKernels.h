@@ -1150,9 +1150,6 @@ public:
   uint64_t consumed() const { return GlobalConsumed; }
   const WindowConfig &config() const { return Config; }
 
-  void setBatchKernels(bool Enabled) { W.K.setBatchEnabled(Enabled); }
-  bool batchKernelsEnabled() const { return W.K.batchEnabled(); }
-
 private:
   /// Whether the TW grows even at or past its size (adaptive, in phase).
   bool twGrowsInPhase() const {

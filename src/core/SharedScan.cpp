@@ -270,9 +270,6 @@ public:
   void setBatchKernels(bool Enabled) override {
     Shared.K.setBatchEnabled(Enabled);
   }
-  bool batchKernelsEnabled() const override {
-    return Shared.K.batchEnabled();
-  }
   SiteIndex numSites() const override { return Sites; }
 
   void run(const std::vector<DetectorConfig> &Configs,

@@ -191,14 +191,13 @@ class SharedScanEngineBase {
 public:
   virtual ~SharedScanEngineBase() = default;
 
-  /// Enables or disables the SIMD batch kernels for subsequent runs,
-  /// exactly as FastDetectorBase::setBatchKernels. The caller passes
-  /// the merged KernelBounds admission verdict for the whole group: a
-  /// group may only batch if every member's certificate admits the
-  /// compiled lane plan (the shared kernel serves all of them).
+  /// Enables (the default) or disables the batch kernels
+  /// (core/BatchKernel.h) for subsequent runs; disabled, the group runs
+  /// the portable min-sum and the scalar anchor scans. Both give the
+  /// same output, so this selects code paths, not results: tests use it
+  /// to cover the scalar paths, and perfbench still passes a
+  /// certificate verdict here.
   virtual void setBatchKernels(bool Enabled) = 0;
-  /// Whether the batch kernels are currently enabled.
-  virtual bool batchKernelsEnabled() const = 0;
 
   /// Runs the group over \p Elements / \p NumElements, writing config
   /// Configs[Members[I]]'s output into Runs[I] (cleared first). Every

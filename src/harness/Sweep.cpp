@@ -8,7 +8,6 @@
 #include "harness/Sweep.h"
 
 #include "analysis/ConfigAnalysis.h"
-#include "analysis/KernelBounds.h"
 #include "core/DetectorRunner.h"
 #include "core/SharedScan.h"
 #include "support/Format.h"
@@ -78,15 +77,6 @@ void runConfigsShared(const BranchTrace &Trace,
     return GroupCost(Plan.Groups[A]) > GroupCost(Plan.Groups[B]);
   });
 
-  // Certificate-based batch-kernel admission against what the harness
-  // knows about this trace: its length bounds adaptive-TW growth and
-  // per-site multiplicity, the site-table size bounds the distinct
-  // counters. certifyKernel is pure arithmetic.
-  TraceBounds Bounds;
-  Bounds.TraceLen = Trace.size();
-  Bounds.MaxMultiplicity = 0; // unknown; TraceLen already bounds it
-  Bounds.NumSites = Trace.numSites();
-
   /// Per-worker engine arena: one reusable engine per model plus the
   /// group-sized run storage.
   struct EngineArena {
@@ -105,19 +95,6 @@ void runConfigsShared(const BranchTrace &Trace,
             Arena.Engines[static_cast<size_t>(G.Key.Model)];
         if (!Slot || Slot->numSites() != Trace.numSites())
           Slot = makeSharedScanEngine(G.Key.Model, Trace.numSites());
-
-        // Group-level batch admission: the shared kernel and its shards
-        // serve every member, so the group only batches if every
-        // member's certificate admits its lane plan (certificates of
-        // different detector shapes cannot be merged, so the verdicts
-        // are combined instead — equivalent, since a merged certificate
-        // admits exactly when its worst member does). Refusal means the
-        // portable paths: same bits, fewer lanes.
-        bool Admitted = true;
-        for (size_t Member : G.Members)
-          Admitted = Admitted &&
-                     admitsBatchLanes(certifyKernel(Planned[Member], Bounds));
-        Slot->setBatchKernels(Admitted);
 
         if (Arena.Runs.size() < G.Members.size())
           Arena.Runs.resize(G.Members.size());

@@ -14,7 +14,7 @@
 /// observes must fall inside the certified interval for its quantity —
 /// with zero arithmetic overflows — on both the reference and the fast
 /// path. A certificate the shadow run cannot violate is what licenses
-/// the SIMD lane plan.
+/// its no-wraparound claim.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <vector>
 
 using namespace opd;
@@ -75,8 +76,6 @@ TEST(KernelBoundsTest, ConstantTWBoundsNeedNoTraceStats) {
   EXPECT_EQ(Cert.bound(KernelQuantity::MinSum).Max, 100u * 200u);
   EXPECT_FALSE(Cert.bound(KernelQuantity::CWDistinct).Applicable);
   EXPECT_EQ(Cert.bound(KernelQuantity::ProductCWTW).Bits, 15u); // 20000
-  EXPECT_EQ(Cert.CountLaneBits, 8u);                            // 200 < 2^8
-  EXPECT_EQ(Cert.ProductLaneBits, 16u);
   EXPECT_EQ(Cert.Exactness, ThresholdExactness::ExactWithin53);
 
   DiagnosticEngine Diags;
@@ -92,7 +91,6 @@ TEST(KernelBoundsTest, AdaptiveTWIsUnboundedWithoutATraceLength) {
   EXPECT_TRUE(Cert.bound(KernelQuantity::CWCount).Bounded);
   EXPECT_FALSE(Cert.bound(KernelQuantity::TWCount).Bounded);
   EXPECT_FALSE(Cert.bound(KernelQuantity::ProductCWTW).Bounded);
-  EXPECT_EQ(Cert.ProductLaneBits, 0u);
 
   DiagnosticEngine Diags;
   lintCertificate(Cert, Diags);
@@ -252,6 +250,79 @@ TEST(KernelBoundsTest, MergeJoinsIntervalsAndWeakensClaims) {
   mergeCertificate(Target, Unbounded);
   EXPECT_FALSE(Target.NoWraparound);
   EXPECT_FALSE(Target.bound(KernelQuantity::TWCount).Bounded);
+}
+
+//===----------------------------------------------------------------------===//
+// The batch-kernel verdict against the lint findings
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A value whose bit length is uniform in [0, 64], capped at \p Max, so
+/// both tiny and near-2^64 magnitudes are common.
+uint64_t randomMagnitude(std::mt19937_64 &Rng, uint64_t Max) {
+  unsigned Bits = static_cast<unsigned>(Rng() % 65);
+  uint64_t V = Bits == 64 ? Rng() : Rng() & ((uint64_t(1) << Bits) - 1);
+  return std::min(V, Max);
+}
+
+/// Trace statistics from all unknown up to 2^64 - 1 elements.
+TraceBounds randomStats(std::mt19937_64 &Rng) {
+  TraceBounds Stats;
+  switch (Rng() % 4) {
+  case 0:
+    Stats.TraceLen = 0;
+    break;
+  case 1:
+    Stats.TraceLen = UINT64_MAX;
+    break;
+  default:
+    Stats.TraceLen = randomMagnitude(Rng, UINT64_MAX);
+  }
+  if (Rng() % 2)
+    Stats.MaxMultiplicity = randomMagnitude(Rng, UINT64_MAX);
+  if (Rng() % 2)
+    Stats.NumSites = static_cast<SiteIndex>(randomMagnitude(Rng, UINT32_MAX));
+  return Stats;
+}
+
+/// A config of shape \p Shape with CW and TW up to 3 * 10^9.
+DetectorConfig randomConfig(std::mt19937_64 &Rng, size_t Shape) {
+  const uint64_t MaxWindow = 3000000000u;
+  auto CW = static_cast<uint32_t>(1 + randomMagnitude(Rng, MaxWindow - 1));
+  auto TW = static_cast<uint32_t>(1 + randomMagnitude(Rng, MaxWindow - 1));
+  return makeConfig(static_cast<ModelKind>(Shape / 6),
+                    static_cast<TWPolicyKind>((Shape / 3) % 2),
+                    static_cast<AnalyzerKind>(Shape % 3), CW, TW);
+}
+
+} // namespace
+
+// admitsBatchLanes is the verdict perfbench reads; it must refuse exactly
+// the certificates config_check and kernel_check flag as wrapping or
+// unbounded, on single and merged certificates alike.
+TEST(KernelBoundsTest, AdmissionAgreesWithLint) {
+  std::mt19937_64 Rng(24);
+  size_t Admitted = 0, Refused = 0;
+  for (size_t I = 0; I != 20000; ++I) {
+    size_t Shape = Rng() % NumFastShapes;
+    KernelCertificate Cert =
+        certifyKernel(randomConfig(Rng, Shape), randomStats(Rng));
+    if (I % 2)
+      mergeCertificate(
+          Cert, certifyKernel(randomConfig(Rng, Shape), randomStats(Rng)));
+
+    DiagnosticEngine Diags;
+    lintCertificate(Cert, Diags);
+    bool LintRefuses = hasCode(Diags, "kernel-count-overflow") ||
+                       hasCode(Diags, "kernel-product-overflow") ||
+                       hasCode(Diags, "kernel-unbounded-tw");
+    bool Admits = admitsBatchLanes(Cert);
+    ASSERT_NE(Admits, LintRefuses) << Cert.Config.describe();
+    ++(Admits ? Admitted : Refused);
+  }
+  EXPECT_GT(Admitted, 0u);
+  EXPECT_GT(Refused, 0u);
 }
 
 //===----------------------------------------------------------------------===//
