@@ -6,10 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Flag parsing shared by sweep_tool and config_check: both build a
-/// SweepSpec from the same --cw/--models/--analyzers/... vocabulary or
-/// from a --preset name, so a spec linted by config_check is exactly the
-/// spec sweep_tool runs.
+/// Flag parsing shared by the tools. sweep_tool, config_check and
+/// kernel_check build a SweepSpec from the same --cw/--models/
+/// --analyzers/... vocabulary or from a --preset name, so a spec linted by
+/// config_check is exactly the spec sweep_tool runs. inspect_tool,
+/// phase_explorer and opd_loadgen read one DetectorConfig through
+/// readDetectorConfig. Every policy name goes through the core's
+/// parse*Kind functions, the inverses of its *Name functions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,9 +23,13 @@
 #include "support/ArgParser.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace opd {
@@ -54,6 +61,24 @@ inline uint64_t parseSize(const std::string &Text) {
   if (End && (*End == 'M' || *End == 'm'))
     Value *= 1000000;
   return Value;
+}
+
+/// Parses each of \p Names with \p Parse into \p Out; prints an error
+/// naming the \p What dimension on an unknown name.
+template <typename Enum>
+bool parseNames(const std::vector<std::string> &Names, const char *What,
+                bool (*Parse)(std::string_view, Enum &),
+                std::vector<Enum> &Out) {
+  Out.clear();
+  for (const std::string &Name : Names) {
+    Enum K;
+    if (!Parse(Name, K)) {
+      std::fprintf(stderr, "error: unknown %s '%s'\n", What, Name.c_str());
+      return false;
+    }
+    Out.push_back(K);
+  }
+  return true;
 }
 
 /// Registers the sweep-dimension options shared by sweep_tool and
@@ -114,19 +139,9 @@ inline bool buildSweepSpec(const ArgParser &Args, SweepSpec &Spec,
   for (const std::string &S : splitList(Args.getOption("skips")))
     Spec.SkipFactors.push_back(static_cast<uint32_t>(parseSize(S)));
 
-  Spec.Models.clear();
-  for (const std::string &M : splitList(Args.getOption("models"))) {
-    if (M == "unweighted")
-      Spec.Models.push_back(ModelKind::UnweightedSet);
-    else if (M == "weighted")
-      Spec.Models.push_back(ModelKind::WeightedSet);
-    else if (M == "manhattan")
-      Spec.Models.push_back(ModelKind::ManhattanBBV);
-    else {
-      std::fprintf(stderr, "error: unknown model '%s'\n", M.c_str());
-      return false;
-    }
-  }
+  if (!parseNames(splitList(Args.getOption("models")), "model",
+                  parseModelKind, Spec.Models))
+    return false;
 
   Spec.Analyzers.clear();
   for (const std::string &A : splitList(Args.getOption("analyzers"))) {
@@ -151,45 +166,64 @@ inline bool buildSweepSpec(const ArgParser &Args, SweepSpec &Spec,
     }
   }
 
-  Spec.TWPolicies.clear();
-  Spec.IncludeFixedInterval = false;
-  for (const std::string &P : splitList(Args.getOption("policies"))) {
-    if (P == "constant")
-      Spec.TWPolicies.push_back(TWPolicyKind::Constant);
-    else if (P == "adaptive")
-      Spec.TWPolicies.push_back(TWPolicyKind::Adaptive);
-    else if (P == "fixed")
-      Spec.IncludeFixedInterval = true;
-    else {
-      std::fprintf(stderr, "error: unknown policy '%s'\n", P.c_str());
-      return false;
-    }
-  }
+  // "fixed" is not a TW policy: it adds the fixed-interval configs.
+  std::vector<std::string> Policies = splitList(Args.getOption("policies"));
+  Spec.IncludeFixedInterval = std::erase(Policies, "fixed") != 0;
+  return parseNames(Policies, "policy", parseTWPolicy, Spec.TWPolicies) &&
+         parseNames(splitList(Args.getOption("anchors")), "anchor",
+                    parseAnchorKind, Spec.Anchors) &&
+         parseNames(splitList(Args.getOption("resizes")), "resize",
+                    parseResizeKind, Spec.Resizes);
+}
 
-  Spec.Anchors.clear();
-  for (const std::string &A : splitList(Args.getOption("anchors"))) {
-    if (A == "rn")
-      Spec.Anchors.push_back(AnchorKind::RightmostNoisy);
-    else if (A == "lnn")
-      Spec.Anchors.push_back(AnchorKind::LeftmostNonNoisy);
-    else {
-      std::fprintf(stderr, "error: unknown anchor '%s'\n", A.c_str());
-      return false;
-    }
-  }
+/// Reads policy-name option \p Flag with \p Parse; false with a one-line
+/// \p Error on an unknown name.
+template <typename Enum>
+bool readName(const ArgParser &Args, const char *Flag,
+              bool (*Parse)(std::string_view, Enum &), Enum &Out,
+              std::string &Error) {
+  if (Parse(Args.getOption(Flag), Out))
+    return true;
+  Error = std::string("unknown --") + Flag + " '" + Args.getOption(Flag) + "'";
+  return false;
+}
 
-  Spec.Resizes.clear();
-  for (const std::string &R : splitList(Args.getOption("resizes"))) {
-    if (R == "slide")
-      Spec.Resizes.push_back(ResizeKind::Slide);
-    else if (R == "move")
-      Spec.Resizes.push_back(ResizeKind::Move);
-    else {
-      std::fprintf(stderr, "error: unknown resize '%s'\n", R.c_str());
-      return false;
+/// Reads one detector configuration from --cw --tw --skip --policy
+/// --model --analyzer --param, which each tool registers with its own
+/// defaults; an empty --tw means TW = CW. The anchor and resize policies
+/// keep \p Config's values. Returns false with a one-line \p Error on a
+/// zero or non-numeric size, skip or param, or an unknown name.
+inline bool readDetectorConfig(const ArgParser &Args, DetectorConfig &Config,
+                               std::string &Error) {
+  auto ReadCount = [&](const char *Flag, uint32_t &Out) {
+    long Value = Args.getInt(Flag, 0);
+    if (Value > 0 && Value <= long(std::numeric_limits<uint32_t>::max())) {
+      Out = uint32_t(Value);
+      return true;
     }
+    Error = std::string("--") + Flag + " must be a positive integer, got '" +
+            Args.getOption(Flag) + "'";
+    return false;
+  };
+  WindowConfig &W = Config.Window;
+  if (!ReadCount("cw", W.CWSize))
+    return false;
+  if (Args.getOption("tw").empty())
+    W.TWSize = W.CWSize;
+  else if (!ReadCount("tw", W.TWSize))
+    return false;
+  if (!ReadCount("skip", W.SkipFactor) ||
+      !readName(Args, "policy", parseTWPolicy, W.TWPolicy, Error) ||
+      !readName(Args, "model", parseModelKind, Config.Model, Error) ||
+      !readName(Args, "analyzer", parseAnalyzerKind, Config.TheAnalyzer,
+                Error))
+    return false;
+  Config.AnalyzerParam =
+      Args.getDouble("param", std::numeric_limits<double>::quiet_NaN());
+  if (std::isnan(Config.AnalyzerParam)) {
+    Error = "--param must be a number, got '" + Args.getOption("param") + "'";
+    return false;
   }
-
   return true;
 }
 

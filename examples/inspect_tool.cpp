@@ -18,7 +18,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/DetectorConfig.h"
+#include "ToolCommon.h"
 #include "core/DetectorRunner.h"
 #include "lang/Diagnostics.h"
 #include "lang/Sema.h"
@@ -39,68 +39,6 @@
 using namespace opd;
 
 namespace {
-
-/// Builds the detector configuration from the flags; returns false on an
-/// unknown enum name.
-bool configFromArgs(const ArgParser &Args, DetectorConfig &Config) {
-  Config.Window.CWSize = static_cast<uint32_t>(Args.getInt("cw", 5000));
-  const std::string &TW = Args.getOption("tw");
-  Config.Window.TWSize = TW.empty()
-                             ? Config.Window.CWSize
-                             : static_cast<uint32_t>(std::stoul(TW));
-  Config.Window.SkipFactor = static_cast<uint32_t>(Args.getInt("skip", 1));
-  if (Config.Window.CWSize == 0 || Config.Window.TWSize == 0 ||
-      Config.Window.SkipFactor == 0) {
-    std::fprintf(stderr, "error: --cw, --tw and --skip must be positive\n");
-    return false;
-  }
-
-  const std::string &Policy = Args.getOption("policy");
-  if (Policy == "constant")
-    Config.Window.TWPolicy = TWPolicyKind::Constant;
-  else if (Policy == "adaptive")
-    Config.Window.TWPolicy = TWPolicyKind::Adaptive;
-  else
-    return false;
-
-  const std::string &Anchor = Args.getOption("anchor");
-  if (Anchor == "rn")
-    Config.Window.Anchor = AnchorKind::RightmostNoisy;
-  else if (Anchor == "lnn")
-    Config.Window.Anchor = AnchorKind::LeftmostNonNoisy;
-  else
-    return false;
-
-  const std::string &Resize = Args.getOption("resize");
-  if (Resize == "slide")
-    Config.Window.Resize = ResizeKind::Slide;
-  else if (Resize == "move")
-    Config.Window.Resize = ResizeKind::Move;
-  else
-    return false;
-
-  const std::string &Model = Args.getOption("model");
-  if (Model == "unweighted")
-    Config.Model = ModelKind::UnweightedSet;
-  else if (Model == "weighted")
-    Config.Model = ModelKind::WeightedSet;
-  else if (Model == "manhattan")
-    Config.Model = ModelKind::ManhattanBBV;
-  else
-    return false;
-
-  const std::string &Analyzer = Args.getOption("analyzer");
-  if (Analyzer == "threshold")
-    Config.TheAnalyzer = AnalyzerKind::Threshold;
-  else if (Analyzer == "average")
-    Config.TheAnalyzer = AnalyzerKind::Average;
-  else if (Analyzer == "hysteresis")
-    Config.TheAnalyzer = AnalyzerKind::Hysteresis;
-  else
-    return false;
-  Config.AnalyzerParam = Args.getDouble("param", 0.6);
-  return true;
-}
 
 /// Writes \p Content to \p Path, or stdout when Path is "-".
 int emit(const std::string &Path, const std::string &Content,
@@ -149,6 +87,17 @@ int main(int Argc, char **Argv) {
   if (!Args.parse(Argc, Argv))
     return Args.helpRequested() ? 0 : 1;
 
+  DetectorConfig Config;
+  std::string Error;
+  if (!readDetectorConfig(Args, Config, Error) ||
+      !readName(Args, "anchor", parseAnchorKind, Config.Window.Anchor,
+                Error) ||
+      !readName(Args, "resize", parseResizeKind, Config.Window.Resize,
+                Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
+
   // Obtain the trace: positional .jp file or named workload.
   Stopwatch Timer;
   ExecutionResult Exec;
@@ -184,11 +133,6 @@ int main(int Argc, char **Argv) {
   }
   double ExecuteSeconds = Timer.seconds();
 
-  DetectorConfig Config;
-  if (!configFromArgs(Args, Config)) {
-    std::fprintf(stderr, "error: bad detector configuration; try --help\n");
-    return 1;
-  }
   std::unique_ptr<PhaseDetector> Detector =
       makeDetector(Config, Exec.Branches.numSites());
 
@@ -244,7 +188,7 @@ int main(int Argc, char **Argv) {
       switch (E.Kind) {
       case TraceEventKind::Evaluation:
         Similarity = formatDouble(E.Similarity, 4);
-        State = E.Decision == PhaseState::InPhase ? "P" : "T";
+        State = E.Decision == PhaseState::InPhase ? 'P' : 'T';
         break;
       case TraceEventKind::Anchor:
         Detail = std::string(anchorKindName(

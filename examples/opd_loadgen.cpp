@@ -21,6 +21,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ToolCommon.h"
 #include "core/FastDetector.h"
 #include "serve/Client.h"
 #include "support/ArgParser.h"
@@ -111,49 +112,6 @@ bool sameRun(const DetectorRun &A, const DetectorRun &B) {
       return false;
   return A.DetectedPhases == B.DetectedPhases &&
          A.AnchoredPhases == B.AnchoredPhases;
-}
-
-bool parseConfigFlags(const ArgParser &Args, DetectorConfig &C,
-                      std::string &Error) {
-  C.Window.CWSize = uint32_t(Args.getInt("cw", 1000));
-  C.Window.TWSize = uint32_t(Args.getInt("tw", 1000));
-  C.Window.SkipFactor = uint32_t(Args.getInt("skip", 100));
-  C.AnalyzerParam = Args.getDouble("param", 0.5);
-
-  const std::string &TP = Args.getOption("twpolicy");
-  if (TP == "constant")
-    C.Window.TWPolicy = TWPolicyKind::Constant;
-  else if (TP == "adaptive")
-    C.Window.TWPolicy = TWPolicyKind::Adaptive;
-  else {
-    Error = "unknown --twpolicy '" + TP + "' (constant|adaptive)";
-    return false;
-  }
-
-  const std::string &M = Args.getOption("model");
-  if (M == "unweighted")
-    C.Model = ModelKind::UnweightedSet;
-  else if (M == "weighted")
-    C.Model = ModelKind::WeightedSet;
-  else if (M == "bbv")
-    C.Model = ModelKind::ManhattanBBV;
-  else {
-    Error = "unknown --model '" + M + "' (unweighted|weighted|bbv)";
-    return false;
-  }
-
-  const std::string &A = Args.getOption("analyzer");
-  if (A == "threshold")
-    C.TheAnalyzer = AnalyzerKind::Threshold;
-  else if (A == "average")
-    C.TheAnalyzer = AnalyzerKind::Average;
-  else if (A == "hysteresis")
-    C.TheAnalyzer = AnalyzerKind::Hysteresis;
-  else {
-    Error = "unknown --analyzer '" + A + "' (threshold|average|hysteresis)";
-    return false;
-  }
-  return true;
 }
 
 /// The whole load run's mutable state.
@@ -507,10 +465,10 @@ int main(int Argc, char **Argv) {
   Args.addOption("scale", "workload scale factor", "1.0");
   Args.addOption("chunk", "elements per Elements frame", "4096");
   Args.addOption("cw", "current-window size", "1000");
-  Args.addOption("tw", "trailing-window size", "1000");
+  Args.addOption("tw", "trailing-window size (empty: = cw)", "1000");
   Args.addOption("skip", "skip factor (decision batch size)", "100");
-  Args.addOption("twpolicy", "constant|adaptive", "constant");
-  Args.addOption("model", "unweighted|weighted|bbv", "unweighted");
+  Args.addOption("policy", "constant|adaptive", "constant");
+  Args.addOption("model", "unweighted|weighted|manhattan", "unweighted");
   Args.addOption("analyzer", "threshold|average|hysteresis", "threshold");
   Args.addOption("param", "analyzer parameter", "0.5");
   Args.addOption("offline-reps", "offline baseline repetitions", "3");
@@ -541,7 +499,7 @@ int main(int Argc, char **Argv) {
   Opts.Json = Args.getFlag("json");
   Opts.OfflineReps = int(std::max(1L, Args.getInt("offline-reps", 3)));
   std::string Error;
-  if (!parseConfigFlags(Args, Opts.Config, Error)) {
+  if (!readDetectorConfig(Args, Opts.Config, Error)) {
     std::fprintf(stderr, "opd_loadgen: %s\n", Error.c_str());
     return 1;
   }

@@ -16,8 +16,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ToolCommon.h"
 #include "baseline/BaselineSolution.h"
-#include "core/DetectorConfig.h"
 #include "core/DetectorRunner.h"
 #include "lang/Diagnostics.h"
 #include "lang/ProgramInfo.h"
@@ -68,15 +68,24 @@ int main(int Argc, char **Argv) {
   Args.addOption("skip", "skip factor", "1");
   Args.addOption("policy", "trailing window policy: constant|adaptive",
                  "adaptive");
-  Args.addOption("model", "similarity model: unweighted|weighted",
+  Args.addOption("model",
+                 "similarity model: unweighted|weighted|manhattan",
                  "unweighted");
-  Args.addOption("analyzer", "analyzer: threshold|average", "threshold");
+  Args.addOption("analyzer", "analyzer: threshold|average|hysteresis",
+                 "threshold");
   Args.addOption("param", "analyzer parameter (threshold or delta)", "0.6");
   Args.addOption("seed", "interpreter seed for .jp files", "1");
   Args.addFlag("list", "list detected and oracle phases explicitly");
   Args.addOption("html", "write an HTML timeline visualization here", "");
   if (!Args.parse(Argc, Argv))
     return Args.helpRequested() ? 0 : 1;
+
+  DetectorConfig Config;
+  std::string Error;
+  if (!readDetectorConfig(Args, Config, Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
 
   // Obtain traces: positional .jp file or named workload. Keep the
   // compiled program around to attribute phases to source constructs.
@@ -126,24 +135,6 @@ int main(int Argc, char **Argv) {
   std::vector<BaselineSolution> Baselines =
       computeBaselines(Exec.CallLoop, Exec.Branches.size(), {MPL});
   const BaselineSolution &Oracle = Baselines.front();
-
-  DetectorConfig Config;
-  Config.Window.CWSize = static_cast<uint32_t>(Args.getInt("cw", 5000));
-  long TW = Args.getOption("tw").empty() ? 0 : Args.getInt("tw");
-  Config.Window.TWSize =
-      TW > 0 ? static_cast<uint32_t>(TW) : Config.Window.CWSize;
-  Config.Window.SkipFactor =
-      static_cast<uint32_t>(Args.getInt("skip", 1));
-  Config.Window.TWPolicy = Args.getOption("policy") == "constant"
-                               ? TWPolicyKind::Constant
-                               : TWPolicyKind::Adaptive;
-  Config.Model = Args.getOption("model") == "weighted"
-                     ? ModelKind::WeightedSet
-                     : ModelKind::UnweightedSet;
-  Config.TheAnalyzer = Args.getOption("analyzer") == "average"
-                           ? AnalyzerKind::Average
-                           : AnalyzerKind::Threshold;
-  Config.AnalyzerParam = Args.getDouble("param", 0.6);
 
   std::unique_ptr<PhaseDetector> Detector =
       makeDetector(Config, Exec.Branches.numSites());

@@ -218,7 +218,7 @@ stage_serve_smoke() {
     --sessions 64 --total 300 --workload db --scale 0.05 --verify
   "$dir/examples/opd_loadgen" --port "$SERVE_PORT" \
     --sessions 64 --total 300 --workload db --scale 0.05 --verify \
-    --chunk 37 --skip 5000 --twpolicy adaptive --model weighted \
+    --chunk 37 --skip 5000 --policy adaptive --model weighted \
     --analyzer average --param 0.05
   stop_opd_serve
 }
@@ -247,7 +247,7 @@ stage_sweep_shared() {
   # The Release tree is shared with the perf stage.
   local dir="${PREFIX}-perf"
   echo "=== [sweep-shared] configure + build (Release) ==="
-  cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release
+  cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release -DOPD_WERROR=ON
   cmake --build "$dir" -j "$JOBS" --target shared_scan_test sweep_tool
   echo "=== [sweep-shared] differential (default dispatch) ==="
   "$dir/tests/shared_scan_test"
@@ -287,7 +287,7 @@ stage_sweep_shared() {
 stage_perf() {
   local dir="${PREFIX}-perf"
   echo "=== [perf] configure + build (Release) ==="
-  cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release
+  cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release -DOPD_WERROR=ON
   cmake --build "$dir" -j "$JOBS" --target bench_perf opd_serve opd_loadgen
   "$dir/bench/bench_perf" \
     --benchmark_filter='BM_Detector/|BM_FastDetector/|BM_BatchSimdDetector/|BM_BatchPortableDetector/|BM_FastDetectorSkipFactor/|BM_DetectorSkipFactor/|BM_SharedScanGroupOfOne/' \

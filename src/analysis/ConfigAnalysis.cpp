@@ -73,6 +73,7 @@ void lintAnalyzer(AnalyzerKind Kind, double Param, DiagnosticEngine &Diags) {
                  "average delta " + formatParam(Param) +
                      " demands at-or-above-average similarity; phases end on "
                      "any dip");
+  // hysteresisExitThreshold() clamps the exit to 0 for enter <= 0.15.
   if (Kind == AnalyzerKind::Hysteresis && Param > 0.0 && Param <= 0.15)
     Diags.report(DiagSeverity::Warning, SpecLoc, "hysteresis-no-exit",
                  "hysteresis enter threshold " + formatParam(Param) +

@@ -92,11 +92,12 @@ AnalyzerRange opd::classifyAnalyzer(AnalyzerKind Kind, double Param) {
       return AnalyzerRange::AlwaysInPhase;
     return AnalyzerRange::Normal;
   case AnalyzerKind::Hysteresis:
-    // makeAnalyzer() derives exit = max(0, enter - 0.15). enter == 0
-    // means entry is unconditional and exit (= 0) is unreachable from
-    // below; enter > 1 means entry is unreachable. A negative enter is
-    // unconstructible (the derived exit would exceed it) — classified
-    // Normal so no merge is claimed; the lint reports it as an error.
+    // hysteresisExitThreshold() derives exit = max(0, enter - 0.15).
+    // enter == 0 means entry is unconditional and exit (= 0) is
+    // unreachable from below; enter > 1 means entry is unreachable. A
+    // negative enter is unconstructible (the derived exit would exceed
+    // it) — classified Normal so no merge is claimed; the lint reports it
+    // as an error.
     if (Param == 0.0)
       return AnalyzerRange::AlwaysInPhase;
     if (Param > 1.0)

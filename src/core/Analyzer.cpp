@@ -23,6 +23,13 @@ const char *opd::analyzerKindName(AnalyzerKind Kind) {
   return "unknown";
 }
 
+bool opd::parseAnalyzerKind(std::string_view Text, AnalyzerKind &Kind) {
+  return parseName(Text,
+                   {AnalyzerKind::Threshold, AnalyzerKind::Average,
+                    AnalyzerKind::Hysteresis},
+                   analyzerKindName, Kind);
+}
+
 Analyzer::~Analyzer() = default;
 
 std::string ThresholdAnalyzer::describe() const {
@@ -47,7 +54,7 @@ std::unique_ptr<Analyzer> opd::makeAnalyzer(AnalyzerKind Kind,
     return std::make_unique<AverageAnalyzer>(Param);
   case AnalyzerKind::Hysteresis:
     return std::make_unique<HysteresisAnalyzer>(
-        Param, Param >= 0.15 ? Param - 0.15 : 0.0);
+        Param, hysteresisExitThreshold(Param));
   }
   return nullptr;
 }

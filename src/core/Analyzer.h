@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 namespace opd {
 
@@ -41,6 +42,9 @@ enum class AnalyzerKind : uint8_t {
 
 /// Short mnemonic for tables.
 const char *analyzerKindName(AnalyzerKind Kind);
+
+/// Inverse of analyzerKindName, ignoring case; false on an unknown name.
+bool parseAnalyzerKind(std::string_view Text, AnalyzerKind &Kind);
 
 /// Abstract analyzer, driven by the PhaseDetector exactly as in Figure 3:
 /// processValue() at every evaluation, resetStats() when a phase starts,
@@ -188,9 +192,16 @@ public:
   std::string describe() const override;
 };
 
+/// The hysteresis exit threshold derived from the enter threshold: 0.15
+/// below it, clamped at 0. Every hysteresis analyzer (makeAnalyzer, the
+/// fast detector's buildAnalyzer, the shared-scan cursors) uses this one.
+inline double hysteresisExitThreshold(double EnterThreshold) {
+  return EnterThreshold >= 0.15 ? EnterThreshold - 0.15 : 0.0;
+}
+
 /// Creates an analyzer by kind: Threshold takes the threshold, Average
 /// the delta, and Hysteresis the enter threshold (the exit threshold is
-/// Param - 0.15, clamped at 0).
+/// hysteresisExitThreshold(Param)).
 std::unique_ptr<Analyzer> makeAnalyzer(AnalyzerKind Kind, double Param);
 
 } // namespace opd

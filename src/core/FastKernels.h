@@ -811,7 +811,7 @@ template <> struct AnalyzerOf<AnalyzerKind::Hysteresis> {
 };
 
 /// Mirrors makeAnalyzer()'s parameter mapping exactly (including the
-/// hysteresis exit-threshold derivation).
+/// hysteresis exit threshold, hysteresisExitThreshold()).
 template <AnalyzerKind A>
 typename AnalyzerOf<A>::type buildAnalyzer(double Param) {
   if constexpr (A == AnalyzerKind::Threshold)
@@ -819,13 +819,7 @@ typename AnalyzerOf<A>::type buildAnalyzer(double Param) {
   else if constexpr (A == AnalyzerKind::Average)
     return FastAverageAnalyzer(Param);
   else
-    return FastHysteresisAnalyzer(Param, Param >= 0.15 ? Param - 0.15 : 0.0);
-}
-
-/// The hysteresis exit threshold makeAnalyzer() derives from the enter
-/// threshold (shared by buildAnalyzer and the shared-scan cursors).
-inline double hysteresisExitThreshold(double EnterThreshold) {
-  return EnterThreshold >= 0.15 ? EnterThreshold - 0.15 : 0.0;
+    return FastHysteresisAnalyzer(Param, hysteresisExitThreshold(Param));
 }
 
 /// Minimal growable array for the model's element buffer. Exists only

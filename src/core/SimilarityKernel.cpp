@@ -7,6 +7,8 @@
 
 #include "core/SimilarityKernel.h"
 
+#include "support/Format.h"
+
 #include <algorithm>
 
 using namespace opd;
@@ -21,6 +23,13 @@ const char *opd::modelKindName(ModelKind Kind) {
     return "manhattan";
   }
   return "unknown";
+}
+
+bool opd::parseModelKind(std::string_view Text, ModelKind &Kind) {
+  return parseName(Text,
+                   {ModelKind::UnweightedSet, ModelKind::WeightedSet,
+                    ModelKind::ManhattanBBV},
+                   modelKindName, Kind);
 }
 
 const char *opd::kernelQuantityName(KernelQuantity Q) {

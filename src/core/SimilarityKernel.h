@@ -54,6 +54,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 namespace opd {
@@ -70,6 +71,9 @@ enum class ModelKind : uint8_t {
 
 /// Short mnemonic ("unweighted"/"weighted") for tables.
 const char *modelKindName(ModelKind Kind);
+
+/// Inverse of modelKindName, ignoring case; false on an unknown name.
+bool parseModelKind(std::string_view Text, ModelKind &Kind);
 
 /// Every distinct integer quantity the kernel dataflow computes. The
 /// abstract interpreter (analysis/KernelBounds.h) derives a sound upper

@@ -7,6 +7,8 @@
 
 #include "core/WindowedModel.h"
 
+#include "support/Format.h"
+
 #include <algorithm>
 
 using namespace opd;
@@ -39,6 +41,22 @@ const char *opd::resizeKindName(ResizeKind Kind) {
     return "move";
   }
   return "unknown";
+}
+
+bool opd::parseTWPolicy(std::string_view Text, TWPolicyKind &Kind) {
+  return parseName(Text, {TWPolicyKind::Constant, TWPolicyKind::Adaptive},
+                   twPolicyName, Kind);
+}
+
+bool opd::parseAnchorKind(std::string_view Text, AnchorKind &Kind) {
+  return parseName(Text,
+                   {AnchorKind::RightmostNoisy, AnchorKind::LeftmostNonNoisy},
+                   anchorKindName, Kind);
+}
+
+bool opd::parseResizeKind(std::string_view Text, ResizeKind &Kind) {
+  return parseName(Text, {ResizeKind::Slide, ResizeKind::Move},
+                   resizeKindName, Kind);
 }
 
 WindowedModel::WindowedModel(const WindowConfig &Config, ModelKind Model,

@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 namespace opd {
@@ -61,6 +62,12 @@ enum class ResizeKind : uint8_t {
 const char *twPolicyName(TWPolicyKind Kind);
 const char *anchorKindName(AnchorKind Kind);
 const char *resizeKindName(ResizeKind Kind);
+
+/// Inverses of the name functions above, ignoring case (the CLIs spell
+/// anchors "rn"/"lnn"); false on an unknown name.
+bool parseTWPolicy(std::string_view Text, TWPolicyKind &Kind);
+bool parseAnchorKind(std::string_view Text, AnchorKind &Kind);
+bool parseResizeKind(std::string_view Text, ResizeKind &Kind);
 
 /// The window-policy parameters of one detector instantiation.
 struct WindowConfig {

@@ -34,7 +34,10 @@ public:
     case Expr::Kind::ParamRef:
       return cast<ParamRefExpr>(&E)->name();
     case Expr::Kind::Unary:
-      return "-" + printOperand(*cast<UnaryExpr>(&E)->operand());
+      // Appending, not "-" + ..., which GCC 12 misreports under
+      // -Wrestrict at -O2 and above.
+      return std::string("-").append(
+          printOperand(*cast<UnaryExpr>(&E)->operand()));
     case Expr::Kind::Binary: {
       const auto *Bin = cast<BinaryExpr>(&E);
       return printOperand(*Bin->lhs()) + " " + opSpelling(Bin->op()) +
@@ -48,7 +51,7 @@ public:
 private:
   static std::string printOperand(const Expr &E) {
     if (E.kind() == Expr::Kind::Binary)
-      return "(" + print(E) + ")";
+      return std::string("(").append(print(E)).append(")");
     return print(E);
   }
 

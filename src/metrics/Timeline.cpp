@@ -55,7 +55,7 @@ opd::renderTimelineSVG(const std::vector<TimelineTrack> &Tracks,
                        const TimelineOptions &Options) {
   assert(!Tracks.empty() && "timeline needs at least one track");
   uint64_t Total = Tracks.front().States->size();
-  for (const TimelineTrack &T : Tracks) {
+  for ([[maybe_unused]] const TimelineTrack &T : Tracks) {
     assert(T.States && "track without states");
     assert(T.States->size() == Total && "tracks must cover the same trace");
   }

@@ -198,7 +198,7 @@ void RunTrace::onPhaseEnd(uint64_t Offset) {
 std::vector<PhaseInterval> RunTrace::phases() const {
   std::vector<PhaseInterval> Out;
   uint64_t Begin = 0;
-  bool Open = false;
+  [[maybe_unused]] bool Open = false; // Read only by the asserts.
   for (const TraceEvent &E : Events) {
     if (E.Kind == TraceEventKind::PhaseBegin) {
       assert(!Open && "nested phase begin");

@@ -59,23 +59,18 @@ std::string policyName(const TraceEvent &E) {
 bool policyFromName(TraceEventKind Kind, const std::string &Name,
                     uint8_t &Policy) {
   if (Kind == TraceEventKind::Anchor) {
-    for (AnchorKind K :
-         {AnchorKind::RightmostNoisy, AnchorKind::LeftmostNonNoisy}) {
-      if (Name == anchorKindName(K)) {
-        Policy = static_cast<uint8_t>(K);
-        return true;
-      }
-    }
-    return false;
+    AnchorKind K;
+    if (!parseAnchorKind(Name, K))
+      return false;
+    Policy = static_cast<uint8_t>(K);
+    return true;
   }
   if (Kind == TraceEventKind::WindowResize) {
-    for (ResizeKind K : {ResizeKind::Slide, ResizeKind::Move}) {
-      if (Name == resizeKindName(K)) {
-        Policy = static_cast<uint8_t>(K);
-        return true;
-      }
-    }
-    return false;
+    ResizeKind K;
+    if (!parseResizeKind(Name, K))
+      return false;
+    Policy = static_cast<uint8_t>(K);
+    return true;
   }
   Policy = 0;
   return Name.empty();

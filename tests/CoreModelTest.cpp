@@ -5,10 +5,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Analyzer.h"
 #include "core/WindowedModel.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
+
+#include <cctype>
+#include <initializer_list>
+#include <iterator>
+#include <string>
 
 using namespace opd;
 
@@ -292,6 +298,81 @@ TEST(WindowedModelTest, NamesAreStable) {
   EXPECT_STREQ(twPolicyName(TWPolicyKind::Adaptive), "adaptive");
   EXPECT_STREQ(anchorKindName(AnchorKind::RightmostNoisy), "RN");
   EXPECT_STREQ(resizeKindName(ResizeKind::Move), "move");
+}
+
+//===----------------------------------------------------------------------===//
+// Config-name parsers: each parse*Kind inverts its *Name function
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Checks that \p Parse maps every enumerator's name (as spelled, and
+/// upper-cased) back to it, and leaves its output alone on failure.
+template <typename Enum>
+void expectInverse(std::initializer_list<Enum> Values,
+                   const char *(*Name)(Enum),
+                   bool (*Parse)(std::string_view, Enum &)) {
+  for (Enum K : Values) {
+    std::string Upper = Name(K);
+    for (char &C : Upper)
+      C = static_cast<char>(std::toupper(static_cast<unsigned char>(C)));
+    for (const std::string &Text : {std::string(Name(K)), Upper}) {
+      // Start from another enumerator so a parse that writes nothing
+      // cannot pass.
+      Enum Parsed =
+          K == *Values.begin() ? *std::prev(Values.end()) : *Values.begin();
+      ASSERT_TRUE(Parse(Text, Parsed)) << Text;
+      EXPECT_EQ(Parsed, K) << Text;
+    }
+  }
+  Enum Untouched = *Values.begin();
+  EXPECT_FALSE(Parse("", Untouched));
+  EXPECT_FALSE(Parse("unknown", Untouched));
+  EXPECT_EQ(Untouched, *Values.begin());
+}
+
+} // namespace
+
+TEST(ConfigNameTest, ParseModelKind) {
+  expectInverse({ModelKind::UnweightedSet, ModelKind::WeightedSet,
+                 ModelKind::ManhattanBBV},
+                modelKindName, parseModelKind);
+  ModelKind M;
+  EXPECT_FALSE(parseModelKind("bbv", M));
+}
+
+TEST(ConfigNameTest, ParseTWPolicy) {
+  expectInverse({TWPolicyKind::Constant, TWPolicyKind::Adaptive},
+                twPolicyName, parseTWPolicy);
+  // "fixed" is a sweep dimension, not a TW policy.
+  TWPolicyKind P;
+  EXPECT_FALSE(parseTWPolicy("fixed", P));
+}
+
+TEST(ConfigNameTest, ParseAnchorKind) {
+  expectInverse({AnchorKind::RightmostNoisy, AnchorKind::LeftmostNonNoisy},
+                anchorKindName, parseAnchorKind);
+  // The trace formats spell anchors "RN"/"LNN", the CLIs "rn"/"lnn".
+  AnchorKind A = AnchorKind::LeftmostNonNoisy;
+  ASSERT_TRUE(parseAnchorKind("rn", A));
+  EXPECT_EQ(A, AnchorKind::RightmostNoisy);
+  ASSERT_TRUE(parseAnchorKind("lnn", A));
+  EXPECT_EQ(A, AnchorKind::LeftmostNonNoisy);
+  EXPECT_FALSE(parseAnchorKind("rnx", A));
+}
+
+TEST(ConfigNameTest, ParseResizeKind) {
+  expectInverse({ResizeKind::Slide, ResizeKind::Move}, resizeKindName,
+                parseResizeKind);
+}
+
+TEST(ConfigNameTest, ParseAnalyzerKind) {
+  expectInverse({AnalyzerKind::Threshold, AnalyzerKind::Average,
+                 AnalyzerKind::Hysteresis},
+                analyzerKindName, parseAnalyzerKind);
+  // The sweep tools' "t0.6" analyzer specs are not analyzer names.
+  AnalyzerKind A;
+  EXPECT_FALSE(parseAnalyzerKind("t0.6", A));
 }
 
 //===----------------------------------------------------------------------===//

@@ -1,14 +1,13 @@
-//===- tests/MonitorTest.cpp - PhaseMonitor + stability + matrix tests --------===//
+//===- tests/MonitorTest.cpp - Stability + policy-matrix tests ------------===//
 //
 // Part of the OPD project: a reproduction of "Online Phase Detection
 // Algorithms" (CGO 2006).
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/DetectorConfig.h"
 #include "core/DetectorRunner.h"
-#include "core/PhaseMonitor.h"
 #include "metrics/Stability.h"
-#include "support/Random.h"
 #include "workloads/Synthetic.h"
 
 #include <gtest/gtest.h>
@@ -16,18 +15,6 @@
 using namespace opd;
 
 namespace {
-
-DetectorConfig monitorConfig(uint32_t CW = 200, uint32_t Skip = 1) {
-  DetectorConfig C;
-  C.Window.CWSize = CW;
-  C.Window.TWSize = CW;
-  C.Window.SkipFactor = Skip;
-  C.Window.TWPolicy = TWPolicyKind::Adaptive;
-  C.Model = ModelKind::UnweightedSet;
-  C.TheAnalyzer = AnalyzerKind::Threshold;
-  C.AnalyzerParam = 0.6;
-  return C;
-}
 
 SyntheticTrace abTrace(unsigned Phases = 4, uint64_t PhaseLen = 4000,
                        uint64_t TransLen = 1500) {
@@ -42,105 +29,6 @@ SyntheticTrace abTrace(unsigned Phases = 4, uint64_t PhaseLen = 4000,
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// PhaseMonitor
-//===----------------------------------------------------------------------===//
-
-TEST(PhaseMonitorTest, FiresBalancedStartEndEvents) {
-  SyntheticTrace T = abTrace();
-  PhaseMonitor Monitor(monitorConfig(), T.Trace.numSites());
-  unsigned Starts = 0, Ends = 0;
-  uint64_t LastEnd = 0;
-  Monitor.onPhaseStart([&](const PhaseStartEvent &E) {
-    ++Starts;
-    EXPECT_LE(E.EstimatedStart, E.DetectedAt);
-    EXPECT_GE(E.Confidence, 0.0);
-    EXPECT_LE(E.Confidence, 1.0);
-  });
-  Monitor.onPhaseEnd([&](const PhaseEndEvent &E) {
-    ++Ends;
-    EXPECT_LT(E.Start, E.End);
-    EXPECT_LE(LastEnd, E.Start);
-    LastEnd = E.End;
-  });
-  Monitor.addElements(T.Trace.elements().data(), T.Trace.size());
-  Monitor.finish();
-  EXPECT_EQ(Starts, Ends);
-  EXPECT_GE(Starts, 3u); // four planted phases, detection may merge some
-  EXPECT_EQ(Monitor.consumed(), T.Trace.size());
-}
-
-TEST(PhaseMonitorTest, RecurrenceReportedOnRepeatedBehavior) {
-  SyntheticTrace T = abTrace(6);
-  PhaseMonitor Monitor(monitorConfig(), T.Trace.numSites());
-  unsigned Recurrences = 0, Total = 0;
-  Monitor.onPhaseEnd([&](const PhaseEndEvent &E) {
-    ++Total;
-    Recurrences += E.Recurrence ? 1 : 0;
-  });
-  Monitor.addElements(T.Trace.elements().data(), T.Trace.size());
-  Monitor.finish();
-  EXPECT_GE(Total, 4u);
-  EXPECT_GE(Recurrences, 2u); // 2 behaviors cycling -> later phases recur
-  EXPECT_LE(Monitor.numDistinctPhases(), 4u);
-}
-
-TEST(PhaseMonitorTest, EventsMatchDetectorRunBoundaries) {
-  // The monitor must report exactly the phases a plain DetectorRun sees.
-  SyntheticTrace T = abTrace();
-  DetectorConfig C = monitorConfig();
-  std::unique_ptr<PhaseDetector> D = makeDetector(C, T.Trace.numSites());
-  DetectorRun Run = runDetector(*D, T.Trace);
-
-  PhaseMonitor Monitor(C, T.Trace.numSites());
-  std::vector<PhaseInterval> Observed;
-  Monitor.onPhaseEnd([&](const PhaseEndEvent &E) {
-    Observed.push_back({E.Start, E.End});
-  });
-  Monitor.addElements(T.Trace.elements().data(), T.Trace.size());
-  Monitor.finish();
-  ASSERT_EQ(Observed.size(), Run.DetectedPhases.size());
-  for (size_t I = 0; I != Observed.size(); ++I)
-    EXPECT_EQ(Observed[I], Run.DetectedPhases[I]);
-}
-
-TEST(PhaseMonitorTest, ChunkedFeedingMatchesBulk) {
-  SyntheticTrace T = abTrace();
-  DetectorConfig C = monitorConfig(200, /*Skip=*/7);
-  auto runChunked = [&](size_t Chunk) {
-    PhaseMonitor Monitor(C, T.Trace.numSites());
-    std::vector<PhaseInterval> Phases;
-    Monitor.onPhaseEnd([&](const PhaseEndEvent &E) {
-      Phases.push_back({E.Start, E.End});
-    });
-    const std::vector<SiteIndex> &E = T.Trace.elements();
-    for (size_t I = 0; I < E.size(); I += Chunk)
-      Monitor.addElements(E.data() + I, std::min(Chunk, E.size() - I));
-    Monitor.finish();
-    return Phases;
-  };
-  std::vector<PhaseInterval> Bulk = runChunked(T.Trace.size());
-  std::vector<PhaseInterval> Tiny = runChunked(3);
-  EXPECT_EQ(Bulk, Tiny);
-}
-
-TEST(PhaseMonitorTest, PhaseLengthStatsAccumulate) {
-  SyntheticTrace T = abTrace();
-  PhaseMonitor Monitor(monitorConfig(), T.Trace.numSites());
-  Monitor.addElements(T.Trace.elements().data(), T.Trace.size());
-  Monitor.finish();
-  ASSERT_GT(Monitor.phaseLengths().count(), 0u);
-  EXPECT_GT(Monitor.phaseLengths().mean(), 1000.0);
-}
-
-TEST(PhaseMonitorTest, NoCallbacksIsFine) {
-  SyntheticTrace T = abTrace(2, 2000, 500);
-  PhaseMonitor Monitor(monitorConfig(), T.Trace.numSites());
-  Monitor.addElements(T.Trace.elements().data(), T.Trace.size());
-  Monitor.finish(); // must not crash without callbacks
-  EXPECT_EQ(Monitor.consumed(), T.Trace.size());
-}
 
 //===----------------------------------------------------------------------===//
 // Stability statistics

@@ -122,8 +122,11 @@ TEST(ObserverSequenceTest, EventStateMachine) {
       FAIL() << "run bracket event in the middle of the timeline";
       break;
     case TraceEventKind::Evaluation:
-      // Evaluation offsets advance monotonically through the stream.
+      // Evaluation offsets advance monotonically through the stream,
+      // and the analyzer's confidence is a fraction.
       EXPECT_GE(E.Offset, LastEvalOffset);
+      EXPECT_GE(E.Confidence, 0.0);
+      EXPECT_LE(E.Confidence, 1.0);
       LastEvalOffset = E.Offset;
       SawAnchorSinceEval = false;
       SawResizeSinceAnchor = false;
