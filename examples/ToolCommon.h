@@ -63,6 +63,46 @@ inline uint64_t parseSize(const std::string &Text) {
   return Value;
 }
 
+/// Reads the comma-separated sizes of option \p Flag ("500,10K") into
+/// \p Out with the rule readDetectorConfig applies to one size: each
+/// item must be a positive integer of at most UINT32_MAX, and there
+/// must be one (an empty dimension empties the whole sweep). Prints a
+/// one-line error naming the flag and the item otherwise.
+inline bool readSizeList(const ArgParser &Args, const char *Flag,
+                         std::vector<uint32_t> &Out) {
+  Out.clear();
+  std::vector<std::string> Items = splitList(Args.getOption(Flag));
+  if (Items.empty()) {
+    std::fprintf(stderr, "error: --%s must list at least one size\n", Flag);
+    return false;
+  }
+  for (const std::string &Item : Items) {
+    uint64_t Value = 0;
+    const char *Text = Item.c_str();
+    char *End = nullptr;
+    if (*Text >= '0' && *Text <= '9') {
+      Value = std::strtoull(Text, &End, 10);
+      uint64_t Scale = *End == 'K' || *End == 'k'   ? 1000
+                       : *End == 'M' || *End == 'm' ? 1000000
+                                                    : 1;
+      End += Scale != 1;
+      // No wraparound: an unscaled value past UINT32_MAX fails anyway.
+      if (Value <= std::numeric_limits<uint32_t>::max())
+        Value *= Scale;
+    }
+    if (End == nullptr || *End != '\0' || Value == 0 ||
+        Value > std::numeric_limits<uint32_t>::max()) {
+      std::fprintf(stderr,
+                   "error: --%s item '%s' must be a positive integer of at "
+                   "most %u\n",
+                   Flag, Item.c_str(), std::numeric_limits<uint32_t>::max());
+      return false;
+    }
+    Out.push_back(static_cast<uint32_t>(Value));
+  }
+  return true;
+}
+
 /// Parses each of \p Names with \p Parse into \p Out; prints an error
 /// naming the \p What dimension on an unknown name.
 template <typename Enum>
@@ -129,17 +169,10 @@ inline bool buildSweepSpec(const ArgParser &Args, SweepSpec &Spec,
   }
 
   Spec = SweepSpec();
-  Spec.CWSizes.clear();
-  for (const std::string &CW : splitList(Args.getOption("cw")))
-    Spec.CWSizes.push_back(static_cast<uint32_t>(parseSize(CW)));
-  Spec.TWFactors.clear();
-  for (const std::string &F : splitList(Args.getOption("tw-factors")))
-    Spec.TWFactors.push_back(static_cast<uint32_t>(parseSize(F)));
-  Spec.SkipFactors.clear();
-  for (const std::string &S : splitList(Args.getOption("skips")))
-    Spec.SkipFactors.push_back(static_cast<uint32_t>(parseSize(S)));
-
-  if (!parseNames(splitList(Args.getOption("models")), "model",
+  if (!readSizeList(Args, "cw", Spec.CWSizes) ||
+      !readSizeList(Args, "tw-factors", Spec.TWFactors) ||
+      !readSizeList(Args, "skips", Spec.SkipFactors) ||
+      !parseNames(splitList(Args.getOption("models")), "model",
                   parseModelKind, Spec.Models))
     return false;
 

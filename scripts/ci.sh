@@ -44,7 +44,8 @@
 #                 (tests/SharedScanTest.cpp) on the default and portable
 #                 dispatches, then a Release pruned paper sweep: its
 #                 score CSV must be byte-identical to the reference
-#                 detector's (sweep_tool --stats), and its timing is
+#                 detector's (sweep_tool --stats) and, on jess and
+#                 db, the unpruned sweep's; its timing is
 #                 checked against the BENCH_PERF.json sweep entry
 #                 (scripts/check_perf.py --sweep-shared)
 #   perf:         Release perf smoke vs BENCH_PERF.json — the fast and
@@ -281,6 +282,14 @@ stage_sweep_shared() {
   "$dir/examples/sweep_tool" --preset paper \
     --workloads jess --mpls 10K > "$dir/sweep-unpruned.csv"
   cmp "$dir/sweep-shared.csv" "$dir/sweep-unpruned.csv"
+  # The same on a second trace shape: db's phases put the attached
+  # shards (and their Slide refills) through other entries and lengths.
+  echo "=== [sweep-shared] db paper sweep scores: pruned vs unpruned ==="
+  "$dir/examples/sweep_tool" --preset paper --prune \
+    --workloads db --mpls 10K > "$dir/sweep-db-pruned.csv"
+  "$dir/examples/sweep_tool" --preset paper \
+    --workloads db --mpls 10K > "$dir/sweep-db-unpruned.csv"
+  cmp "$dir/sweep-db-pruned.csv" "$dir/sweep-db-unpruned.csv"
   python3 scripts/check_perf.py --sweep-shared "$best" - BENCH_PERF.json
 }
 

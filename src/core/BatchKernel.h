@@ -99,6 +99,19 @@ uint64_t batchMinSum(const uint32_t *Pairs, size_t N, uint64_t NCW,
 uint64_t batchMinSumPortable(const uint32_t *Pairs, size_t N, uint64_t NCW,
                              uint64_t NTW);
 
+/// batchMinSum with the tw counts taken from \p TW[i] instead of the odd
+/// lanes: sum over i < N of min(CWPairs[2i]*NTW, TW[i]*NCW), mod 2^64.
+/// The shared-scan engine's attached shards keep their own TW counts
+/// against a kernel's roster (core/SharedScan.cpp). Same dispatch and
+/// exactness guard as batchMinSum.
+uint64_t batchMinSumSplit(const uint32_t *CWPairs, const uint32_t *TW,
+                          size_t N, uint64_t NCW, uint64_t NTW);
+
+/// batchMinSumSplit pinned to the portable scalar loop.
+uint64_t batchMinSumSplitPortable(const uint32_t *CWPairs,
+                                  const uint32_t *TW, size_t N, uint64_t NCW,
+                                  uint64_t NTW);
+
 /// RightmostNoisy anchor scan: 1 + the largest I < N with
 /// Counts[Elements[I]] == 0, or 0 when every element's count is nonzero
 /// (the exact value KernelWindows::anchor's descending loop returns).

@@ -85,6 +85,27 @@ namespace {
 // entry costs one array copy and zero allocations after warmup.
 //===----------------------------------------------------------------------===//
 
+/// A trailing window's counts kept apart from a kernel and read against
+/// that kernel's CW: the shared-scan engine's attached shards (core/
+/// SharedScan.cpp), whose CW is the group window's. Counts sit at the
+/// indices the kernel's attachedIndex() gives, and a read is the
+/// kernel's own similarity formula over its CW counts and these. The
+/// last exact read is memoized against NTW, which rises by one with
+/// every element the window takes.
+struct AttachedTW {
+  /// Per-index TW counts; every entry is zero while no window is held.
+  std::vector<uint32_t> Counts;
+  /// The TW length.
+  uint64_t NTW = 0;
+  /// The NTW of the memoized exact read (UINT64_MAX: none yet).
+  uint64_t ExactNTW = UINT64_MAX;
+  /// Its similarity, and the exact integer behind it: the weighted
+  /// kernel's MinSum, the unweighted kernel's count of sites in both
+  /// windows.
+  double ExactSim = 0.0;
+  uint64_t ExactSum = 0;
+};
+
 /// The state and touched-site machinery of SimilarityKernel without the
 /// vtable.
 class FastKernelBase {
@@ -110,6 +131,25 @@ public:
 
   void setBatchEnabled(bool Enabled) { BatchEnabled = Enabled; }
   bool batchEnabled() const { return BatchEnabled; }
+
+  /// AttachedTW layout: dense per-site counts, like TWCounts.
+  size_t attachedSize() const { return TWCounts.size(); }
+  OPD_FORCE_INLINE static uint32_t attachedIndex(SiteIndex S) { return S; }
+
+  /// Makes \p A hold this kernel's TW. \p A must be cleared; every site
+  /// in a window since reset() is in TouchedSites.
+  void attachTW(AttachedTW &A) const {
+    for (SiteIndex S : TouchedSites)
+      A.Counts[S] = TWCounts[S];
+    A.NTW = NTW;
+    A.ExactNTW = UINT64_MAX;
+  }
+
+  /// Zeroes every count \p A took since this kernel's reset().
+  void clearAttached(AttachedTW &A) const {
+    for (SiteIndex S : TouchedSites)
+      A.Counts[S] = 0;
+  }
 
 protected:
   /// Same contract as SimilarityKernel::touch().
@@ -218,18 +258,56 @@ public:
     twAdd(S);
   }
 
-  OPD_FORCE_INLINE double similarity() {
-    if (CWDistinct == 0)
-      return 0.0;
-    return static_cast<double>(BothDistinct) /
-           static_cast<double>(CWDistinct);
-  }
+  OPD_FORCE_INLINE double similarity() { return similarityOf(BothDistinct); }
 
   OPD_FORCE_INLINE bool similarityAtLeast(double T) {
     return similarity() >= T;
   }
 
+  /// similarity() with \p A's TW in place of this kernel's: the sites in
+  /// both windows are counted afresh (one branch-free pass over the
+  /// sites), since the CW moves under \p A.
+  OPD_FORCE_INLINE double attachedSimilarity(AttachedTW &A) const {
+    if (A.ExactNTW != A.NTW) {
+      const uint32_t *TW = A.Counts.data();
+      uint32_t Both = 0;
+      for (size_t S = 0, E = CWCounts.size(); S != E; ++S)
+        Both += (CWCounts[S] != 0) & (TW[S] != 0);
+      A.ExactSum = Both;
+      A.ExactSim = similarityOf(Both);
+      A.ExactNTW = A.NTW;
+    }
+    return A.ExactSim;
+  }
+
+  /// attachedSimilarity(A) >= T, bit for bit. Same precondition as the
+  /// weighted kernel's: since the last exact read only in-phase grow
+  /// steps (cwReplace, then twAdd of the element the CW lost) changed
+  /// \p A and this kernel. One step moves the count of sites in both
+  /// windows by -1 (the outgoing site leaves the CW) up to +2 (the
+  /// incoming site joins the CW, the outgoing one the TW), so after K
+  /// steps it lies in [Both - K, Both + 2K]. similarityOf() is monotone
+  /// in the count, so a bound on the same side of T decides.
+  OPD_FORCE_INLINE bool attachedSimilarityAtLeast(AttachedTW &A,
+                                                  double T) const {
+    if (A.ExactNTW < A.NTW) {
+      uint64_t K = A.NTW - A.ExactNTW;
+      if (similarityOf(A.ExactSum > K ? A.ExactSum - K : 0) >= T)
+        return true;
+      if (!(similarityOf(A.ExactSum + 2 * K) >= T))
+        return false;
+    }
+    return attachedSimilarity(A) >= T;
+  }
+
 private:
+  /// The similarity with \p Both sites in both windows.
+  OPD_FORCE_INLINE double similarityOf(uint64_t Both) const {
+    if (CWDistinct == 0)
+      return 0.0;
+    return static_cast<double>(Both) / static_cast<double>(CWDistinct);
+  }
+
   uint64_t CWDistinct = 0;
   uint64_t BothDistinct = 0;
 };
@@ -481,25 +559,132 @@ public:
         // every reference decision point, so the checked kernel never
         // defers.
         return similarity() >= T;
-      double D = static_cast<double>(NCW) * static_cast<double>(NTW);
-      double Bound = T * D;
-      if (static_cast<double>(BoundLo) >= Bound + Bound * 1e-12)
-        return true;
-      if (static_cast<double>(BoundHi) <= Bound - Bound * 1e-12)
-        return false;
+      bool AtLeast;
+      if (boundsDecide(BoundLo, BoundHi,
+                       static_cast<double>(NCW) * static_cast<double>(NTW),
+                       T, AtLeast))
+        return AtLeast;
       return similarity() >= T;
     }
-    double Num = static_cast<double>(MinSum);
+    return exactAtLeast(MinSum, Denom, T);
+  }
+
+  /// AttachedTW layout: one count per roster slot, so an exact read
+  /// sweeps this kernel's CW lanes and the attached counts side by side
+  /// (batchMinSumSplit).
+  size_t attachedSize() const { return Slot.size(); }
+  OPD_FORCE_INLINE uint32_t attachedIndex(SiteIndex S) const {
+    assert(Slot[S] != InvalidSlot && "attached site was never in a window");
+    return Slot[S];
+  }
+
+  /// Makes \p A hold this kernel's TW. \p A must be cleared.
+  void attachTW(AttachedTW &A) const {
+    for (uint32_t I = 0; I != RosterSize; ++I)
+      A.Counts[I] = twAt(I);
+    A.NTW = NTW;
+    A.ExactNTW = UINT64_MAX;
+  }
+
+  /// Zeroes every count \p A took since this kernel's reset(): sites
+  /// enrolled later get slots past the roster, whose counts stay zero.
+  void clearAttached(AttachedTW &A) const {
+    std::fill_n(A.Counts.begin(), RosterSize, 0u);
+  }
+
+  /// similarity() with \p A's TW in place of this kernel's: the exact
+  /// MinSum over this CW and \p A's counts, divided as similarity() does.
+  OPD_FORCE_INLINE double attachedSimilarity(AttachedTW &A) const {
+    if (NCW == 0 || A.NTW == 0)
+      return 0.0;
+    if (A.ExactNTW != A.NTW) {
+      A.ExactSum =
+          BatchEnabled
+              ? batchMinSumSplit(RosterCounts.data(), A.Counts.data(),
+                                 RosterSize, NCW, A.NTW)
+              : batchMinSumSplitPortable(RosterCounts.data(),
+                                         A.Counts.data(), RosterSize, NCW,
+                                         A.NTW);
+      A.ExactSim = static_cast<double>(A.ExactSum) /
+                   (static_cast<double>(NCW) * static_cast<double>(A.NTW));
+      A.ExactNTW = A.NTW;
+    }
+    return A.ExactSim;
+  }
+
+  /// similarityAtLeast() with \p A's TW in place of this kernel's:
+  /// bit-identical to attachedSimilarity(A) >= T. Precondition: since
+  /// its last exact read, \p A and this kernel changed only by in-phase
+  /// grow steps, each one this CW replacing an element (NCW fixed) and
+  /// the element leaving it joining \p A.
+  ///
+  /// Such a step is cwReplace then twAdd, whose per-operation envelope
+  /// widenings (see the mutators) sum over the K = NTW - ExactNTW steps
+  /// since the exact read to a closed form: MinSum fell by at most
+  /// sum_j NTW_j = K*ExactNTW + K(K-1)/2 (NTW_j = ExactNTW + j, the TW
+  /// length before step j) and rose by at most that plus 2*K*NCW. That
+  /// envelope is sound, so it decides like similarityAtLeast()'s;
+  /// outside it the exact read decides.
+  OPD_FORCE_INLINE bool attachedSimilarityAtLeast(AttachedTW &A,
+                                                  double T) const {
+    if (NCW == 0 || A.NTW == 0)
+      return attachedSimilarity(A) >= T;
+    double D = static_cast<double>(NCW) * static_cast<double>(A.NTW);
+    if (A.ExactNTW < A.NTW) {
+      uint64_t K = A.NTW - A.ExactNTW;
+      uint64_t Down = saturatingAdd(
+          saturatingMul(K, A.ExactNTW),
+          K % 2 ? saturatingMul(K, (K - 1) / 2) : saturatingMul(K / 2, K - 1));
+      uint64_t Up =
+          saturatingAdd(Down, saturatingMul(K, saturatingDouble(NCW)));
+      uint64_t Lo = A.ExactSum > Down ? A.ExactSum - Down : 0;
+      bool AtLeast;
+      if (boundsDecide(Lo, saturatingAdd(A.ExactSum, Up), D, T, AtLeast))
+        return AtLeast;
+    }
+    attachedSimilarity(A);
+    return exactAtLeast(A.ExactSum, D, T);
+  }
+
+private:
+  static constexpr uint32_t InvalidSlot = UINT32_MAX;
+
+  /// Whether an envelope [Lo, Hi] around the MinSum over denominator
+  /// \p D decides similarity() >= T by itself, and if so how (\p
+  /// AtLeast). The quotient is monotone in the numerator, so a bound
+  /// clearing T * D by the relative margin decides for the exact value.
+  static OPD_FORCE_INLINE bool boundsDecide(uint64_t Lo, uint64_t Hi,
+                                            double D, double T,
+                                            bool &AtLeast) {
+    double Bound = T * D;
+    if (static_cast<double>(Lo) >= Bound + Bound * 1e-12)
+      return AtLeast = true;
+    if (static_cast<double>(Hi) <= Bound - Bound * 1e-12) {
+      AtLeast = false;
+      return true;
+    }
+    return false;
+  }
+
+  /// MinSum / Denom >= T, taking the division only inside the margin.
+  static OPD_FORCE_INLINE bool exactAtLeast(uint64_t Sum, double Denom,
+                                            double T) {
+    double Num = static_cast<double>(Sum);
     double Bound = T * Denom;
     if (Num >= Bound + Bound * 1e-12)
       return true;
     if (Num <= Bound - Bound * 1e-12)
       return false;
-    return static_cast<double>(MinSum) / Denom >= T;
+    return Num / Denom >= T;
   }
 
-private:
-  static constexpr uint32_t InvalidSlot = UINT32_MAX;
+  static OPD_FORCE_INLINE uint64_t saturatingAdd(uint64_t A, uint64_t B) {
+    return A > UINT64_MAX - B ? UINT64_MAX : A + B;
+  }
+
+  static OPD_FORCE_INLINE uint64_t saturatingMul(uint64_t A, uint64_t B) {
+    return A != 0 && B > UINT64_MAX / A ? UINT64_MAX : A * B;
+  }
 
   /// Transitions to the dirty state, seeding the MinSum bound envelope
   /// from the last exact value. While dirty, every mutator widens the
@@ -656,21 +841,43 @@ public:
   }
 
   OPD_FORCE_INLINE double similarity() {
-    if (NCW == 0 || NTW == 0)
-      return 0.0;
-    double Distance = 0.0;
-    double InvCW = 1.0 / static_cast<double>(NCW);
-    double InvTW = 1.0 / static_cast<double>(NTW);
-    for (SiteIndex S = 0, E = numSites(); S != E; ++S) {
-      double Diff = static_cast<double>(CWCounts[S]) * InvCW -
-                    static_cast<double>(TWCounts[S]) * InvTW;
-      Distance += Diff < 0 ? -Diff : Diff;
-    }
-    return 1.0 - Distance / 2.0;
+    return similarityWith(TWCounts.data(), NTW);
   }
 
   OPD_FORCE_INLINE bool similarityAtLeast(double T) {
     return similarity() >= T;
+  }
+
+  /// similarity() with \p A's TW in place of this kernel's.
+  OPD_FORCE_INLINE double attachedSimilarity(AttachedTW &A) const {
+    if (A.ExactNTW != A.NTW) {
+      A.ExactSim = similarityWith(A.Counts.data(), A.NTW);
+      A.ExactNTW = A.NTW;
+    }
+    return A.ExactSim;
+  }
+
+  OPD_FORCE_INLINE bool attachedSimilarityAtLeast(AttachedTW &A,
+                                                  double T) const {
+    return attachedSimilarity(A) >= T;
+  }
+
+private:
+  /// The similarity of this kernel's CW against TW counts \p TW totalling
+  /// \p TWTotal.
+  OPD_FORCE_INLINE double similarityWith(const uint32_t *TW,
+                                         uint64_t TWTotal) const {
+    if (NCW == 0 || TWTotal == 0)
+      return 0.0;
+    double Distance = 0.0;
+    double InvCW = 1.0 / static_cast<double>(NCW);
+    double InvTW = 1.0 / static_cast<double>(TWTotal);
+    for (SiteIndex S = 0, E = numSites(); S != E; ++S) {
+      double Diff = static_cast<double>(CWCounts[S]) * InvCW -
+                    static_cast<double>(TW[S]) * InvTW;
+      Distance += Diff < 0 ? -Diff : Diff;
+    }
+    return 1.0 - Distance / 2.0;
   }
 };
 

@@ -39,26 +39,51 @@
 //     InPhaseGrowth makes every subsequent consume grow the TW. But
 //     none of that depends on any later decision: from then on the TW
 //     start (Base) stays put, the CW refills one element per position
-//     up to CWSize, and the TW takes what the CW rotates out. A shard
-//     copies the group window (phase entry only happens synced, where
-//     the cursor's window IS the shared window by (1)), applies the
-//     same KernelWindows::resizeForPhase as startPhase, and then
-//     advances with Grow on (endPhase never reads the buffer beyond the
-//     kept seed). While a phase is open the reference windowsFull() is
+//     up to CWSize, and the TW takes what the CW rotates out. So at
+//     position p a shard holds TW = [Base, p-CWLen), CW = [p-CWLen, p),
+//     where CWLen is CWSize from FullAt on: the entry position N for a
+//     Move resize, N + min(A, CWSize) for a Slide (phase entry only
+//     happens synced, where the cursor's window IS the shared window by
+//     (1)). While a phase is open the reference windowsFull() is
 //     TWLen>0 && CWLen>0, which the shard checks before each decision.
 //
-//     Shards are refcounted and shared by window identity. At position
-//     p a shard holds TW = [Base, p-CWLen), CW = [p-CWLen, p), and the
-//     kernels' decisions are functions of those count vectors alone
-//     (see the SharedScanTest path-independence property), so two
-//     shards with one Base and one CW length at p are the same shard
-//     from p on. A phase entry at N with anchor value A builds Base =
-//     N-CW-TW+A and CW length CW (Move) or CW-min(A,CW) (Slide); it
-//     joins a live shard matching both at N, advancing it there first.
-//     Two shards with one Base but different CW lengths at p differ
-//     until the shorter CW refills, so the refill is the one other
-//     merge point: the refilled shard forwards to its full-CW twin and
-//     each of its cursors moves over on its next evaluation.
+//     From FullAt on the shard's CW is the group window's CW [p-CW, p)
+//     at every position the scan reaches, so the shard is *attached*:
+//     it keeps only its TW counts, built at attachment from the group
+//     TW (AttachedTW in core/FastKernels.h), and a step from p to p+1 is
+//     one count for E[p-CW], the element the CW hands over. A read is
+//     the kernel's own formula over the group CW counts and these TW
+//     counts: the unweighted sites-in-both count, the weighted MinSum
+//     (batchMinSumSplit, the same integer sum), Manhattan's ascending
+//     loop. Every kernel decision is a function of those two count
+//     vectors (the SharedScanTest path-independence property), so
+//     reads match the per-config model's bit for bit. The weighted
+//     Threshold decision also keeps the kernel's deferral: NCW is fixed
+//     and every step is the model's cwReplace then twAdd, so the
+//     per-operation widenings of the MinSum envelope sum, over the K
+//     steps since the last exact read, to a closed form in K and the
+//     TW length then (FastWeightedSetKernel::attachedSimilarityAtLeast).
+//     The envelope is sound whether or not a step's operations moved
+//     anything, so a decision it settles is the exact one; only the
+//     recompute schedule differs, never a decision. The unweighted
+//     kernel bounds its count the same way (a step moves it by -1 to
+//     +2). Before FullAt only a Slide-resized shard exists: it copies
+//     the group window at entry, applies the same
+//     KernelWindows::resizeForPhase as startPhase, and advances with
+//     Grow on (which only refills the CW) until its CW refills.
+//
+//     Shards are refcounted and shared by window identity: two shards
+//     with one Base and one CW length at p are the same shard from p
+//     on. A phase entry at N with anchor value A builds Base =
+//     N-CW-TW+A and FullAt = N (Move) or N+min(A,CW) (Slide); it joins
+//     a live shard matching both at N, advancing it there first. Two
+//     shards with one Base but different CW lengths at p differ until
+//     the shorter CW refills, so the refill is the one other merge
+//     point: at its first advance past FullAt the refilled shard
+//     forwards to an attached twin with its Base if one is live (each of
+//     its cohorts moves over on its next check), and otherwise attaches
+//     itself. endPhase() never reads the buffer beyond the kept seed,
+//     whose length needs only the window length p - Base.
 //
 //  4. Constant-TW models also flush at endPhase, but in phase their
 //     consume path is the free-running one (TWGrows is false once the
@@ -84,7 +109,12 @@
 //     it stays, every member provably stays and nothing else is done
 //     (Average applies the one stats update for all); if it flips, it
 //     leaves the cohort through the per-cursor path and the next member
-//     is tried. Both paths call one decision function, decide(). Two
+//     is tried. Both paths call one decision function, decideOn(). The
+//     check reads only the cohort: its source, state, analyzer kind and
+//     stats, and the head member's parameter, which the cohort keeps
+//     whenever its member list changes. A member's own source and stats
+//     are synced from the cohort when it leaves (a flip, or the end of
+//     the scan), so a refill merge moves a cohort by its source alone. Two
 //     kinds of cursor stay on the per-cursor path at every evaluation:
 //     Hysteresis, whose dual-threshold state is per cursor, and any
 //     cursor with a non-finite parameter (a NaN compares unordered, so
@@ -113,8 +143,9 @@
 // synced cursor compares it — FastWeightedSetKernel::similarityAtLeast
 // documents that the comparison is provably identical to the
 // division-free decision the fast detector takes. Shard-backed
-// decisions keep per-kernel similarityAtLeast so the PR 9 BoundLo..
-// BoundHi envelope can defer dirty recomputes.
+// Threshold decisions keep the kernel-side similarityAtLeast, whose
+// envelopes (3) defer the exact recomputes, and every read of a shard
+// at one position after the first reuses its memoized exact value.
 //
 //===----------------------------------------------------------------------===//
 
@@ -157,26 +188,40 @@ template <ModelKind M>
 class SharedScanEngine final : public SharedScanEngineBase {
   using Kernel = typename KernelOf<M, PlainKernelArith>::type;
 
-  /// A detached in-phase window for adaptive cursors: the shared
-  /// windows copied at phase entry and resized per the anchor, advancing
-  /// lazily to their cursors' evaluation positions. The TW grows while
-  /// the phase is open, so W.Base never moves, and a shard's identity is
-  /// (W.Base, its CW length at a position): see findShard. The CW is
-  /// below CWSize only after a Slide resize, until it refills.
+  /// The in-phase windows of adaptive cursors, advancing lazily to their
+  /// evaluation positions. At position p a shard holds TW = [Base, p -
+  /// CWLen) and CW = [p - CWLen, p); the TW grows while the phase is
+  /// open, so Base never moves, and a shard's identity is (Base, its CW
+  /// length at a position): see findShard. From FullAt on the CW is the
+  /// group window's, and the shard is **attached**: it keeps only its TW
+  /// counts, read against the group window's CW, and takes one count
+  /// per element. Before FullAt (a Slide resize moved CW elements into
+  /// the TW, and the CW is refilling) it keeps detached windows.
   struct Shard {
-    /// The detached windows over the trace (assignment reuses the
-    /// kernel's arrays).
-    KernelWindows<Kernel> W;
-    /// W.end(), cached: the cohort check reads it at every evaluation.
+    /// The TW start, fixed while the phase is open.
+    uint64_t Base = 0;
+    /// The first position at which the CW is full: the entry position,
+    /// plus the elements a Slide resize moved out of the CW.
+    uint64_t FullAt = 0;
+    /// The position the shard was last advanced to; it is attached iff
+    /// LastPos >= FullAt.
     uint64_t LastPos = 0;
-    /// Set when a refill made this shard a duplicate of a full-CW shard
-    /// with the same Base: the shard its cursors move to. Holds one
+    /// Attached: the TW counts (all zero while the shard is free).
+    AttachedTW TW;
+    /// Refilling: the detached windows over the trace (assignment reuses
+    /// the kernel's arrays).
+    KernelWindows<Kernel> W;
+    /// Set when a refill made this shard a duplicate of an attached
+    /// shard with the same Base: the shard its cursors move to. Holds one
     /// reference on it until this shard is released.
     Shard *Into = nullptr;
     /// Cursors currently reading this shard (plus merged-in shards).
     uint32_t Refs = 0;
 
-    explicit Shard(SiteIndex NumSites) : W{Kernel(NumSites)} {}
+    explicit Shard(SiteIndex NumSites) : W{Kernel(NumSites)} {
+      TW.Counts.assign(W.K.attachedSize(), 0);
+    }
+    bool attached() const { return LastPos >= FullAt; }
   };
 
   /// FastMeanStats's mean-only Welford state (the Average analyzer).
@@ -229,15 +274,19 @@ class SharedScanEngine final : public SharedScanEngineBase {
 
   /// Cursors of one bucket whose decisions one check settles: one
   /// source, analyzer kind and state, and (Average) one set of stats.
+  /// The check reads only the cohort: a member's Sh and Stats are stale
+  /// while it is filed here, and are synced (syncMember) when it leaves.
   struct Cohort {
     /// The shard the members read, or null for the shared kernel.
     Shard *Source = nullptr;
+    /// The parameter of Members.back(), the member checked.
+    double Head = 0.0;
+    /// Average: the members' common stats.
+    MeanStats Stats;
     AnalyzerKind Analyzer = AnalyzerKind::Threshold;
     PhaseState State = PhaseState::Transition;
     /// Average in phase: the position every member entered at.
     uint64_t EntryPos = 0;
-    /// Average: the members' common stats.
-    MeanStats Stats;
     /// Members, ascending by flipRank(): the member that flips first is
     /// at the back.
     std::vector<Cursor *> Members;
@@ -301,6 +350,12 @@ public:
     }
 
     Counters.CohortChecks += Checks;
+
+    // From here on cursors are evaluated and flushed one by one.
+    for (Bucket &B : buckets())
+      for (Cohort &K : std::span(B.Cohorts.data(), B.NumCohorts))
+        for (Cursor *C : K.Members)
+          syncMember(K, *C);
 
     // Trailing partial batches: a bucket whose stride does not divide the
     // trace evaluates once more over the short remainder, exactly like
@@ -425,22 +480,17 @@ private:
     return AnchorVal[Slot];
   }
 
-  /// The CW length \p S holds once advanced to \p N (a Slide-resized CW
-  /// refills one element per position; a full one stays full).
-  uint64_t cwLenAt(const Shard &S, uint64_t N) const {
-    assert(S.LastPos <= N && "shards never run ahead of the scan");
-    return std::min<uint64_t>(CW, S.W.CWLen + (N - S.LastPos));
-  }
-
-  /// The active, unmerged shard other than \p Except whose windows at
-  /// \p N are TW = [Base, N - CWLen), CW = [N - CWLen, N), or null. Every
-  /// kernel decision is a function of those two count vectors, so such a
-  /// shard is interchangeable with any other holding the same windows.
-  Shard *findShard(uint64_t Base, uint64_t CWLenAtN, uint64_t N,
+  /// The active, unmerged shard other than \p Except with TW start
+  /// \p Base whose CW length at \p N equals that of a shard whose CW is
+  /// full from \p FullAt on, or null. A shard's windows at \p N are TW =
+  /// [Base, N - CWLen), CW = [N - CWLen, N), and every kernel decision is
+  /// a function of those two count vectors, so such a shard is
+  /// interchangeable with any other holding the same windows.
+  Shard *findShard(uint64_t Base, uint64_t FullAt, uint64_t N,
                    const Shard *Except) const {
     for (Shard *S : ActiveShards)
-      if (S != Except && !S->Into && S->W.Base == Base &&
-          cwLenAt(*S, N) == CWLenAtN)
+      if (S != Except && !S->Into && S->Base == Base &&
+          std::max(S->FullAt, N) == std::max(FullAt, N))
         return S;
     return nullptr;
   }
@@ -452,12 +502,14 @@ private:
     // dropped, then (Slide) Take elements moved from the CW's front.
     uint64_t Base = N - CW - TW + A;
     uint64_t Take = Resize == ResizeKind::Slide ? std::min<uint64_t>(A, CW) : 0;
-    if (Shard *S = findShard(Base, CW - Take, N, nullptr)) {
+    if (Shard *S = findShard(Base, N + Take, N, nullptr)) {
       ++S->Refs;
       ++Counters.ShardJoins;
       S = shardAt(S, N);
-      assert(S->W.Base == Base && S->W.TWLen == TW - A + Take &&
-             S->W.CWLen == CW - Take &&
+      assert(S->Base == Base &&
+             (S->attached() ? S->TW.NTW == TW - A
+                            : S->W.TWLen == TW - A + Take &&
+                                  S->W.CWLen == CW - Take) &&
              "a joined shard must hold the windows a fork would build");
       return S;
     }
@@ -471,16 +523,36 @@ private:
       S = ShardPool.back().get();
     }
     ++Counters.ShardsForked;
-
-    // Seed from the shared windows (the entering cursor's windows are
-    // the shared ones: phase entry only happens synced), then apply
-    // startPhase's anchor resize.
-    S->W = Shared;
-    S->W.resizeForPhase(Elements, A, Resize == ResizeKind::Slide);
-    S->LastPos = N;
+    S->Base = Base;
+    S->FullAt = N + Take;
     S->Refs = 1;
     ActiveShards.push_back(S);
+    if (Take == 0) {
+      attach(*S, N);
+    } else {
+      // Seed from the shared windows (the entering cursor's windows are
+      // the shared ones: phase entry only happens synced), then apply
+      // startPhase's anchor resize.
+      S->W = Shared;
+      S->W.resizeForPhase(Elements, A, /*Slide=*/true);
+      S->LastPos = N;
+    }
     return S;
+  }
+
+  /// Makes \p S attached at \p N, its CW the group window's: its TW
+  /// [Base, N - CW) is the group TW [N - CW - TW, N - CW) with the
+  /// elements before Base taken out, or those from Base on put in.
+  void attach(Shard &S, uint64_t N) {
+    assert(Shared.end() == N && Shared.TWLen == TW && "window not full yet");
+    Shared.K.attachTW(S.TW);
+    uint32_t *Counts = S.TW.Counts.data();
+    for (uint64_t Q = Shared.Base; Q < S.Base; ++Q)
+      --Counts[Shared.K.attachedIndex(Elements[Q])];
+    for (uint64_t Q = S.Base; Q < Shared.Base; ++Q)
+      ++Counts[Shared.K.attachedIndex(Elements[Q])];
+    S.TW.NTW = N - CW - S.Base;
+    S.LastPos = N;
   }
 
   /// Drops \p Count references to \p S, freeing it at zero.
@@ -493,6 +565,7 @@ private:
       releaseShard(S->Into);
       S->Into = nullptr;
     }
+    Shared.K.clearAttached(S->TW);
     // Swap-erase: shards are independent, order is irrelevant.
     auto It = std::find(ActiveShards.begin(), ActiveShards.end(), S);
     assert(It != ActiveShards.end() && "released shard not active");
@@ -501,21 +574,41 @@ private:
     FreeShards.push_back(S);
   }
 
-  /// Advances \p S to position \p N with the in-phase consume: the CW
-  /// refills while a Slide left it partial, and every later rotation
-  /// grows the TW (InPhaseGrowth). A refill that completes here is the
-  /// one point after entry where two shards with the same Base converge,
-  /// so it links \p S to its full-CW twin.
+  /// Advances \p S to position \p N with the in-phase consume, which
+  /// grows the TW by the element leaving the CW at every position. An
+  /// attached shard's CW is the group window's, already at \p N, so each
+  /// of its steps is one count: the element E[p - CW] leaving the CW.
   OPD_FORCE_INLINE void advanceShard(Shard &S, uint64_t N) {
-    bool Filling = S.W.CWLen < CW;
     Counters.ShardSteps += N - S.LastPos;
-    S.W.advance(Elements, N - S.LastPos, CW, TW, /*Grow=*/true);
-    S.LastPos = N;
-    if (Filling && S.W.CWLen == CW) {
-      S.Into = findShard(S.W.Base, CW, N, &S);
-      if (S.Into)
-        ++S.Into->Refs;
+    if (!S.attached()) {
+      refill(S, N);
+      return;
     }
+    uint32_t *Counts = S.TW.Counts.data();
+    const SiteIndex *Out = Elements + (S.LastPos - CW);
+    for (uint64_t J = 0, E = N - S.LastPos; J != E; ++J)
+      ++Counts[Shared.K.attachedIndex(Out[J])];
+    S.TW.NTW += N - S.LastPos;
+    S.LastPos = N;
+  }
+
+  /// Advances refilling shard \p S to \p N. Before FullAt its own
+  /// windows take the elements (CW adds only: the TW does not move while
+  /// the CW refills). From FullAt on its windows are an attached shard's,
+  /// the one point after entry where two shards with the same Base
+  /// converge: \p S links to its attached twin if one is live, or else
+  /// attaches itself at \p N.
+  OPD_NOINLINE void refill(Shard &S, uint64_t N) {
+    if (N < S.FullAt) {
+      S.W.advance(Elements, N - S.LastPos, CW, TW, /*Grow=*/true);
+      S.LastPos = N;
+      return;
+    }
+    S.Into = findShard(S.Base, S.FullAt, N, &S);
+    if (S.Into)
+      ++S.Into->Refs;
+    else
+      attach(S, N);
   }
 
   /// Advances shard \p S to \p N and moves \p Refs references on it (one
@@ -595,6 +688,7 @@ private:
         K->Members.begin(), K->Members.end(), Rank,
         [&](double R, const Cursor *X) { return R < flipRank(*X, K->State); });
     K->Members.insert(It, &C);
+    K->Head = K->Members.back()->P0;
   }
 
   /// One evaluation of bucket \p B at \p N (a full batch of B.Skip
@@ -646,28 +740,29 @@ private:
   /// twin at \p N — the whole cohort at once (it stays apart from any
   /// cohort already there).
   OPD_NOINLINE void followMerge(Cohort &K, uint64_t N) {
-    Shard *S = shardAt(K.Source, N, static_cast<uint32_t>(K.Members.size()));
-    if (S == K.Source)
-      return;
-    K.Source = S;
-    for (Cursor *C : K.Members)
-      C->Sh = S;
+    K.Source = shardAt(K.Source, N, static_cast<uint32_t>(K.Members.size()));
   }
 
   /// The stay-check of cohort \p K at \p N: whether its first member
   /// keeps its state, in which case every member provably does (and an
-  /// Average cohort takes the one stats update for all).
+  /// Average cohort takes the one stats update for all). It reads the
+  /// cohort alone; no member is touched.
   OPD_FORCE_INLINE bool stays(Cohort &K, uint64_t N) {
     assert(!K.Members.empty() && "live cohorts are nonempty");
-    Cursor &C = *K.Members.back();
-    if (K.Analyzer == AnalyzerKind::Average)
-      C.Stats = K.Stats;
     double SimHere = 0.0;
-    if (decide(C, N, SimHere) != K.State)
+    if (decideOn(K.Source, K.Analyzer, K.Head, K.Stats, N, SimHere) !=
+        K.State)
       return false;
     if (K.State == PhaseState::InPhase && K.Analyzer == AnalyzerKind::Average)
       updateStats(K.Stats, SimHere);
     return true;
+  }
+
+  /// Gives member \p C of \p K the source and stats the cohort holds
+  /// for all its members.
+  static void syncMember(const Cohort &K, Cursor &C) {
+    C.Sh = K.Source;
+    C.Stats = K.Stats;
   }
 
   /// Hands the first members of \p K to evalCursor (onto Flipped) while
@@ -676,9 +771,13 @@ private:
     do {
       Cursor *C = K.Members.back();
       K.Members.pop_back();
+      syncMember(K, *C);
       evalCursor(*C, N, L);
       Flipped.push_back(C);
-    } while (!K.Members.empty() && (++Counters.CohortChecks, !stays(K, N)));
+      if (K.Members.empty())
+        return;
+      K.Head = K.Members.back()->P0;
+    } while (++Counters.CohortChecks, !stays(K, N));
   }
 
   /// Retires the cohorts the flips of this evaluation emptied (keeping
@@ -706,23 +805,69 @@ private:
 
   /// Evaluates every cursor of \p B one by one at \p N over \p L
   /// elements (the trailing short batch; nothing is filed afterwards).
+  /// Cohort members have been synced.
   void evalEachCursor(Bucket &B, uint64_t N, uint64_t L) {
     for (Cohort &K : std::span(B.Cohorts.data(), B.NumCohorts))
-      for (Cursor *C : K.Members) {
-        C->Stats = K.Stats;
+      for (Cursor *C : K.Members)
         evalCursor(*C, N, L);
-      }
     for (size_t I = B.SleepHead; I != B.Sleepers.size(); ++I)
       evalCursor(*B.Sleepers[I], N, L);
     for (Cursor *C : B.Solo)
       evalCursor(*C, N, L);
   }
 
-  /// The state an evaluation of \p C at \p N decides — the decision of
-  /// FastPhaseDetector::processBatchInline, with the phase edges and run
-  /// accounting left to evalCursor. Sets \p SimHere to the similarity an
-  /// Average decision read. The one decision function: cohort
-  /// stay-checks and per-cursor evaluations both call it.
+  /// Whether shard \p S, advanced to the scan position, has both windows
+  /// nonempty: the in-phase windowsFull(). An anchor drop that emptied
+  /// the TW (Move) or a slide that emptied the CW fails it.
+  static bool shardFull(const Shard &S) {
+    return S.attached() ? S.TW.NTW != 0 : S.W.TWLen != 0 && S.W.CWLen != 0;
+  }
+
+  /// The similarity of shard \p S, advanced to the scan position.
+  OPD_FORCE_INLINE double shardSim(Shard &S) {
+    return S.attached() ? Shared.K.attachedSimilarity(S.TW)
+                        : S.W.K.similarity();
+  }
+
+  /// similarity() >= T on shard \p S, advanced to the scan position:
+  /// the kernel-side decision, whose envelope defers the dirty
+  /// recomputes the raw similarity would force.
+  OPD_FORCE_INLINE bool shardAtLeast(Shard &S, double T) {
+    return S.attached() ? Shared.K.attachedSimilarityAtLeast(S.TW, T)
+                        : S.W.K.similarityAtLeast(T);
+  }
+
+  /// The state a Threshold or Average evaluation at \p N decides off
+  /// source \p Src (a shard advanced to \p N, or null for the shared
+  /// kernel) with parameter \p P and Average stats \p Stats — the
+  /// decision of FastPhaseDetector::processBatchInline, with the phase
+  /// edges and run accounting left to evalCursor. Sets \p SimHere to the
+  /// similarity an Average decision read. The one decision function:
+  /// cohort stay-checks and per-cursor evaluations both call it.
+  OPD_FORCE_INLINE PhaseState decideOn(Shard *Src, AnalyzerKind Analyzer,
+                                       double P, const MeanStats &Stats,
+                                       uint64_t N, double &SimHere) {
+    if (Src) {
+      // Adaptive, in phase: decide off the shard.
+      if (!shardFull(*Src))
+        return PhaseState::Transition;
+      if (Analyzer == AnalyzerKind::Threshold)
+        return shardAtLeast(*Src, P) ? PhaseState::InPhase
+                                     : PhaseState::Transition;
+      SimHere = shardSim(*Src);
+    } else {
+      // Synced (constant cursors in or out of phase; adaptive out of
+      // phase): decide off the shared kernel, one similarity for all.
+      SimHere = sharedSim(N);
+      if (Analyzer == AnalyzerKind::Threshold)
+        return SimHere >= P ? PhaseState::InPhase : PhaseState::Transition;
+    }
+    return averageDecide(Stats, P, SimHere);
+  }
+
+  /// The state an evaluation of \p C at \p N decides: decideOn() for
+  /// the cursor, after the refill countdown and the shard's advance, or
+  /// the cursor's own Hysteresis state.
   OPD_FORCE_INLINE PhaseState decide(Cursor &C, uint64_t N,
                                      double &SimHere) {
     if (C.State == PhaseState::Transition && N < C.ResyncAt)
@@ -730,42 +875,17 @@ private:
       // Transition, and the analyzer is NOT consulted (the hysteresis
       // state must survive untouched).
       return PhaseState::Transition;
-    if (C.Sh) {
-      // Adaptive, in phase: decide off the detached shard (most
-      // evaluations find it already advanced here by another cursor).
-      if (C.Sh->LastPos != N || C.Sh->Into)
-        C.Sh = shardAt(C.Sh, N);
-      Kernel &K = C.Sh->W.K;
-      if (C.Sh->W.TWLen == 0 || C.Sh->W.CWLen == 0)
-        // The in-phase windowsFull(): an anchor drop that emptied the
-        // TW (Move) or a slide that emptied the CW forces a Transition.
-        return PhaseState::Transition;
-      switch (C.Analyzer) {
-      case AnalyzerKind::Threshold:
-        // Keep the kernel-side decision: the envelope defers dirty
-        // recomputes the raw similarity would force.
-        return K.similarityAtLeast(C.P0) ? PhaseState::InPhase
-                                         : PhaseState::Transition;
-      case AnalyzerKind::Average:
-        SimHere = K.similarity();
-        return averageDecide(C, SimHere);
-      case AnalyzerKind::Hysteresis:
-        return hysteresisDecide(C, K.similarity());
-      }
-    }
-    // Synced (constant cursors in or out of phase; adaptive out of
-    // phase): decide off the shared kernel, one similarity for all.
-    switch (C.Analyzer) {
-    case AnalyzerKind::Threshold:
-      return sharedSim(N) >= C.P0 ? PhaseState::InPhase
-                                 : PhaseState::Transition;
-    case AnalyzerKind::Average:
-      SimHere = sharedSim(N);
-      return averageDecide(C, SimHere);
-    case AnalyzerKind::Hysteresis:
+    // Most evaluations find the shard already advanced here by another
+    // cursor.
+    if (C.Sh && (C.Sh->LastPos != N || C.Sh->Into))
+      C.Sh = shardAt(C.Sh, N);
+    if (C.Analyzer != AnalyzerKind::Hysteresis)
+      return decideOn(C.Sh, C.Analyzer, C.P0, C.Stats, N, SimHere);
+    if (!C.Sh)
       return hysteresisDecide(C, sharedSim(N));
-    }
-    return PhaseState::Transition;
+    if (!shardFull(*C.Sh))
+      return PhaseState::Transition;
+    return hysteresisDecide(C, shardSim(*C.Sh));
   }
 
   /// One evaluation of \p C at position \p N covering \p L elements —
@@ -791,9 +911,9 @@ private:
     }
     if (C.State == PhaseState::InPhase && New == PhaseState::Transition) {
       // endPhase: the seed kept is min(skip, CWSize, window length);
-      // refill completes (CWSize - Keep) + TWSize elements later.
-      uint64_t WindowLen =
-          C.Sh ? C.Sh->W.TWLen + C.Sh->W.CWLen : static_cast<uint64_t>(CW) + TW;
+      // refill completes (CWSize - Keep) + TWSize elements later. A
+      // shard's windows at N are [Base, N).
+      uint64_t WindowLen = C.Sh ? N - C.Sh->Base : CW + TW;
       uint64_t Keep = std::min<uint64_t>(
           std::min<uint64_t>(C.Skip, CW), WindowLen);
       C.ResyncAt = N + (CW - Keep) + TW;
@@ -820,14 +940,15 @@ private:
     C.State = New;
   }
 
-  /// FastAverageAnalyzer::processValue over the cursor's stats (the
-  /// sweep path never sets an entry threshold, so an empty-stats
-  /// evaluation opens a phase unconditionally).
-  static PhaseState averageDecide(const Cursor &C, double Similarity) {
-    if (C.Stats.N == 0)
+  /// FastAverageAnalyzer::processValue over \p Stats with delta \p
+  /// Delta (the sweep path never sets an entry threshold, so an
+  /// empty-stats evaluation opens a phase unconditionally).
+  static PhaseState averageDecide(const MeanStats &Stats, double Delta,
+                                  double Similarity) {
+    if (Stats.N == 0)
       return PhaseState::InPhase;
-    return Similarity >= C.Stats.Mean - C.P0 ? PhaseState::InPhase
-                                             : PhaseState::Transition;
+    return Similarity >= Stats.Mean - Delta ? PhaseState::InPhase
+                                            : PhaseState::Transition;
   }
 
   /// FastHysteresisAnalyzer::processValue over the cursor's state.

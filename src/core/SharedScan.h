@@ -33,26 +33,37 @@
 ///    stores only that resync position and performs zero work until
 ///    it passes.
 ///  * Only adaptive cursors *inside* a phase have decision-dependent
-///    window state. Each open phase detaches a **shard** — a copy of
-///    the shared windows at phase entry, resized per the anchor — that
-///    advances lazily to the owning cursors' evaluation positions. The
-///    shared windows and every shard are KernelWindows
-///    (core/FastKernels.h) over the trace, and step through its one
-///    advance(), the consume the per-config fast detector runs too.
+///    window state: an open phase reads a **shard**, advancing lazily
+///    to its cursors' evaluation positions. A shard at position p holds
+///    TW = [Base, p - CWLen) and CW = [p - CWLen, p), and Base never
+///    moves. Once its CW is full (at entry for a Move resize; after a
+///    Slide resize, once the CWSize - min(A, CWSize) elements left in
+///    the CW have grown back to CWSize) that CW is exactly the group
+///    window's, so the shard is **attached**: it stores Base and its own
+///    TW counts, reads them against the group window's CW counts, and
+///    takes one count increment per element (the element leaving the
+///    CW). Only a Slide shard before its refill keeps detached windows,
+///    a KernelWindows (core/FastKernels.h) copied from the group
+///    window and resized per the anchor. Every kernel's similarity()
+///    and similarityAtLeast() is a function of the two count vectors
+///    (unweighted distinct counts, the weighted MinSum recomputed
+///    exactly, Manhattan's full ascending loop), whatever sequence of
+///    operations built them, so an attached read uses the kernel's own
+///    formula and decides as the per-config detector does. The
+///    weighted Threshold decision keeps its MinSum envelope, which for
+///    an attached shard is a closed form in the steps since its last
+///    exact read and the TW length then: the sum of the per-operation
+///    widenings of those steps, sound for the same reason they are.
 ///    Shards are shared by what their windows hold, not by how they
-///    were created. A shard at position p holds TW = [Base, p - CWLen)
-///    and CW = [p - CWLen, p), and Base never moves; every kernel's
-///    similarity() and similarityAtLeast() is a function of those two
-///    count vectors (unweighted distinct counts, the weighted MinSum
-///    recomputed exactly, Manhattan's full ascending loop), whatever
-///    sequence of operations built them. So a phase entry joins any
-///    live shard with the same Base whose CW length at the entry equals
-///    the one the anchor resize would build, and a Slide shard whose CW
-///    refills to CWSize hands its cursors to the full-CW shard with the
-///    same Base, if one is live — the only later point where two shards
-///    with one Base converge. On the paper sweep over jess this cuts
-///    shard element-steps from 748M (shards keyed by entry position,
-///    anchor value and resize policy) to about 306M.
+///    were created: a phase entry joins any live shard with the same
+///    Base whose CW length at the entry equals the one the anchor
+///    resize would build, and a Slide shard whose CW refills hands its
+///    cursors to the attached shard with the same Base, if one is live,
+///    or else becomes that attached shard — the only later point where
+///    two shards with one Base converge. On the paper sweep over jess
+///    this cuts shard element-steps from 748M (shards keyed by entry
+///    position, anchor value and resize policy) to about 309M, 97% of
+///    them on attached shards.
 ///
 /// Cursors with the same skip stride evaluate in lockstep (one stride
 /// bucket), so the shared window advances through the trace in tight
@@ -68,6 +79,9 @@
 ///    delta. The decisions are monotone in the parameter, so if the
 ///    first member stays every member stays: an evaluation costs one
 ///    check per cohort, plus one full evaluation per member that flips.
+///    The check reads the cohort alone (source, state, analyzer, stats,
+///    and the first member's parameter, kept by the cohort); a member
+///    cursor is touched only when it flips.
 ///    Hysteresis cursors (per-cursor state) and cursors with a
 ///    non-finite parameter decide alone at every evaluation.
 ///  * **Sleepers.** A cursor in its post-flush refill countdown is not
@@ -159,17 +173,18 @@ struct SharedScanCounters {
   uint64_t ShardsForked = 0;
   /// Phase entries that joined an active shard holding the same windows.
   uint64_t ShardJoins = 0;
-  /// Cursor moves from a shard whose CW refilled onto its full-CW twin
+  /// Cursor moves from a shard whose CW refilled onto its attached twin
   /// (a cohort moves all its members on its next check). This count and
   /// ShardSteps depend on the order of the cursors evaluated at one
-  /// position, not only on the runs: a refill looks its twin up when it
-  /// completes, and a twin whose last cursor left earlier at that
-  /// position is already released, so the refilled shard then keeps
-  /// advancing on its own. (An entry likewise joins only a live shard,
-  /// so forks and joins could move too; on the jess paper sweep they
-  /// equal a cursor-by-cursor order's.)
+  /// position, not only on the runs: a refill looks its twin up at the
+  /// shard's first advance past it, and a twin whose last cursor left
+  /// earlier at that position is already released, so the refilled
+  /// shard then attaches itself instead. (An entry likewise joins only a
+  /// live shard, so forks and joins could move too; on the jess paper
+  /// sweep they equal a cursor-by-cursor order's.)
   uint64_t RefillMerges = 0;
-  /// Elements consumed by shards, summed over every shard.
+  /// Elements consumed by shards, summed over every shard (an attached
+  /// shard consumes one per position with a single count increment).
   uint64_t ShardSteps = 0;
   /// Full per-cursor evaluations: each flip out of a cohort, each
   /// evaluation of a Hysteresis or non-finite-parameter cursor, and every

@@ -44,11 +44,11 @@ void scoreRun(const DetectorRun &Run,
 /// Shared-scan execution (core/SharedScan.h), the sweep engine: the
 /// runs at \p Indices are grouped by window-kernel shape and each group
 /// rides a single trace pass. Groups are scheduled longest-first — a
-/// group's cost is one shared window advance plus each member's
-/// evaluation rate (inverse skip) and, for adaptive members, their
-/// in-phase shard advances — and per-worker arenas hold one engine per
-/// model (cursor arrays, shard pools, and kernel state all reused across
-/// the groups a worker claims).
+/// group's cost is its model's cost factor times one shared window
+/// advance plus each member's evaluation rate (inverse skip) and, for
+/// adaptive members, their in-phase shard advances — and per-worker
+/// arenas hold one engine per model (cursor arrays, shard pools, and
+/// kernel state all reused across the groups a worker claims).
 void runConfigsShared(const BranchTrace &Trace,
                       const std::vector<BaselineSolution> &Baselines,
                       const std::vector<DetectorConfig> &Configs,
@@ -63,6 +63,24 @@ void runConfigsShared(const BranchTrace &Trace,
 
   std::vector<size_t> Order(Plan.Groups.size());
   std::iota(Order.begin(), Order.end(), size_t{0});
+  // The model factor is measured: single-thread on the pruned jess
+  // paper plan, whose 28 groups hold the same member mix (so the member
+  // terms below tie), the 14 weighted groups took 0.15-0.40 s (3.8 s in
+  // all) and the 14 unweighted ones 0.04-0.24 s (1.8 s): about 2x. A
+  // Manhattan group of the same configs (CW 1000) took about 2.3x its
+  // weighted twin. Simulated on those group times, weighted-first cuts
+  // the 4-thread makespan from 1.48 s (plan order) to 1.45 s.
+  auto ModelFactor = [](ModelKind Model) {
+    switch (Model) {
+    case ModelKind::UnweightedSet:
+      return 1.0;
+    case ModelKind::WeightedSet:
+      return 2.0;
+    case ModelKind::ManhattanBBV:
+      return 4.5;
+    }
+    return 1.0;
+  };
   auto GroupCost = [&](const SharedScanGroup &G) {
     double Cost = 1.0; // The shared window advance.
     for (size_t Member : G.Members) {
@@ -71,7 +89,7 @@ void runConfigsShared(const BranchTrace &Trace,
       if (W.TWPolicy == TWPolicyKind::Adaptive)
         Cost += 0.5; // Rough in-phase shard-advance share.
     }
-    return Cost;
+    return Cost * ModelFactor(G.Key.Model);
   };
   std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
     return GroupCost(Plan.Groups[A]) > GroupCost(Plan.Groups[B]);

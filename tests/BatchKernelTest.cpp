@@ -164,13 +164,26 @@ TEST(BatchKernelMinSumTest, MatchesNaiveAcrossTailSizesOnEveryBackend) {
     std::vector<uint32_t> Pairs(2 * N);
     for (uint32_t &P : Pairs)
       P = Count(Rng);
+    // The split form reads the tw counts from their own array; the odd
+    // lanes of its pair array hold noise it must not read.
+    std::vector<uint32_t> CWPairs = Pairs, TW(N);
+    for (size_t I = 0; I != N; ++I) {
+      TW[I] = Pairs[2 * I + 1];
+      CWPairs[2 * I + 1] = Count(Rng);
+    }
     for (uint64_t NCW : {0ull, 1ull, 4999ull, 1000000ull})
       for (uint64_t NTW : {0ull, 3ull, 5001ull}) {
         uint64_t Expected = naiveMinSum(Pairs, NCW, NTW);
         ASSERT_EQ(batchMinSumPortable(Pairs.data(), N, NCW, NTW), Expected);
+        ASSERT_EQ(batchMinSumSplitPortable(CWPairs.data(), TW.data(), N, NCW,
+                                           NTW),
+                  Expected);
         for (BatchBackend B : runnableBackends()) {
           ASSERT_TRUE(setBatchBackend(B));
           ASSERT_EQ(batchMinSum(Pairs.data(), N, NCW, NTW), Expected)
+              << "N=" << N << " backend=" << batchBackendName(B);
+          ASSERT_EQ(batchMinSumSplit(CWPairs.data(), TW.data(), N, NCW, NTW),
+                    Expected)
               << "N=" << N << " backend=" << batchBackendName(B);
         }
       }
@@ -189,10 +202,16 @@ TEST(BatchKernelMinSumTest, LaneSaturatingValuesStayExact) {
     Pairs[2 * I] = UINT32_MAX - static_cast<uint32_t>(I);
     Pairs[2 * I + 1] = static_cast<uint32_t>(I * 97 + 1);
   }
+  std::vector<uint32_t> TW(21);
+  for (size_t I = 0; I != 21; ++I)
+    TW[I] = Pairs[2 * I + 1];
   uint64_t Expected = naiveMinSum(Pairs, Total, Total - 2);
   for (BatchBackend B : runnableBackends()) {
     ASSERT_TRUE(setBatchBackend(B));
     ASSERT_EQ(batchMinSum(Pairs.data(), 21, Total, Total - 2), Expected)
+        << batchBackendName(B);
+    ASSERT_EQ(batchMinSumSplit(Pairs.data(), TW.data(), 21, Total, Total - 2),
+              Expected)
         << batchBackendName(B);
   }
 }

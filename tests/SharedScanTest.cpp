@@ -412,15 +412,19 @@ struct GroupResult {
 /// Runs \p Configs (one shape) as one shared-scan group over \p Trace
 /// on both kernel backends, requiring every member's run to be
 /// bit-identical to its own FastPhaseDetector and (unless
-/// \p CheckReference is false) reference detector.
+/// \p CheckReference is false) reference detector. Runs on \p Reused
+/// if given, else on a fresh engine.
 GroupResult runCheckedGroup(const std::vector<DetectorConfig> &Configs,
                             const BranchTrace &Trace,
-                            bool CheckReference = true) {
+                            bool CheckReference = true,
+                            SharedScanEngineBase *Reused = nullptr) {
   std::vector<size_t> Members(Configs.size());
   for (size_t I = 0; I != Members.size(); ++I)
     Members[I] = I;
-  std::unique_ptr<SharedScanEngineBase> Engine =
-      makeSharedScanEngine(Configs.front().Model, Trace.numSites());
+  std::unique_ptr<SharedScanEngineBase> Fresh;
+  if (!Reused)
+    Fresh = makeSharedScanEngine(Configs.front().Model, Trace.numSites());
+  SharedScanEngineBase *Engine = Reused ? Reused : Fresh.get();
   GroupResult Result;
   for (bool Batch : {false, true}) {
     Engine->setBatchKernels(Batch);
@@ -569,6 +573,28 @@ TEST(SharedScanIdentityTest, CountersResetPerRun) {
     // at 50, the Move one to the trace end.
     EXPECT_EQ(Engine->counters().ShardSteps, (50u - 40u) + (120u - 40u));
   }
+}
+
+// A Slide cursor (skip 7, entered at 42 with anchor 8) has refilled by
+// 50, but its next evaluation is at 56: its shard goes from its detached
+// windows straight to the attached Move shard forked at 40, live and
+// ahead of it (Base 10 for both), without stepping its own windows.
+TEST(SharedScanIdentityTest, LateRefillMergesIntoLiveAttachedShard) {
+  checkIdentityCase({{Move, 1}, {Slide, 7}}, makeLoopTrace(120),
+                    {2, 0, 1, {{{3, 93}, {3, 93}}}});
+}
+
+// With no attached twin live, a refill completing at the shard's own
+// FullAt (50) makes the Slide shard the attached one. A Move cursor
+// entering at 50 (skip 25, anchor 0, so Base 10) joins it, whether the
+// Slide cursor's bucket has already found the refill at 50 or the join
+// finds it. Checks: 1 + 80 at skip 1, and 50, 75, 100 at skip 25; the
+// skip-25 cursor also evaluates in the trailing short batch.
+TEST(SharedScanIdentityTest, RefilledSlideShardBecomesTheAttachedShard) {
+  for (const CursorSpec &Spec :
+       {CursorSpec{{Slide, 1}, {Move, 25}}, CursorSpec{{Move, 25}, {Slide, 1}}})
+    checkIdentityCase(Spec, makeLoopTrace(120),
+                      {1, 1, 0, {{{3, 84}, {3, 84}}}});
 }
 
 //===----------------------------------------------------------------------===//
@@ -1032,6 +1058,100 @@ TEST(SharedScanCohortTest, RandomGroupsMatchTheFastDetector) {
         C.AnalyzerParam = Rng.nextDouble();
     }
     runCheckedGroup(Configs, Trace, /*CheckReference=*/false);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Attached shards
+//
+// A shard whose CW is full keeps only its TW counts and reads them
+// against the group window's CW; its count array is indexed by site
+// (unweighted, Manhattan) or by the group window's roster slot
+// (weighted), and goes back to the pool cleared. These cases hold the
+// edges of that representation to the fast and reference detectors.
+//===----------------------------------------------------------------------===//
+
+// 40 never-repeating sites, then a loop: at the first full evaluation
+// no TW element is in the CW, so either anchor is the TW's end (A ==
+// TW) and a Move entry opens its phase on an empty TW. Threshold 0
+// stays in phase from there on, as the TW fills from the elements
+// leaving the CW; Average deltas enter on empty stats.
+TEST(SharedScanAttachedTest, MoveEntryAtTheTWEndStartsFromAnEmptyTW) {
+  BranchTrace Trace = makeSegmentTrace({{0, 40, 0}, {4, 80, 0}});
+  std::vector<DetectorConfig> Configs;
+  addConfigs(Configs, Adaptive, Move, 1, Threshold, {0.0, 0.5});
+  addConfigs(Configs, Adaptive, Move, 3, Threshold, {0.0});
+  addConfigs(Configs, Adaptive, Move, 1, Average, {0.2});
+  Configs.push_back(Configs.front());
+  Configs.back().Window.Anchor = AnchorKind::LeftmostNonNoisy;
+  GroupResult R = runCohortCase(Configs, Trace);
+  for (size_t I : {size_t{0}, Configs.size() - 1})
+    EXPECT_EQ(R.Runs[I].DetectedPhases,
+              (std::vector<PhaseInterval>{{39, Trace.size()}}));
+  EXPECT_GE(R.Counters.ShardsForked, 1u);
+}
+
+// A site seen for the first time (position 210) while the weighted
+// attached shards of the second phase are live: it is enrolled in the
+// group window's roster at a new slot, and its count must start at
+// zero although the first phase's shards, back in the pool, counted
+// twelve other sites and the fresh segment's sites enrolled while they
+// were live too.
+TEST(SharedScanAttachedTest, SiteEnrolledWhileWeightedAttachedShardIsLive) {
+  BranchTrace Trace = makeSegmentTrace({{0, 10, 0},
+                                        {12, 100, 0},
+                                        {0, 40, 0},
+                                        {4, 60, 20},
+                                        {0, 1, 0},
+                                        {4, 60, 20}});
+  std::vector<DetectorConfig> Configs;
+  for (ResizeKind Resize : {Move, Slide}) {
+    addConfigs(Configs, Adaptive, Resize, 1, Threshold, {0.5, 0.8});
+    addConfigs(Configs, Adaptive, Resize, 4, Threshold, {0.5});
+    addConfigs(Configs, Adaptive, Resize, 1, Average, {0.1, 0.3});
+  }
+  for (DetectorConfig &C : Configs)
+    C.Model = ModelKind::WeightedSet;
+  GroupResult R = runCheckedGroup(Configs, Trace);
+  // The Threshold 0.5 Move cursor is in phase across position 210.
+  bool Covered = false;
+  for (const PhaseInterval &P : R.Runs[0].DetectedPhases)
+    Covered |= P.Begin <= 210 && P.End > 211;
+  EXPECT_TRUE(Covered);
+  EXPECT_GE(R.Counters.ShardsForked, 2u);
+}
+
+// One engine runs groups of different CW in turn, on every model. The
+// group window's roster and touched sites restart with each group, so
+// a pooled shard's counts must have been cleared against the group that
+// used them.
+TEST(SharedScanAttachedTest, EngineReusedAcrossGroupsWithDifferentCW) {
+  BranchTrace Trace = makeSegmentTrace({{0, 10, 0},
+                                        {12, 100, 0},
+                                        {0, 40, 0},
+                                        {4, 60, 20},
+                                        {0, 1, 0},
+                                        {7, 90, 30}});
+  for (ModelKind Model : {ModelKind::UnweightedSet, ModelKind::WeightedSet,
+                          ModelKind::ManhattanBBV}) {
+    std::unique_ptr<SharedScanEngineBase> Engine =
+        makeSharedScanEngine(Model, Trace.numSites());
+    for (uint32_t CW : {20u, 7u, 33u, 7u}) {
+      SCOPED_TRACE(::testing::Message() << "model " << static_cast<int>(Model)
+                                        << " cw " << CW);
+      std::vector<DetectorConfig> Configs;
+      for (ResizeKind Resize : {Move, Slide}) {
+        addConfigs(Configs, Adaptive, Resize, 1, Threshold, {0.5, 0.7});
+        addConfigs(Configs, Adaptive, Resize, 3, Average, {0.1});
+      }
+      for (DetectorConfig &C : Configs) {
+        C.Model = Model;
+        C.Window.CWSize = CW;
+        C.Window.TWSize = CW + 5;
+      }
+      runCheckedGroup(Configs, Trace, /*CheckReference=*/true, Engine.get());
+      EXPECT_GT(Engine->counters().ShardSteps, 0u);
+    }
   }
 }
 
