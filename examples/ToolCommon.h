@@ -23,6 +23,7 @@
 #include "support/ArgParser.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -175,14 +176,33 @@ inline bool buildSweepSpec(const ArgParser &Args, SweepSpec &Spec,
       !parseNames(splitList(Args.getOption("models")), "model",
                   parseModelKind, Spec.Models))
     return false;
+  // Each TW size, CW times a factor, is a window size too.
+  for (uint32_t CW : Spec.CWSizes)
+    for (uint32_t Factor : Spec.TWFactors)
+      if (uint64_t(CW) * Factor > std::numeric_limits<uint32_t>::max()) {
+        std::fprintf(stderr,
+                     "error: TW size %u * %u = %llu must be at most %u\n",
+                     CW, Factor,
+                     static_cast<unsigned long long>(uint64_t(CW) * Factor),
+                     std::numeric_limits<uint32_t>::max());
+        return false;
+      }
 
   Spec.Analyzers.clear();
   for (const std::string &A : splitList(Args.getOption("analyzers"))) {
-    if (A.size() < 2) {
-      std::fprintf(stderr, "error: bad analyzer spec '%s'\n", A.c_str());
+    // The parameter after the kind letter must be one finite number,
+    // with nothing before or after it.
+    char *End = nullptr;
+    double Param = 0.0;
+    if (A.size() >= 2 && !std::isspace(static_cast<unsigned char>(A[1])))
+      Param = std::strtod(A.c_str() + 1, &End);
+    if (End != A.c_str() + A.size() || !std::isfinite(Param)) {
+      std::fprintf(stderr,
+                   "error: bad analyzer spec '%s': the parameter must be a "
+                   "finite number\n",
+                   A.c_str());
       return false;
     }
-    double Param = std::strtod(A.c_str() + 1, nullptr);
     switch (A[0]) {
     case 't':
       Spec.Analyzers.push_back({AnalyzerKind::Threshold, Param});

@@ -8,10 +8,10 @@
 # pruned paper sweep (median of 3 runs), and assembles BENCH_PERF.json
 # at the repo root:
 # per-element throughput for the reference and fast detector paths,
-# their ratios, and the sweep wall time. The committed BENCH_PERF.json
-# is the baseline scripts/ci.sh checks regressions against (on ratios,
-# which survive machine-speed differences; absolute M/s numbers are
-# recorded for context only).
+# their ratios, and the sweep wall time and peak RSS. The committed
+# BENCH_PERF.json is the baseline scripts/ci.sh checks regressions
+# against (on ratios, which survive machine-speed differences; absolute
+# M/s numbers are recorded for context only).
 #
 # Usage: scripts/bench.sh [--skip-sweep] [build-dir]
 #
@@ -49,16 +49,15 @@ RAW="$DIR/bench_perf_raw.json"
   --benchmark_enable_random_interleaving=true \
   --benchmark_format=json > "$RAW"
 
-# Times one pruned paper sweep run and prints the seconds. Like every
-# other entry, the recorded value is the median of 3 runs: a single
+# Times one pruned paper sweep run on four workers and prints
+# "<seconds> <peak RSS MB>" (the peak grows with the worker count, one
+# engine arena each, so scripts/ci.sh checks it on four too). Like every
+# other entry, each recorded value is the median of 3 runs: a single
 # sample is hostage to whatever else the machine was doing that minute.
 time_sweep() {
-  local START END
-  START=$(date +%s.%N)
-  "$DIR/examples/sweep_tool" --preset paper --prune \
-    --workloads jess --mpls 10K > /dev/null
-  END=$(date +%s.%N)
-  python3 -c "print($END - $START)"
+  OPD_THREADS=4 python3 scripts/time_rss.py /dev/null \
+    "$DIR/examples/sweep_tool" --preset paper --prune \
+    --workloads jess --mpls 10K
 }
 
 median_of_3() {
@@ -66,9 +65,14 @@ median_of_3() {
 }
 
 SWEEP_SHARED_SECONDS=null
+SWEEP_SHARED_PEAK_RSS_MB=null
 if [ "$SKIP_SWEEP" = 0 ]; then
   echo "=== [bench] pruned paper sweep (jess, MPL 10K, median of 3) ==="
-  SWEEP_SHARED_SECONDS=$(median_of_3 "$(time_sweep)" "$(time_sweep)" "$(time_sweep)")
+  read -r S1 R1 <<< "$(time_sweep)"
+  read -r S2 R2 <<< "$(time_sweep)"
+  read -r S3 R3 <<< "$(time_sweep)"
+  SWEEP_SHARED_SECONDS=$(median_of_3 "$S1" "$S2" "$S3")
+  SWEEP_SHARED_PEAK_RSS_MB=$(median_of_3 "$R1" "$R2" "$R3")
 fi
 
 # Serving throughput: a Release opd_serve takes a loadgen fleet and the
@@ -82,12 +86,14 @@ start_opd_serve "$DIR/examples/opd_serve" "$DIR/bench_serve.log"
   --sessions 128 --total 512 --json > "$SERVE_JSON"
 stop_opd_serve
 
-python3 - "$RAW" "$SERVE_JSON" "$SWEEP_SHARED_SECONDS" <<'EOF'
+python3 - "$RAW" "$SERVE_JSON" "$SWEEP_SHARED_SECONDS" \
+  "$SWEEP_SHARED_PEAK_RSS_MB" <<'EOF'
 import json, sys
 
 raw = json.load(open(sys.argv[1]))
 serving = json.load(open(sys.argv[2]))
 sweep_shared = None if sys.argv[3] == "null" else float(sys.argv[3])
+sweep_shared_rss = None if sys.argv[4] == "null" else float(sys.argv[4])
 
 rates = {}
 for b in raw["benchmarks"]:
@@ -131,6 +137,7 @@ out = {
                    "scripts/check_perf.py); see docs/PERFORMANCE.md",
     "cases": cases,
     "sweep_shared_seconds": sweep_shared,
+    "sweep_shared_peak_rss_mb": sweep_shared_rss,
     "serving": {
         "sessions": serving["sessions"],
         "total_sessions": serving["total_sessions"],

@@ -28,12 +28,14 @@ elements/sec over the single-thread offline fast detector, another
 machine-relative ratio — is checked the same way, with a wider default
 tolerance (50%) because it folds in scheduler and loopback variance.
 
-The shared-scan sweep wall clock is guarded too: --sweep-shared feeds
-a freshly measured pruned paper sweep time in (seconds), held to the
-same >25% regression rule against the baseline's sweep_shared_seconds.
-Pass "-" as the smoke file to run only the sweep check.
+The shared-scan sweep is guarded too: --sweep-shared feeds a freshly
+measured pruned paper sweep time in (seconds) and --sweep-shared-rss its
+peak resident set (MB), each held to the same >25% regression rule
+against the baseline's sweep_shared_seconds and
+sweep_shared_peak_rss_mb. Pass "-" as the smoke file to run only the
+sweep checks.
 
-Usage: check_perf.py [--sweep-shared S]
+Usage: check_perf.py [--sweep-shared S] [--sweep-shared-rss MB]
                      <smoke.json|-> <baseline.json> [tolerance] [serving.json]
 """
 
@@ -43,20 +45,22 @@ import sys
 SERVING_TOLERANCE = 0.5
 
 
-def check_sweep(baseline, shared_s, tolerance):
-    """Returns True when the sweep-timing check failed."""
-    if shared_s is None:
+def check_sweep(baseline, key, measured, unit, tolerance):
+    """Returns True when the sweep check against baseline entry `key`
+    (lower is better) failed."""
+    if measured is None:
         return False
-    base = baseline.get("sweep_shared_seconds")
+    base = baseline.get(key)
     if base is None:
-        print("perf: sweep: baseline lacks sweep_shared_seconds "
+        print(f"perf: sweep: baseline lacks {key} "
               "(rerun scripts/bench.sh): FAILED")
         return True
     ceiling = base * (1.0 + tolerance)
-    verdict = "ok" if shared_s <= ceiling else "REGRESSION"
-    print(f"perf: sweep: sweep_shared_seconds {shared_s:.1f}s "
-          f"(baseline {base:.1f}s, ceiling {ceiling:.1f}s) {verdict}")
-    return shared_s > ceiling
+    verdict = "ok" if measured <= ceiling else "REGRESSION"
+    print(f"perf: sweep: {key} {measured:.1f}{unit} "
+          f"(baseline {base:.1f}{unit}, ceiling {ceiling:.1f}{unit}) "
+          f"{verdict}")
+    return measured > ceiling
 
 
 def check_serving(serving_path, baseline):
@@ -82,11 +86,15 @@ def check_serving(serving_path, baseline):
 def main():
     argv = sys.argv[1:]
     sweep_shared = None
+    sweep_shared_rss = None
     positional = []
     i = 0
     while i < len(argv):
         if argv[i] == "--sweep-shared":
             sweep_shared = float(argv[i + 1])
+            i += 2
+        elif argv[i] == "--sweep-shared-rss":
+            sweep_shared_rss = float(argv[i + 1])
             i += 2
         else:
             positional.append(argv[i])
@@ -127,7 +135,10 @@ def main():
                   f"{verdict}")
             failed |= ratio < floor
 
-    failed |= check_sweep(baseline_all, sweep_shared, tolerance)
+    failed |= check_sweep(baseline_all, "sweep_shared_seconds", sweep_shared,
+                          "s", tolerance)
+    failed |= check_sweep(baseline_all, "sweep_shared_peak_rss_mb",
+                          sweep_shared_rss, " MB", tolerance)
 
     if serving_path is not None:
         failed |= check_serving(serving_path, baseline_all)

@@ -45,9 +45,10 @@
 #                 dispatches, then a Release pruned paper sweep: its
 #                 score CSV must be byte-identical to the reference
 #                 detector's (sweep_tool --stats) and, on jess and
-#                 db, the unpruned sweep's; its timing is
-#                 checked against the BENCH_PERF.json sweep entry
-#                 (scripts/check_perf.py --sweep-shared)
+#                 db, the unpruned sweep's; its timing and peak RSS
+#                 are checked against the BENCH_PERF.json sweep
+#                 entries (scripts/check_perf.py --sweep-shared
+#                 --sweep-shared-rss)
 #   perf:         Release perf smoke vs BENCH_PERF.json — the fast and
 #                 batch-backend detector ratios within 25% and the
 #                 serving ratio within 50% (scripts/check_perf.py);
@@ -244,7 +245,7 @@ stage_sweep_shared() {
   # (core/SharedScan.h): the differential suite must hold under both the
   # default and the forced-portable dispatch, its paper-sweep scores must
   # equal the reference detector's and the unpruned sweep's, and its wall
-  # clock must not regress.
+  # clock and peak memory must not regress.
   # The Release tree is shared with the perf stage.
   local dir="${PREFIX}-perf"
   echo "=== [sweep-shared] configure + build (Release) ==="
@@ -255,16 +256,18 @@ stage_sweep_shared() {
   echo "=== [sweep-shared] differential (OPD_SIMD=off) ==="
   OPD_SIMD=off "$dir/tests/shared_scan_test"
   echo "=== [sweep-shared] pruned paper sweep ==="
-  # Best of 2: the timing is checked against a ceiling, and the minimum
-  # is robust to a run landing in a host throttle window.
-  local best="" s t0 t1
+  # Best of 2: the timing and the peak RSS (the child's ru_maxrss) are
+  # checked against ceilings, and the minimum is robust to a run landing
+  # in a host throttle window. Four workers, as scripts/bench.sh runs
+  # them: the peak grows with the worker count (one engine arena each).
+  local best="" best_rss="" out s rss
   for _ in 1 2; do
-    t0=$(date +%s.%N)
-    "$dir/examples/sweep_tool" --preset paper --prune \
-      --workloads jess --mpls 10K > "$dir/sweep-shared.csv"
-    t1=$(date +%s.%N)
-    s=$(python3 -c "print($t1 - $t0)")
+    out=$(OPD_THREADS=4 python3 scripts/time_rss.py "$dir/sweep-shared.csv" \
+      "$dir/examples/sweep_tool" --preset paper --prune \
+      --workloads jess --mpls 10K)
+    read -r s rss <<< "$out"
     best=$(python3 -c "print(min($s, ${best:-$s}))")
+    best_rss=$(python3 -c "print(min($rss, ${best_rss:-$rss}))")
   done
   # The engine must agree with the reference detector (the --stats path)
   # on every paper-preset config's score, not only on the differential
@@ -290,7 +293,8 @@ stage_sweep_shared() {
   "$dir/examples/sweep_tool" --preset paper \
     --workloads db --mpls 10K > "$dir/sweep-db-unpruned.csv"
   cmp "$dir/sweep-db-pruned.csv" "$dir/sweep-db-unpruned.csv"
-  python3 scripts/check_perf.py --sweep-shared "$best" - BENCH_PERF.json
+  python3 scripts/check_perf.py --sweep-shared "$best" \
+    --sweep-shared-rss "$best_rss" - BENCH_PERF.json
 }
 
 stage_perf() {

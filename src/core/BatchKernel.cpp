@@ -17,7 +17,7 @@
 // and NTW < 2^32. Each roster count is a uint32_t, so every product
 // cw_i*NTW and tw_i*NCW is an exact 32x32->64 widening multiply
 // (_mm256_mul_epu32 of an interleaved-pair lane, or for the split form
-// of a zero-extended tw count, by a <2^32 total), and
+// of a zero-extended mod-2^32 difference, by a <2^32 total), and
 // the whole sum is bounded by sum_i cw_i*NTW = NCW*NTW < 2^64 — every
 // per-lane partial sum is a subset of those non-negative terms, so no
 // addition wraps and lane order cannot matter. Totals at or above 2^32
@@ -50,23 +50,26 @@ namespace {
 
 /// The tw operand of pair block \p I (four pairs from \p V) in the even
 /// 32-bit lanes: the odd lanes of \p V shifted down, or (\p Split) four
-/// counts of \p TW widened.
+/// differences \p Left - \p Prefix, taken mod 2^32 and widened.
 template <bool Split>
 __attribute__((target("avx2"))) inline __m256i
-twLanesAVX2(__m256i V, const uint32_t *TW, size_t I) {
+twLanesAVX2(__m256i V, const uint32_t *Left, const uint32_t *Prefix,
+            size_t I) {
   if constexpr (Split)
-    return _mm256_cvtepu32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(TW + I)));
+    return _mm256_cvtepu32_epi64(_mm_sub_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(Left + I)),
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(Prefix + I))));
   else
     return _mm256_srli_epi64(V, 32);
 }
 
 /// The min-sum over cw counts in the even lanes of \p Pairs and tw
-/// counts in their odd lanes, or (\p Split) densely in \p TW.
+/// counts in their odd lanes, or (\p Split) densely as \p Left -
+/// \p Prefix.
 template <bool Split>
 __attribute__((target("avx2"))) uint64_t
-minSumAVX2(const uint32_t *Pairs, const uint32_t *TW, size_t N, uint64_t NCW,
-           uint64_t NTW) {
+minSumAVX2(const uint32_t *Pairs, const uint32_t *Left,
+           const uint32_t *Prefix, size_t N, uint64_t NCW, uint64_t NTW) {
   // One 256-bit load covers four interleaved (cw, tw) pairs: the cw
   // counts sit in the even 32-bit lanes — the operand form
   // _mm256_mul_epu32 consumes directly — and a 32-bit lane shift brings
@@ -88,9 +91,11 @@ minSumAVX2(const uint32_t *Pairs, const uint32_t *TW, size_t N, uint64_t NCW,
       __m256i V1 = _mm256_loadu_si256(
           reinterpret_cast<const __m256i *>(Pairs + 2 * I + 8));
       __m256i A0 = _mm256_mul_epu32(V0, VNTW);
-      __m256i B0 = _mm256_mul_epu32(twLanesAVX2<Split>(V0, TW, I), VNCW);
+      __m256i B0 =
+          _mm256_mul_epu32(twLanesAVX2<Split>(V0, Left, Prefix, I), VNCW);
       __m256i A1 = _mm256_mul_epu32(V1, VNTW);
-      __m256i B1 = _mm256_mul_epu32(twLanesAVX2<Split>(V1, TW, I + 4), VNCW);
+      __m256i B1 = _mm256_mul_epu32(
+          twLanesAVX2<Split>(V1, Left, Prefix, I + 4), VNCW);
       Acc0 = _mm256_add_epi64(
           Acc0, _mm256_blendv_epi8(A0, B0, _mm256_cmpgt_epi64(A0, B0)));
       Acc1 = _mm256_add_epi64(
@@ -105,7 +110,8 @@ minSumAVX2(const uint32_t *Pairs, const uint32_t *TW, size_t N, uint64_t NCW,
       __m256i V = _mm256_loadu_si256(
           reinterpret_cast<const __m256i *>(Pairs + 2 * I));
       __m256i A = _mm256_mul_epu32(V, VNTW);
-      __m256i B = _mm256_mul_epu32(twLanesAVX2<Split>(V, TW, I), VNCW);
+      __m256i B =
+          _mm256_mul_epu32(twLanesAVX2<Split>(V, Left, Prefix, I), VNCW);
       __m256i AGtB = _mm256_cmpgt_epi64(_mm256_xor_si256(A, SignFlip),
                                         _mm256_xor_si256(B, SignFlip));
       Acc0 = _mm256_add_epi64(Acc0, _mm256_blendv_epi8(A, B, AGtB));
@@ -118,7 +124,9 @@ minSumAVX2(const uint32_t *Pairs, const uint32_t *TW, size_t N, uint64_t NCW,
                  static_cast<uint64_t>(_mm_extract_epi64(Fold, 1));
   for (; I != N; ++I)
     Sum += std::min(Pairs[2 * I] * NTW,
-                    (Split ? TW[I] : Pairs[2 * I + 1]) * NCW);
+                    (Split ? static_cast<uint32_t>(Left[I] - Prefix[I])
+                           : Pairs[2 * I + 1]) *
+                        NCW);
   return Sum;
 }
 
@@ -236,28 +244,31 @@ uint64_t opd::batchMinSum(const uint32_t *Pairs, size_t N, uint64_t NCW,
 #if OPD_BATCH_X86
   if (activeBatchBackend() == BatchBackend::AVX2 && (NCW >> 32) == 0 &&
       (NTW >> 32) == 0)
-    return minSumAVX2<false>(Pairs, nullptr, N, NCW, NTW);
+    return minSumAVX2<false>(Pairs, nullptr, nullptr, N, NCW, NTW);
 #endif
   return batchMinSumPortable(Pairs, N, NCW, NTW);
 }
 
 uint64_t opd::batchMinSumSplitPortable(const uint32_t *CWPairs,
-                                       const uint32_t *TW, size_t N,
+                                       const uint32_t *Left,
+                                       const uint32_t *Prefix, size_t N,
                                        uint64_t NCW, uint64_t NTW) {
   uint64_t Sum = 0;
   for (size_t I = 0; I != N; ++I)
-    Sum += std::min(CWPairs[2 * I] * NTW, TW[I] * NCW);
+    Sum += std::min(CWPairs[2 * I] * NTW,
+                    static_cast<uint32_t>(Left[I] - Prefix[I]) * NCW);
   return Sum;
 }
 
-uint64_t opd::batchMinSumSplit(const uint32_t *CWPairs, const uint32_t *TW,
-                               size_t N, uint64_t NCW, uint64_t NTW) {
+uint64_t opd::batchMinSumSplit(const uint32_t *CWPairs, const uint32_t *Left,
+                               const uint32_t *Prefix, size_t N, uint64_t NCW,
+                               uint64_t NTW) {
 #if OPD_BATCH_X86
   if (activeBatchBackend() == BatchBackend::AVX2 && (NCW >> 32) == 0 &&
       (NTW >> 32) == 0)
-    return minSumAVX2<true>(CWPairs, TW, N, NCW, NTW);
+    return minSumAVX2<true>(CWPairs, Left, Prefix, N, NCW, NTW);
 #endif
-  return batchMinSumSplitPortable(CWPairs, TW, N, NCW, NTW);
+  return batchMinSumSplitPortable(CWPairs, Left, Prefix, N, NCW, NTW);
 }
 
 uint64_t opd::batchRightmostNoisyPortable(const uint32_t *Counts,

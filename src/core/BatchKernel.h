@@ -99,18 +99,23 @@ uint64_t batchMinSum(const uint32_t *Pairs, size_t N, uint64_t NCW,
 uint64_t batchMinSumPortable(const uint32_t *Pairs, size_t N, uint64_t NCW,
                              uint64_t NTW);
 
-/// batchMinSum with the tw counts taken from \p TW[i] instead of the odd
-/// lanes: sum over i < N of min(CWPairs[2i]*NTW, TW[i]*NCW), mod 2^64.
-/// The shared-scan engine's attached shards keep their own TW counts
-/// against a kernel's roster (core/SharedScan.cpp). Same dispatch and
-/// exactness guard as batchMinSum.
-uint64_t batchMinSumSplit(const uint32_t *CWPairs, const uint32_t *TW,
-                          size_t N, uint64_t NCW, uint64_t NTW);
+/// batchMinSum with the tw counts taken as Left[i] - Prefix[i] (uint32
+/// arithmetic, mod 2^32) instead of the odd lanes: sum over i < N of
+/// min(CWPairs[2i]*NTW, uint32(Left[i] - Prefix[i])*NCW), mod 2^64. The
+/// shared-scan engine's attached shards hold their TW as a prefix
+/// snapshot against the group's running counts (core/SharedScan.cpp);
+/// the difference is exact whenever the true tw count is below 2^32,
+/// even where Left has wrapped below Prefix. Same dispatch and exactness
+/// guard as batchMinSum.
+uint64_t batchMinSumSplit(const uint32_t *CWPairs, const uint32_t *Left,
+                          const uint32_t *Prefix, size_t N, uint64_t NCW,
+                          uint64_t NTW);
 
 /// batchMinSumSplit pinned to the portable scalar loop.
 uint64_t batchMinSumSplitPortable(const uint32_t *CWPairs,
-                                  const uint32_t *TW, size_t N, uint64_t NCW,
-                                  uint64_t NTW);
+                                  const uint32_t *Left,
+                                  const uint32_t *Prefix, size_t N,
+                                  uint64_t NCW, uint64_t NTW);
 
 /// RightmostNoisy anchor scan: 1 + the largest I < N with
 /// Counts[Elements[I]] == 0, or 0 when every element's count is nonzero

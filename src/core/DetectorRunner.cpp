@@ -23,17 +23,11 @@ void opd::runDetector(OnlineDetector &Detector, const BranchTrace &Trace,
   Detector.reset();
   Run.clear();
   const std::vector<SiteIndex> &Elements = Trace.elements();
-  size_t Batch = Detector.batchSize();
-  assert(Batch > 0 && "batch size must be positive");
+  assert(Detector.batchSize() > 0 && "batch size must be positive");
 
-  // Size the output for the worst case (a state flip at every batch),
-  // capped so degenerate skip=1 runs on huge traces don't commit tens of
-  // megabytes up front — append() grows past the cap normally.
-  size_t NumBatches = Elements.empty() ? 0 : (Elements.size() - 1) / Batch + 1;
-  Run.States.reserveRuns(std::min<size_t>(NumBatches, 1 << 16));
-
+  // Output-sized storage: a reused Run keeps its capacity, a fresh one
+  // grows to the runs the trace actually produces.
   std::vector<uint64_t> AnchoredStarts;
-  AnchoredStarts.reserve(std::min<size_t>(NumBatches / 2 + 1, 1 << 12));
   Detector.consumeTrace(Elements.data(), Elements.size(), Run.States,
                         AnchoredStarts);
 

@@ -85,16 +85,22 @@ namespace {
 // entry costs one array copy and zero allocations after warmup.
 //===----------------------------------------------------------------------===//
 
-/// A trailing window's counts kept apart from a kernel and read against
-/// that kernel's CW: the shared-scan engine's attached shards (core/
-/// SharedScan.cpp), whose CW is the group window's. Counts sit at the
+/// A trailing window kept apart from a kernel and read against that
+/// kernel's CW: the shared-scan engine's attached shards (core/
+/// SharedScan.cpp), whose CW is the group window's. The window is
+/// E[Base, q) for the q at which the kernel's CW starts, held as a
+/// prefix snapshot: Prefix counts E[0, Base), and the caller's running
+/// vector Left counts E[0, q), so the TW counts are Left - Prefix. That
+/// uint32 difference is exact mod 2^32 even where Left has wrapped,
+/// since every true TW count is below 2^32. Both vectors sit at the
 /// indices the kernel's attachedIndex() gives, and a read is the
-/// kernel's own similarity formula over its CW counts and these. The
-/// last exact read is memoized against NTW, which rises by one with
-/// every element the window takes.
+/// kernel's own similarity formula over its CW counts and Left -
+/// Prefix. The last exact read is memoized against NTW, which rises by
+/// one with every element the window takes.
 struct AttachedTW {
-  /// Per-index TW counts; every entry is zero while no window is held.
-  std::vector<uint32_t> Counts;
+  /// Per-index prefix counts; every entry is zero while no window is
+  /// held.
+  std::vector<uint32_t> Prefix;
   /// The TW length.
   uint64_t NTW = 0;
   /// The NTW of the memoized exact read (UINT64_MAX: none yet).
@@ -136,19 +142,21 @@ public:
   size_t attachedSize() const { return TWCounts.size(); }
   OPD_FORCE_INLINE static uint32_t attachedIndex(SiteIndex S) { return S; }
 
-  /// Makes \p A hold this kernel's TW. \p A must be cleared; every site
-  /// in a window since reset() is in TouchedSites.
-  void attachTW(AttachedTW &A) const {
+  /// Makes \p A hold this kernel's TW against running counts \p Left of
+  /// everything before this CW. \p A must be cleared; every site in a
+  /// window since reset() is in TouchedSites.
+  void attachTW(AttachedTW &A, const uint32_t *Left) const {
     for (SiteIndex S : TouchedSites)
-      A.Counts[S] = TWCounts[S];
+      A.Prefix[S] = Left[S] - TWCounts[S];
     A.NTW = NTW;
     A.ExactNTW = UINT64_MAX;
   }
 
-  /// Zeroes every count \p A took since this kernel's reset().
-  void clearAttached(AttachedTW &A) const {
+  /// Zeroes every entry of \p Counts (AttachedTW layout) that can have
+  /// moved since this kernel's reset().
+  void clearAttached(std::vector<uint32_t> &Counts) const {
     for (SiteIndex S : TouchedSites)
-      A.Counts[S] = 0;
+      Counts[S] = 0;
   }
 
 protected:
@@ -264,15 +272,16 @@ public:
     return similarity() >= T;
   }
 
-  /// similarity() with \p A's TW in place of this kernel's: the sites in
-  /// both windows are counted afresh (one branch-free pass over the
-  /// sites), since the CW moves under \p A.
-  OPD_FORCE_INLINE double attachedSimilarity(AttachedTW &A) const {
+  /// similarity() with \p A's TW (against \p Left) in place of this
+  /// kernel's: the sites in both windows are counted afresh (one
+  /// branch-free pass over the sites), since the CW moves under \p A.
+  OPD_FORCE_INLINE double attachedSimilarity(AttachedTW &A,
+                                             const uint32_t *Left) const {
     if (A.ExactNTW != A.NTW) {
-      const uint32_t *TW = A.Counts.data();
+      const uint32_t *Prefix = A.Prefix.data();
       uint32_t Both = 0;
       for (size_t S = 0, E = CWCounts.size(); S != E; ++S)
-        Both += (CWCounts[S] != 0) & (TW[S] != 0);
+        Both += (CWCounts[S] != 0) & (Left[S] != Prefix[S]);
       A.ExactSum = Both;
       A.ExactSim = similarityOf(Both);
       A.ExactNTW = A.NTW;
@@ -289,6 +298,7 @@ public:
   /// steps it lies in [Both - K, Both + 2K]. similarityOf() is monotone
   /// in the count, so a bound on the same side of T decides.
   OPD_FORCE_INLINE bool attachedSimilarityAtLeast(AttachedTW &A,
+                                                  const uint32_t *Left,
                                                   double T) const {
     if (A.ExactNTW < A.NTW) {
       uint64_t K = A.NTW - A.ExactNTW;
@@ -297,7 +307,7 @@ public:
       if (!(similarityOf(A.ExactSum + 2 * K) >= T))
         return false;
     }
-    return attachedSimilarity(A) >= T;
+    return attachedSimilarity(A, Left) >= T;
   }
 
 private:
@@ -578,32 +588,36 @@ public:
     return Slot[S];
   }
 
-  /// Makes \p A hold this kernel's TW. \p A must be cleared.
-  void attachTW(AttachedTW &A) const {
+  /// Makes \p A hold this kernel's TW against running counts \p Left of
+  /// everything before this CW. \p A must be cleared.
+  void attachTW(AttachedTW &A, const uint32_t *Left) const {
     for (uint32_t I = 0; I != RosterSize; ++I)
-      A.Counts[I] = twAt(I);
+      A.Prefix[I] = Left[I] - twAt(I);
     A.NTW = NTW;
     A.ExactNTW = UINT64_MAX;
   }
 
-  /// Zeroes every count \p A took since this kernel's reset(): sites
-  /// enrolled later get slots past the roster, whose counts stay zero.
-  void clearAttached(AttachedTW &A) const {
-    std::fill_n(A.Counts.begin(), RosterSize, 0u);
+  /// Zeroes every entry of \p Counts (AttachedTW layout) that can have
+  /// moved since this kernel's reset(): sites enrolled later get slots
+  /// past the roster, whose entries stay zero.
+  void clearAttached(std::vector<uint32_t> &Counts) const {
+    std::fill_n(Counts.begin(), RosterSize, 0u);
   }
 
-  /// similarity() with \p A's TW in place of this kernel's: the exact
-  /// MinSum over this CW and \p A's counts, divided as similarity() does.
-  OPD_FORCE_INLINE double attachedSimilarity(AttachedTW &A) const {
+  /// similarity() with \p A's TW (against \p Left) in place of this
+  /// kernel's: the exact MinSum over this CW and \p A's counts, divided
+  /// as similarity() does.
+  OPD_FORCE_INLINE double attachedSimilarity(AttachedTW &A,
+                                             const uint32_t *Left) const {
     if (NCW == 0 || A.NTW == 0)
       return 0.0;
     if (A.ExactNTW != A.NTW) {
       A.ExactSum =
           BatchEnabled
-              ? batchMinSumSplit(RosterCounts.data(), A.Counts.data(),
+              ? batchMinSumSplit(RosterCounts.data(), Left, A.Prefix.data(),
                                  RosterSize, NCW, A.NTW)
-              : batchMinSumSplitPortable(RosterCounts.data(),
-                                         A.Counts.data(), RosterSize, NCW,
+              : batchMinSumSplitPortable(RosterCounts.data(), Left,
+                                         A.Prefix.data(), RosterSize, NCW,
                                          A.NTW);
       A.ExactSim = static_cast<double>(A.ExactSum) /
                    (static_cast<double>(NCW) * static_cast<double>(A.NTW));
@@ -626,9 +640,10 @@ public:
   /// envelope is sound, so it decides like similarityAtLeast()'s;
   /// outside it the exact read decides.
   OPD_FORCE_INLINE bool attachedSimilarityAtLeast(AttachedTW &A,
+                                                  const uint32_t *Left,
                                                   double T) const {
     if (NCW == 0 || A.NTW == 0)
-      return attachedSimilarity(A) >= T;
+      return attachedSimilarity(A, Left) >= T;
     double D = static_cast<double>(NCW) * static_cast<double>(A.NTW);
     if (A.ExactNTW < A.NTW) {
       uint64_t K = A.NTW - A.ExactNTW;
@@ -642,7 +657,7 @@ public:
       if (boundsDecide(Lo, saturatingAdd(A.ExactSum, Up), D, T, AtLeast))
         return AtLeast;
     }
-    attachedSimilarity(A);
+    attachedSimilarity(A, Left);
     return exactAtLeast(A.ExactSum, D, T);
   }
 
@@ -841,32 +856,39 @@ public:
   }
 
   OPD_FORCE_INLINE double similarity() {
-    return similarityWith(TWCounts.data(), NTW);
+    const uint32_t *TW = TWCounts.data();
+    return similarityWith(NTW, [TW](SiteIndex S) { return TW[S]; });
   }
 
   OPD_FORCE_INLINE bool similarityAtLeast(double T) {
     return similarity() >= T;
   }
 
-  /// similarity() with \p A's TW in place of this kernel's.
-  OPD_FORCE_INLINE double attachedSimilarity(AttachedTW &A) const {
+  /// similarity() with \p A's TW (against \p Left) in place of this
+  /// kernel's.
+  OPD_FORCE_INLINE double attachedSimilarity(AttachedTW &A,
+                                             const uint32_t *Left) const {
     if (A.ExactNTW != A.NTW) {
-      A.ExactSim = similarityWith(A.Counts.data(), A.NTW);
+      const uint32_t *Prefix = A.Prefix.data();
+      A.ExactSim = similarityWith(
+          A.NTW, [Left, Prefix](SiteIndex S) { return Left[S] - Prefix[S]; });
       A.ExactNTW = A.NTW;
     }
     return A.ExactSim;
   }
 
   OPD_FORCE_INLINE bool attachedSimilarityAtLeast(AttachedTW &A,
+                                                  const uint32_t *Left,
                                                   double T) const {
-    return attachedSimilarity(A) >= T;
+    return attachedSimilarity(A, Left) >= T;
   }
 
 private:
-  /// The similarity of this kernel's CW against TW counts \p TW totalling
-  /// \p TWTotal.
-  OPD_FORCE_INLINE double similarityWith(const uint32_t *TW,
-                                         uint64_t TWTotal) const {
+  /// The similarity of this kernel's CW against the TW whose count at
+  /// site S is \p TWCount(S), totalling \p TWTotal.
+  template <typename CountFn>
+  OPD_FORCE_INLINE double similarityWith(uint64_t TWTotal,
+                                         CountFn TWCount) const {
     if (NCW == 0 || TWTotal == 0)
       return 0.0;
     double Distance = 0.0;
@@ -874,7 +896,7 @@ private:
     double InvTW = 1.0 / static_cast<double>(TWTotal);
     for (SiteIndex S = 0, E = numSites(); S != E; ++S) {
       double Diff = static_cast<double>(CWCounts[S]) * InvCW -
-                    static_cast<double>(TW[S]) * InvTW;
+                    static_cast<double>(TWCount(S)) * InvTW;
       Distance += Diff < 0 ? -Diff : Diff;
     }
     return 1.0 - Distance / 2.0;

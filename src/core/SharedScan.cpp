@@ -48,21 +48,29 @@
 //     TWLen>0 && CWLen>0, which the shard checks before each decision.
 //
 //     From FullAt on the shard's CW is the group window's CW [p-CW, p)
-//     at every position the scan reaches, so the shard is *attached*:
-//     it keeps only its TW counts, built at attachment from the group
-//     TW (AttachedTW in core/FastKernels.h), and a step from p to p+1 is
-//     one count for E[p-CW], the element the CW hands over. A read is
-//     the kernel's own formula over the group CW counts and these TW
-//     counts: the unweighted sites-in-both count, the weighted MinSum
-//     (batchMinSumSplit, the same integer sum), Manhattan's ascending
-//     loop. Every kernel decision is a function of those two count
-//     vectors (the SharedScanTest path-independence property), so
-//     reads match the per-config model's bit for bit. The weighted
-//     Threshold decision also keeps the kernel's deferral: NCW is fixed
-//     and every step is the model's cwReplace then twAdd, so the
-//     per-operation widenings of the MinSum envelope sum, over the K
-//     steps since the last exact read, to a closed form in K and the
-//     TW length then (FastWeightedSetKernel::attachedSimilarityAtLeast).
+//     at every position the scan reaches, so the shard is *attached*,
+//     and its TW [Base, p-CW) is a difference of two prefixes of the
+//     trace. The engine keeps one count vector per group, Left = the
+//     counts of E[0, p-CW) (one increment per position, for the element
+//     the group CW hands over), and at attachment the shard stores the
+//     snapshot P = counts of E[0, Base) (AttachedTW in core/
+//     FastKernels.h: Left minus its TW counts, built from the group TW).
+//     Its TW counts at any later p are then Left - P, exactly: each is
+//     below 2^32, the bound the counts carry, so the uint32 difference
+//     is right even where Left has wrapped. The shard's own step from p
+//     to p+1 is only its TW length. A read is the kernel's own formula
+//     over the group CW counts and Left - P: the unweighted
+//     sites-in-both count ((c != 0) & (Left != P)), the weighted MinSum
+//     (batchMinSumSplit over Left and P, the same integer sum),
+//     Manhattan's ascending loop over Left[s] - P[s]. Every kernel
+//     decision is a function of those two count vectors (the
+//     SharedScanTest path-independence property), so reads match the
+//     per-config model's bit for bit. The weighted Threshold decision
+//     also keeps the kernel's deferral: NCW is fixed and every step is
+//     the model's cwReplace then twAdd, so the per-operation widenings
+//     of the MinSum envelope sum, over the K steps since the last exact
+//     read, to a closed form in K and the TW length then
+//     (FastWeightedSetKernel::attachedSimilarityAtLeast).
 //     The envelope is sound whether or not a step's operations moved
 //     anything, so a decision it settles is the exact one; only the
 //     recompute schedule differs, never a decision. The unweighted
@@ -193,10 +201,11 @@ class SharedScanEngine final : public SharedScanEngineBase {
   /// CWLen) and CW = [p - CWLen, p); the TW grows while the phase is
   /// open, so Base never moves, and a shard's identity is (Base, its CW
   /// length at a position): see findShard. From FullAt on the CW is the
-  /// group window's, and the shard is **attached**: it keeps only its TW
-  /// counts, read against the group window's CW, and takes one count
-  /// per element. Before FullAt (a Slide resize moved CW elements into
-  /// the TW, and the CW is refilling) it keeps detached windows.
+  /// group window's, and the shard is **attached**: it keeps only the
+  /// counts of E[0, Base), and its TW counts are the group's Left minus
+  /// those, read against the group window's CW; an advance is no
+  /// per-element work. Before FullAt (a Slide resize moved CW elements
+  /// into the TW, and the CW is refilling) it keeps detached windows.
   struct Shard {
     /// The TW start, fixed while the phase is open.
     uint64_t Base = 0;
@@ -206,7 +215,8 @@ class SharedScanEngine final : public SharedScanEngineBase {
     /// The position the shard was last advanced to; it is attached iff
     /// LastPos >= FullAt.
     uint64_t LastPos = 0;
-    /// Attached: the TW counts (all zero while the shard is free).
+    /// Attached: the TW as a prefix snapshot against Left (all zero
+    /// while the shard is free).
     AttachedTW TW;
     /// Refilling: the detached windows over the trace (assignment reuses
     /// the kernel's arrays).
@@ -219,7 +229,7 @@ class SharedScanEngine final : public SharedScanEngineBase {
     uint32_t Refs = 0;
 
     explicit Shard(SiteIndex NumSites) : W{Kernel(NumSites)} {
-      TW.Counts.assign(W.K.attachedSize(), 0);
+      TW.Prefix.assign(W.K.attachedSize(), 0);
     }
     bool attached() const { return LastPos >= FullAt; }
   };
@@ -314,7 +324,8 @@ class SharedScanEngine final : public SharedScanEngineBase {
 
 public:
   explicit SharedScanEngine(SiteIndex NumSites)
-      : Shared{Kernel(NumSites)}, Sites(NumSites) {}
+      : Shared{Kernel(NumSites)}, Sites(NumSites),
+        Left(Shared.K.attachedSize(), 0) {}
 
   void setBatchKernels(bool Enabled) override {
     Shared.K.setBatchEnabled(Enabled);
@@ -326,7 +337,7 @@ public:
            size_t NumElements, std::vector<DetectorRun> &Runs) override {
     assert(!Members.empty() && "shared scan group must be nonempty");
     assert(Runs.size() >= Members.size() && "one output run per member");
-    setupGroup(Configs, Members, Runs, NumElements);
+    setupGroup(Configs, Members, Runs);
     Counters = SharedScanCounters();
     this->Elements = Elements;
     this->NumElements = NumElements;
@@ -340,6 +351,8 @@ public:
         Target = std::min<uint64_t>(Target, B.NextEval);
       assert(Target > Pos && "evaluation positions must advance");
       Shared.advance(Elements, Target - Pos, CW, TW, /*Grow=*/false);
+      if (CountLeft)
+        countLeft(Pos, Target);
       Pos = Target;
       for (Bucket &B : buckets()) {
         if (B.NextEval != Pos)
@@ -374,12 +387,13 @@ public:
         releaseShard(C.Sh);
       C.Sh = nullptr;
     }
+    Shared.K.clearAttached(Left);
   }
 
 private:
   void setupGroup(const std::vector<DetectorConfig> &Configs,
                   const std::vector<size_t> &Members,
-                  std::vector<DetectorRun> &Runs, size_t NumElements) {
+                  std::vector<DetectorRun> &Runs) {
     const DetectorConfig &First = Configs[Members.front()];
     assert(First.Model == M && "config does not match this engine's model");
     CW = First.Window.CWSize;
@@ -395,6 +409,7 @@ private:
     Cursors.clear();
     Cursors.reserve(Members.size());
     NumBuckets = 0;
+    CountLeft = false;
     if (AnchoredPool.size() < Members.size())
       AnchoredPool.resize(Members.size());
 
@@ -416,13 +431,9 @@ private:
       C.ResyncAt = static_cast<uint64_t>(CW) + TW;
       C.Run = &Runs[I];
       C.Run->clear();
-      // Mirror runDetector's worst-case reservation (a flip per batch).
-      size_t NumBatches =
-          NumElements == 0 ? 0 : (NumElements - 1) / C.Skip + 1;
-      C.Run->States.reserveRuns(std::min<size_t>(NumBatches, 1 << 16));
       C.Anchored = &AnchoredPool[I];
       C.Anchored->clear();
-      C.Anchored->reserve(std::min<size_t>(NumBatches / 2 + 1, 1 << 12));
+      CountLeft |= C.Policy == TWPolicyKind::Adaptive;
 
       // Within the reservation above: cohorts, sleepers and Solo hold
       // pointers into Cursors.
@@ -540,19 +551,31 @@ private:
     return S;
   }
 
-  /// Makes \p S attached at \p N, its CW the group window's: its TW
-  /// [Base, N - CW) is the group TW [N - CW - TW, N - CW) with the
-  /// elements before Base taken out, or those from Base on put in.
+  /// Makes \p S attached at \p N, its CW the group window's. Left
+  /// minus the group TW counts E[0, N - CW - TW); the elements from
+  /// there to Base are put in, or those from Base on taken out, which
+  /// gives the snapshot of E[0, Base): the shard's TW [Base, N - CW) is
+  /// Left minus it.
   void attach(Shard &S, uint64_t N) {
     assert(Shared.end() == N && Shared.TWLen == TW && "window not full yet");
-    Shared.K.attachTW(S.TW);
-    uint32_t *Counts = S.TW.Counts.data();
+    assert(CountLeft && "only adaptive cursors open shards");
+    Shared.K.attachTW(S.TW, Left.data());
+    uint32_t *Prefix = S.TW.Prefix.data();
     for (uint64_t Q = Shared.Base; Q < S.Base; ++Q)
-      --Counts[Shared.K.attachedIndex(Elements[Q])];
+      ++Prefix[Shared.K.attachedIndex(Elements[Q])];
     for (uint64_t Q = S.Base; Q < Shared.Base; ++Q)
-      ++Counts[Shared.K.attachedIndex(Elements[Q])];
+      --Prefix[Shared.K.attachedIndex(Elements[Q])];
     S.TW.NTW = N - CW - S.Base;
     S.LastPos = N;
+  }
+
+  /// Counts into Left the elements that left the group CW as the scan
+  /// moved from \p From to \p To: Left holds E[0, To - CW) after.
+  void countLeft(uint64_t From, uint64_t To) {
+    uint32_t *L = Left.data();
+    for (uint64_t Q = From > CW ? From - CW : 0, E = To > CW ? To - CW : 0;
+         Q < E; ++Q)
+      ++L[Shared.K.attachedIndex(Elements[Q])];
   }
 
   /// Drops \p Count references to \p S, freeing it at zero.
@@ -565,7 +588,7 @@ private:
       releaseShard(S->Into);
       S->Into = nullptr;
     }
-    Shared.K.clearAttached(S->TW);
+    Shared.K.clearAttached(S->TW.Prefix);
     // Swap-erase: shards are independent, order is irrelevant.
     auto It = std::find(ActiveShards.begin(), ActiveShards.end(), S);
     assert(It != ActiveShards.end() && "released shard not active");
@@ -576,18 +599,14 @@ private:
 
   /// Advances \p S to position \p N with the in-phase consume, which
   /// grows the TW by the element leaving the CW at every position. An
-  /// attached shard's CW is the group window's, already at \p N, so each
-  /// of its steps is one count: the element E[p - CW] leaving the CW.
+  /// attached shard's CW is the group window's and its TW is read off
+  /// Left, both already at \p N, so only its TW length moves.
   OPD_FORCE_INLINE void advanceShard(Shard &S, uint64_t N) {
     Counters.ShardSteps += N - S.LastPos;
     if (!S.attached()) {
       refill(S, N);
       return;
     }
-    uint32_t *Counts = S.TW.Counts.data();
-    const SiteIndex *Out = Elements + (S.LastPos - CW);
-    for (uint64_t J = 0, E = N - S.LastPos; J != E; ++J)
-      ++Counts[Shared.K.attachedIndex(Out[J])];
     S.TW.NTW += N - S.LastPos;
     S.LastPos = N;
   }
@@ -825,7 +844,7 @@ private:
 
   /// The similarity of shard \p S, advanced to the scan position.
   OPD_FORCE_INLINE double shardSim(Shard &S) {
-    return S.attached() ? Shared.K.attachedSimilarity(S.TW)
+    return S.attached() ? Shared.K.attachedSimilarity(S.TW, Left.data())
                         : S.W.K.similarity();
   }
 
@@ -833,8 +852,9 @@ private:
   /// the kernel-side decision, whose envelope defers the dirty
   /// recomputes the raw similarity would force.
   OPD_FORCE_INLINE bool shardAtLeast(Shard &S, double T) {
-    return S.attached() ? Shared.K.attachedSimilarityAtLeast(S.TW, T)
-                        : S.W.K.similarityAtLeast(T);
+    return S.attached()
+               ? Shared.K.attachedSimilarityAtLeast(S.TW, Left.data(), T)
+               : S.W.K.similarityAtLeast(T);
   }
 
   /// The state a Threshold or Average evaluation at \p N decides off
@@ -971,6 +991,12 @@ private:
   SiteIndex Sites;
   uint64_t CW = 0;
   uint64_t TW = 0;
+  /// The counts of E[0, p - CW), the elements that have left the group
+  /// CW by scan position p (AttachedTW layout): attached shards read
+  /// their TW off it. Kept only while the group has an adaptive cursor
+  /// (CountLeft), and zero between runs.
+  std::vector<uint32_t> Left;
+  bool CountLeft = false;
 
   // The trace being scanned (valid during run()).
   const SiteIndex *Elements = nullptr;

@@ -39,12 +39,16 @@
 ///    moves. Once its CW is full (at entry for a Move resize; after a
 ///    Slide resize, once the CWSize - min(A, CWSize) elements left in
 ///    the CW have grown back to CWSize) that CW is exactly the group
-///    window's, so the shard is **attached**: it stores Base and its own
-///    TW counts, reads them against the group window's CW counts, and
-///    takes one count increment per element (the element leaving the
-///    CW). Only a Slide shard before its refill keeps detached windows,
-///    a KernelWindows (core/FastKernels.h) copied from the group
-///    window and resized per the anchor. Every kernel's similarity()
+///    window's, so the shard is **attached**: its TW [Base, p - CWSize)
+///    is a difference of two trace prefixes. The group keeps one count
+///    vector of E[0, p - CWSize), the elements that have left its CW
+///    (one increment per position), and an attached shard stores only
+///    the snapshot of E[0, Base) it took at attachment: its TW counts
+///    are the difference, read against the group window's CW counts,
+///    and advancing it does no per-element work. Only a Slide shard
+///    before its refill keeps detached windows, a KernelWindows
+///    (core/FastKernels.h) copied from the group window and resized per
+///    the anchor. Every kernel's similarity()
 ///    and similarityAtLeast() is a function of the two count vectors
 ///    (unweighted distinct counts, the weighted MinSum recomputed
 ///    exactly, Manhattan's full ascending loop), whatever sequence of
@@ -63,7 +67,8 @@
 ///    two shards with one Base converge. On the paper sweep over jess
 ///    this cuts shard element-steps from 748M (shards keyed by entry
 ///    position, anchor value and resize policy) to about 309M, 97% of
-///    them on attached shards.
+///    them on attached shards, which the prefix counts make free: about
+///    25M group increments (one per position per group) replace them.
 ///
 /// Cursors with the same skip stride evaluate in lockstep (one stride
 /// bucket), so the shared window advances through the trace in tight
@@ -183,8 +188,10 @@ struct SharedScanCounters {
   /// live shard, so forks and joins could move too; on the jess paper
   /// sweep they equal a cursor-by-cursor order's.)
   uint64_t RefillMerges = 0;
-  /// Elements consumed by shards, summed over every shard (an attached
-  /// shard consumes one per position with a single count increment).
+  /// Elements consumed by shards, summed over every shard: the growth
+  /// of their TWs. An attached shard's element costs no work (its TW is
+  /// read off the group's prefix counts), so this counts the windows'
+  /// growth, not increments.
   uint64_t ShardSteps = 0;
   /// Full per-cursor evaluations: each flip out of a cohort, each
   /// evaluation of a Hysteresis or non-finite-parameter cursor, and every

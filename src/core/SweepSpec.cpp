@@ -7,10 +7,25 @@
 
 #include "core/SweepSpec.h"
 
+#include <cassert>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
 using namespace opd;
+
+namespace {
+
+/// The TW size CW * TWFactor, multiplied in 64 bits. A spec whose product
+/// passes UINT32_MAX has no such window; its builder must reject it
+/// (buildSweepSpec in examples/ToolCommon.h does).
+uint32_t twSize(uint32_t CW, uint32_t TWFactor) {
+  uint64_t TW = uint64_t(CW) * TWFactor;
+  assert(TW <= UINT32_MAX && "TW size past uint32_t");
+  return static_cast<uint32_t>(TW);
+}
+
+} // namespace
 
 std::vector<AnalyzerSpec> opd::paperAnalyzers() {
   return {
@@ -52,7 +67,7 @@ std::vector<DetectorConfig> opd::enumerateConfigs(const SweepSpec &Spec) {
             for (uint32_t Skip : Spec.SkipFactors) {
               WindowConfig W;
               W.CWSize = CW;
-              W.TWSize = CW * TWFactor;
+              W.TWSize = twSize(CW, TWFactor);
               W.SkipFactor = Skip;
               W.TWPolicy = Policy;
               if (Policy == TWPolicyKind::Adaptive) {
@@ -72,7 +87,7 @@ std::vector<DetectorConfig> opd::enumerateConfigs(const SweepSpec &Spec) {
           if (Spec.IncludeFixedInterval) {
             WindowConfig W;
             W.CWSize = CW;
-            W.TWSize = CW * TWFactor;
+            W.TWSize = twSize(CW, TWFactor);
             W.SkipFactor = CW;
             W.TWPolicy = TWPolicyKind::Constant;
             addConfig(W, M, A);
@@ -105,7 +120,7 @@ opd::enumerateCrossProduct(const SweepSpec &Spec) {
             for (ResizeKind Resize : Spec.Resizes) {
               WindowConfig W;
               W.CWSize = CW;
-              W.TWSize = CW * TWFactor;
+              W.TWSize = twSize(CW, TWFactor);
               W.Anchor = Anchor;
               W.Resize = Resize;
               for (TWPolicyKind Policy : Spec.TWPolicies) {

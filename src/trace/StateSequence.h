@@ -81,9 +81,6 @@ public:
     Total = 0;
   }
 
-  /// Reserves storage for \p N maximal runs.
-  void reserveRuns(size_t N) { Runs.reserve(N); }
-
   /// The maximal runs in offset order.
   const std::vector<StateRun> &runs() const { return Runs; }
 

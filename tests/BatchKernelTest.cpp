@@ -164,25 +164,28 @@ TEST(BatchKernelMinSumTest, MatchesNaiveAcrossTailSizesOnEveryBackend) {
     std::vector<uint32_t> Pairs(2 * N);
     for (uint32_t &P : Pairs)
       P = Count(Rng);
-    // The split form reads the tw counts from their own array; the odd
-    // lanes of its pair array hold noise it must not read.
-    std::vector<uint32_t> CWPairs = Pairs, TW(N);
+    // The split form reads the tw counts as Left - Prefix from their own
+    // arrays; the odd lanes of its pair array hold noise it must not
+    // read.
+    std::vector<uint32_t> CWPairs = Pairs, Left(N), Prefix(N);
     for (size_t I = 0; I != N; ++I) {
-      TW[I] = Pairs[2 * I + 1];
+      Prefix[I] = Count(Rng);
+      Left[I] = Pairs[2 * I + 1] + Prefix[I];
       CWPairs[2 * I + 1] = Count(Rng);
     }
     for (uint64_t NCW : {0ull, 1ull, 4999ull, 1000000ull})
       for (uint64_t NTW : {0ull, 3ull, 5001ull}) {
         uint64_t Expected = naiveMinSum(Pairs, NCW, NTW);
         ASSERT_EQ(batchMinSumPortable(Pairs.data(), N, NCW, NTW), Expected);
-        ASSERT_EQ(batchMinSumSplitPortable(CWPairs.data(), TW.data(), N, NCW,
-                                           NTW),
+        ASSERT_EQ(batchMinSumSplitPortable(CWPairs.data(), Left.data(),
+                                           Prefix.data(), N, NCW, NTW),
                   Expected);
         for (BatchBackend B : runnableBackends()) {
           ASSERT_TRUE(setBatchBackend(B));
           ASSERT_EQ(batchMinSum(Pairs.data(), N, NCW, NTW), Expected)
               << "N=" << N << " backend=" << batchBackendName(B);
-          ASSERT_EQ(batchMinSumSplit(CWPairs.data(), TW.data(), N, NCW, NTW),
+          ASSERT_EQ(batchMinSumSplit(CWPairs.data(), Left.data(),
+                                     Prefix.data(), N, NCW, NTW),
                     Expected)
               << "N=" << N << " backend=" << batchBackendName(B);
         }
@@ -202,7 +205,7 @@ TEST(BatchKernelMinSumTest, LaneSaturatingValuesStayExact) {
     Pairs[2 * I] = UINT32_MAX - static_cast<uint32_t>(I);
     Pairs[2 * I + 1] = static_cast<uint32_t>(I * 97 + 1);
   }
-  std::vector<uint32_t> TW(21);
+  std::vector<uint32_t> TW(21), Zero(21, 0);
   for (size_t I = 0; I != 21; ++I)
     TW[I] = Pairs[2 * I + 1];
   uint64_t Expected = naiveMinSum(Pairs, Total, Total - 2);
@@ -210,9 +213,49 @@ TEST(BatchKernelMinSumTest, LaneSaturatingValuesStayExact) {
     ASSERT_TRUE(setBatchBackend(B));
     ASSERT_EQ(batchMinSum(Pairs.data(), 21, Total, Total - 2), Expected)
         << batchBackendName(B);
-    ASSERT_EQ(batchMinSumSplit(Pairs.data(), TW.data(), 21, Total, Total - 2),
+    ASSERT_EQ(batchMinSumSplit(Pairs.data(), TW.data(), Zero.data(), 21,
+                               Total, Total - 2),
               Expected)
         << batchBackendName(B);
+  }
+}
+
+TEST(BatchKernelMinSumTest, SplitFormTakesTheDifferenceModulo2To32) {
+  BackendGuard Guard;
+  // Attached shards read their tw counts as Left - Prefix, where Left is
+  // a running count that may have wrapped past 2^32 while Prefix, an
+  // older snapshot of it, has not: numerically Left < Prefix, and only
+  // the uint32 difference is the count. Every lane below wraps so.
+  std::mt19937 Rng(11);
+  std::uniform_int_distribution<uint32_t> Count(8, 5000);
+  for (size_t N : {1u, 3u, 4u, 7u, 8u, 9u, 13u, 16u, 37u, 100u}) {
+    std::vector<uint32_t> Pairs(2 * N), Left(N), Prefix(N), TW(N), Zero(N);
+    for (size_t I = 0; I != N; ++I) {
+      Pairs[2 * I] = Count(Rng);
+      TW[I] = Pairs[2 * I + 1] = Count(Rng);
+      Prefix[I] = UINT32_MAX - static_cast<uint32_t>(I % 7);
+      Left[I] = Prefix[I] + TW[I];
+      ASSERT_LT(Left[I], Prefix[I]);
+    }
+    for (uint64_t NCW : {1ull, 4999ull, 1000000ull})
+      for (uint64_t NTW : {3ull, 5001ull, (1ull << 32) - 1}) {
+        uint64_t Expected = naiveMinSum(Pairs, NCW, NTW);
+        ASSERT_EQ(batchMinSumSplitPortable(Pairs.data(), Left.data(),
+                                           Prefix.data(), N, NCW, NTW),
+                  Expected)
+            << "N=" << N;
+        for (BatchBackend B : runnableBackends()) {
+          ASSERT_TRUE(setBatchBackend(B));
+          uint64_t Split = batchMinSumSplit(Pairs.data(), Left.data(),
+                                            Prefix.data(), N, NCW, NTW);
+          ASSERT_EQ(Split, Expected)
+              << "N=" << N << " backend=" << batchBackendName(B);
+          // The split form over the counts themselves agrees.
+          ASSERT_EQ(Split, batchMinSumSplit(Pairs.data(), TW.data(),
+                                            Zero.data(), N, NCW, NTW))
+              << "N=" << N << " backend=" << batchBackendName(B);
+        }
+      }
   }
 }
 

@@ -1155,6 +1155,43 @@ TEST(SharedScanAttachedTest, EngineReusedAcrossGroupsWithDifferentCW) {
   }
 }
 
+// Run storage grows to what the output needs, not to a flip per batch:
+// skip-1 runs over a long trace with few transitions, through the engine
+// and through runDetector, each into fresh storage.
+TEST(SharedScanStorageTest, RunStorageIsOutputSized) {
+  BranchTrace Trace = makeLoopTrace(120000);
+  std::vector<DetectorConfig> Configs;
+  addConfigs(Configs, Adaptive, Move, 1, Threshold, {0.5});
+  addConfigs(Configs, Constant, Move, 1, Threshold, {0.5});
+  addConfigs(Configs, Adaptive, Slide, 1, Average, {0.1});
+  auto ExpectOutputSized = [](const DetectorRun &Run) {
+    const std::vector<StateRun> &Runs = Run.States.runs();
+    EXPECT_LE(Runs.size(), 4u) << "the loop trace should barely flip";
+    EXPECT_LE(Runs.capacity(), 2 * Runs.size() + 4);
+  };
+  for (ModelKind Model : {ModelKind::UnweightedSet, ModelKind::WeightedSet,
+                          ModelKind::ManhattanBBV}) {
+    SCOPED_TRACE(::testing::Message() << "model " << static_cast<int>(Model));
+    std::vector<size_t> Members;
+    for (DetectorConfig &C : Configs) {
+      C.Model = Model;
+      Members.push_back(Members.size());
+    }
+    std::unique_ptr<SharedScanEngineBase> Engine =
+        makeSharedScanEngine(Model, Trace.numSites());
+    std::vector<DetectorRun> Runs(Configs.size());
+    Engine->run(Configs, Members, Trace.elements().data(), Trace.size(),
+                Runs);
+    for (const DetectorRun &Run : Runs)
+      ExpectOutputSized(Run);
+    for (const DetectorConfig &C : Configs) {
+      std::unique_ptr<FastDetectorBase> Detector =
+          makeFastDetector(C, Trace.numSites());
+      ExpectOutputSized(runDetector(*Detector, Trace));
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // KernelWindows
 //
