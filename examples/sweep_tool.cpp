@@ -32,6 +32,7 @@
 
 #include "ToolCommon.h"
 #include "analysis/ConfigAnalysis.h"
+#include "core/BatchKernel.h"
 #include "harness/Experiment.h"
 #include "harness/Sweep.h"
 #include "support/ArgParser.h"
@@ -97,8 +98,9 @@ int main(int Argc, char **Argv) {
                                             ? enumerateCrossProduct(Spec)
                                             : enumerateConfigs(Spec);
   std::fprintf(stderr, "sweep_tool: %zu configs x %zu workloads x %zu "
-                       "MPLs\n",
-               Configs.size(), Benchmarks.size(), MPLs.size());
+                       "MPLs, batch backend %s\n",
+               Configs.size(), Benchmarks.size(), MPLs.size(),
+               batchBackendName(activeBatchBackend()));
 
   SweepOptions RunOptions;
   RunOptions.ScoreAnchored = Anchored;

@@ -260,12 +260,17 @@ stage_sweep_shared() {
   # checked against ceilings, and the minimum is robust to a run landing
   # in a host throttle window. Four workers, as scripts/bench.sh runs
   # them: the peak grows with the worker count (one engine arena each).
-  local best="" best_rss="" out s rss
+  # Each run's log line names the batch-kernel backend it ran on, so a
+  # timing is compared with one taken on the same backend.
+  local best="" best_rss="" out s rss backend
   for _ in 1 2; do
     out=$(OPD_THREADS=4 python3 scripts/time_rss.py "$dir/sweep-shared.csv" \
       "$dir/examples/sweep_tool" --preset paper --prune \
-      --workloads jess --mpls 10K)
+      --workloads jess --mpls 10K 2> "$dir/sweep-shared.log")
     read -r s rss <<< "$out"
+    backend=$(sed -n 's/.*batch backend \([a-z0-9]*\).*/\1/p' \
+      "$dir/sweep-shared.log")
+    echo "pruned paper sweep: ${s} s, peak ${rss} MB, batch backend ${backend}"
     best=$(python3 -c "print(min($s, ${best:-$s}))")
     best_rss=$(python3 -c "print(min($rss, ${best_rss:-$rss}))")
   done

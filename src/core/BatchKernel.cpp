@@ -5,25 +5,28 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The AVX2 implementations are compiled per-function with
-// __attribute__((target("avx2"))) behind a runtime __builtin_cpu_supports
-// dispatch, so one binary carries both paths and non-AVX2 hosts never
-// execute a VEX instruction. -DOPD_DISABLE_SIMD=ON (or a non-x86 target,
-// or an unknown compiler) compiles the AVX2 bodies out entirely and the
-// dispatcher collapses to the portable loops.
+// The SIMD implementations are compiled per-function with
+// __attribute__((target(...))) behind a runtime __builtin_cpu_supports
+// check, so one binary carries every path and a host without the
+// instruction set never executes it. The check runs once, before main():
+// it picks one BatchKernels table, and setBatchBackend() swaps the table,
+// so a call pays no backend test. -DOPD_DISABLE_SIMD=ON (or a non-x86
+// target, or an unknown compiler) compiles the SIMD bodies out entirely
+// and only the portable table remains.
 //
-// Exactness of the AVX2 min-sum sweep (the only primitive that computes
-// rather than searches): the dispatcher admits it only when NCW < 2^32
+// Exactness of the SIMD min-sum sweeps (the only primitive that computes
+// rather than searches): batchMinSum admits them only when NCW < 2^32
 // and NTW < 2^32. Each roster count is a uint32_t, so every product
 // cw_i*NTW and tw_i*NCW is an exact 32x32->64 widening multiply
-// (_mm256_mul_epu32 of an interleaved-pair lane, or for the split form
-// of a zero-extended mod-2^32 difference, by a <2^32 total), and
-// the whole sum is bounded by sum_i cw_i*NTW = NCW*NTW < 2^64 — every
-// per-lane partial sum is a subset of those non-negative terms, so no
-// addition wraps and lane order cannot matter. Totals at or above 2^32
-// (an adaptive TW on a trace of 2^32 or more elements) take the
-// portable loop, which wraps mod 2^64 in exactly the reference kernel's
-// order-invariant way.
+// (vpmuludq of an interleaved-pair lane, or for the split form of a
+// zero-extended mod-2^32 difference, by a <2^32 total), and the whole
+// sum is bounded by sum_i cw_i*NTW = NCW*NTW < 2^64 — every per-lane
+// partial sum is a subset of those non-negative terms, so no addition
+// wraps and lane order cannot matter. Totals at or above 2^32 (an
+// adaptive TW on a trace of 2^32 or more elements) take the portable
+// loop, which wraps mod 2^64 in exactly the reference kernel's
+// order-invariant way. The bodies read whole blocks of MinSumBlock
+// slots; a pad slot's zero counts make its term zero.
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +40,13 @@
 #if defined(__x86_64__) && !defined(OPD_DISABLE_SIMD) && \
     (defined(__GNUC__) || defined(__clang__))
 #define OPD_BATCH_X86 1
+// GCC 12 reports its own AVX-512 intrinsics' deliberately undefined
+// pass-through operands (_mm512_undefined_epi32) as uninitialized.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 #else
 #define OPD_BATCH_X86 0
 #endif
@@ -63,9 +72,9 @@ twLanesAVX2(__m256i V, const uint32_t *Left, const uint32_t *Prefix,
     return _mm256_srli_epi64(V, 32);
 }
 
-/// The min-sum over cw counts in the even lanes of \p Pairs and tw
-/// counts in their odd lanes, or (\p Split) densely as \p Left -
-/// \p Prefix.
+/// The min-sum over \p N slots (whole blocks) with cw counts in the even
+/// lanes of \p Pairs and tw counts in their odd lanes, or (\p Split)
+/// densely as \p Left - \p Prefix.
 template <bool Split>
 __attribute__((target("avx2"))) uint64_t
 minSumAVX2(const uint32_t *Pairs, const uint32_t *Left,
@@ -79,13 +88,12 @@ minSumAVX2(const uint32_t *Pairs, const uint32_t *Left,
   const __m256i VNCW = _mm256_set1_epi64x(static_cast<long long>(NCW));
   __m256i Acc0 = _mm256_setzero_si256();
   __m256i Acc1 = _mm256_setzero_si256();
-  size_t I = 0;
   if ((NCW * NTW) >> 63 == 0) {
     // Every product is at most NCW*NTW < 2^63, so the signed 64-bit lane
     // compare already orders them correctly — no sign-flip needed. This
     // covers every bundled sweep preset (widest product about 2^43); two
     // accumulators split the loop-carried add dependency.
-    for (; I + 8 <= N; I += 8) {
+    for (size_t I = 0; I != N; I += 8) {
       __m256i V0 = _mm256_loadu_si256(
           reinterpret_cast<const __m256i *>(Pairs + 2 * I));
       __m256i V1 = _mm256_loadu_si256(
@@ -106,7 +114,7 @@ minSumAVX2(const uint32_t *Pairs, const uint32_t *Left,
     // the sign bit maps unsigned order onto the signed lane compare.
     const __m256i SignFlip =
         _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ULL));
-    for (; I + 4 <= N; I += 4) {
+    for (size_t I = 0; I != N; I += 4) {
       __m256i V = _mm256_loadu_si256(
           reinterpret_cast<const __m256i *>(Pairs + 2 * I));
       __m256i A = _mm256_mul_epu32(V, VNTW);
@@ -120,14 +128,67 @@ minSumAVX2(const uint32_t *Pairs, const uint32_t *Left,
   __m256i Acc = _mm256_add_epi64(Acc0, Acc1);
   __m128i Fold = _mm_add_epi64(_mm256_castsi256_si128(Acc),
                                _mm256_extracti128_si256(Acc, 1));
-  uint64_t Sum = static_cast<uint64_t>(_mm_cvtsi128_si64(Fold)) +
-                 static_cast<uint64_t>(_mm_extract_epi64(Fold, 1));
-  for (; I != N; ++I)
-    Sum += std::min(Pairs[2 * I] * NTW,
-                    (Split ? static_cast<uint32_t>(Left[I] - Prefix[I])
-                           : Pairs[2 * I + 1]) *
-                        NCW);
-  return Sum;
+  return static_cast<uint64_t>(_mm_cvtsi128_si64(Fold)) +
+         static_cast<uint64_t>(_mm_extract_epi64(Fold, 1));
+}
+
+__attribute__((target("avx2"))) uint64_t
+minSumPlainAVX2(const uint32_t *Pairs, size_t N, uint64_t NCW,
+                uint64_t NTW) {
+  return minSumAVX2<false>(Pairs, nullptr, nullptr, N, NCW, NTW);
+}
+
+__attribute__((target("avx2"))) uint64_t
+minSumSplitAVX2(const uint32_t *CWPairs, const uint32_t *Left,
+                const uint32_t *Prefix, size_t N, uint64_t NCW,
+                uint64_t NTW) {
+  return minSumAVX2<true>(CWPairs, Left, Prefix, N, NCW, NTW);
+}
+
+/// minSumAVX2 one 512-bit block (eight pairs) at a time. AVX-512 has an
+/// unsigned 64-bit lane minimum (vpminuq), so every product range takes
+/// the one loop, without minSumAVX2's sign flip.
+template <bool Split>
+__attribute__((target("avx2,avx512f,avx512vl"))) uint64_t
+minSumAVX512(const uint32_t *Pairs, const uint32_t *Left,
+             const uint32_t *Prefix, size_t N, uint64_t NCW, uint64_t NTW) {
+  const __m512i VNTW = _mm512_set1_epi64(static_cast<long long>(NTW));
+  const __m512i VNCW = _mm512_set1_epi64(static_cast<long long>(NCW));
+  __m512i Acc = _mm512_setzero_si512();
+  for (size_t I = 0; I != N; I += MinSumBlock) {
+    __m512i V = _mm512_loadu_si512(Pairs + 2 * I);
+    __m512i TW;
+    if constexpr (Split)
+      TW = _mm512_cvtepu32_epi64(_mm256_sub_epi32(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Left + I)),
+          _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Prefix + I))));
+    else
+      TW = _mm512_srli_epi64(V, 32);
+    Acc = _mm512_add_epi64(Acc,
+                           _mm512_min_epu64(_mm512_mul_epu32(V, VNTW),
+                                            _mm512_mul_epu32(TW, VNCW)));
+  }
+  // Folded in vector lanes, which wrap: _mm512_reduce_add_epi64 adds in
+  // signed scalars, where the mod-2^64 sum could overflow.
+  __m256i Half = _mm256_add_epi64(_mm512_castsi512_si256(Acc),
+                                  _mm512_extracti64x4_epi64(Acc, 1));
+  __m128i Fold = _mm_add_epi64(_mm256_castsi256_si128(Half),
+                               _mm256_extracti128_si256(Half, 1));
+  return static_cast<uint64_t>(_mm_cvtsi128_si64(Fold)) +
+         static_cast<uint64_t>(_mm_extract_epi64(Fold, 1));
+}
+
+__attribute__((target("avx2,avx512f,avx512vl"))) uint64_t
+minSumPlainAVX512(const uint32_t *Pairs, size_t N, uint64_t NCW,
+                  uint64_t NTW) {
+  return minSumAVX512<false>(Pairs, nullptr, nullptr, N, NCW, NTW);
+}
+
+__attribute__((target("avx2,avx512f,avx512vl"))) uint64_t
+minSumSplitAVX512(const uint32_t *CWPairs, const uint32_t *Left,
+                  const uint32_t *Prefix, size_t N, uint64_t NCW,
+                  uint64_t NTW) {
+  return minSumAVX512<true>(CWPairs, Left, Prefix, N, NCW, NTW);
 }
 
 __attribute__((target("avx2"))) uint64_t
@@ -179,34 +240,94 @@ leftmostNonNoisyAVX2(const uint32_t *Counts, const SiteIndex *Elements,
   return N;
 }
 
+constexpr BatchKernels AVX2Kernels{BatchBackend::AVX2, minSumPlainAVX2,
+                                   minSumSplitAVX2, rightmostNoisyAVX2,
+                                   leftmostNonNoisyAVX2};
+constexpr BatchKernels AVX512Kernels{BatchBackend::AVX512, minSumPlainAVX512,
+                                     minSumSplitAVX512, rightmostNoisyAVX2,
+                                     leftmostNonNoisyAVX2};
+
 bool cpuHasAVX2() { return __builtin_cpu_supports("avx2"); }
+
+bool cpuHasAVX512() {
+  return cpuHasAVX2() && __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512vl");
+}
 
 #else
 
 bool cpuHasAVX2() { return false; }
 
+bool cpuHasAVX512() { return false; }
+
 #endif // OPD_BATCH_X86
 
-BatchBackend detectBackend() {
-  BatchBackend Detected =
-      cpuHasAVX2() ? BatchBackend::AVX2 : BatchBackend::Portable;
-  return batchBackendFromEnv(std::getenv("OPD_SIMD"), Detected);
+constexpr BatchKernels PortableKernels{
+    BatchBackend::Portable, batchMinSumPortable, batchMinSumSplitPortable,
+    batchRightmostNoisyPortable, batchLeftmostNonNoisyPortable};
+
+/// The table of \p B, which must be available.
+const BatchKernels &kernelsOf(BatchBackend B) {
+#if OPD_BATCH_X86
+  if (B == BatchBackend::AVX512)
+    return AVX512Kernels;
+  if (B == BatchBackend::AVX2)
+    return AVX2Kernels;
+#endif
+  (void)B;
+  return PortableKernels;
 }
 
-std::atomic<BatchBackend> &backendSlot() {
-  static std::atomic<BatchBackend> Slot{detectBackend()};
-  return Slot;
+/// The widest backend the CPU runs.
+BatchBackend detectBackend() {
+  if (cpuHasAVX512())
+    return BatchBackend::AVX512;
+  return cpuHasAVX2() ? BatchBackend::AVX2 : BatchBackend::Portable;
 }
 
 } // namespace
 
+// Portable until the start-up check below picks the detected table. A
+// batch call made during static initialization before that gets the
+// portable bodies, which return the same values.
+std::atomic<const BatchKernels *> opd::detail::ActiveBatchKernels{
+    &PortableKernels};
+
+namespace {
+[[maybe_unused]] const bool BackendChosen = [] {
+  detail::ActiveBatchKernels.store(
+      &kernelsOf(
+          batchBackendFromEnv(std::getenv("OPD_SIMD"), detectBackend())),
+      std::memory_order_relaxed);
+  return true;
+}();
+} // namespace
+
 const char *opd::batchBackendName(BatchBackend B) {
-  return B == BatchBackend::AVX2 ? "avx2" : "portable";
+  switch (B) {
+  case BatchBackend::Portable:
+    break;
+  case BatchBackend::AVX2:
+    return "avx2";
+  case BatchBackend::AVX512:
+    return "avx512";
+  }
+  return "portable";
 }
 
 bool opd::simdCompiledIn() { return OPD_BATCH_X86 != 0; }
 
-bool opd::simdAvailable() { return cpuHasAVX2(); }
+bool opd::batchBackendAvailable(BatchBackend B) {
+  switch (B) {
+  case BatchBackend::Portable:
+    break;
+  case BatchBackend::AVX2:
+    return cpuHasAVX2();
+  case BatchBackend::AVX512:
+    return cpuHasAVX512();
+  }
+  return true;
+}
 
 BatchBackend opd::batchBackendFromEnv(const char *Value,
                                       BatchBackend Detected) {
@@ -218,17 +339,12 @@ BatchBackend opd::batchBackendFromEnv(const char *Value,
   return Detected;
 }
 
-BatchBackend opd::activeBatchBackend() {
-  return backendSlot().load(std::memory_order_relaxed);
-}
-
 bool opd::setBatchBackend(BatchBackend B) {
-  if (B == BatchBackend::AVX2 && !simdAvailable()) {
-    backendSlot().store(BatchBackend::Portable, std::memory_order_relaxed);
-    return false;
-  }
-  backendSlot().store(B, std::memory_order_relaxed);
-  return true;
+  bool Available = batchBackendAvailable(B);
+  detail::ActiveBatchKernels.store(
+      &kernelsOf(Available ? B : BatchBackend::Portable),
+      std::memory_order_relaxed);
+  return Available;
 }
 
 uint64_t opd::batchMinSumPortable(const uint32_t *Pairs, size_t N,
@@ -237,16 +353,6 @@ uint64_t opd::batchMinSumPortable(const uint32_t *Pairs, size_t N,
   for (size_t I = 0; I != N; ++I)
     Sum += std::min(Pairs[2 * I] * NTW, Pairs[2 * I + 1] * NCW);
   return Sum;
-}
-
-uint64_t opd::batchMinSum(const uint32_t *Pairs, size_t N, uint64_t NCW,
-                          uint64_t NTW) {
-#if OPD_BATCH_X86
-  if (activeBatchBackend() == BatchBackend::AVX2 && (NCW >> 32) == 0 &&
-      (NTW >> 32) == 0)
-    return minSumAVX2<false>(Pairs, nullptr, nullptr, N, NCW, NTW);
-#endif
-  return batchMinSumPortable(Pairs, N, NCW, NTW);
 }
 
 uint64_t opd::batchMinSumSplitPortable(const uint32_t *CWPairs,
@@ -260,17 +366,6 @@ uint64_t opd::batchMinSumSplitPortable(const uint32_t *CWPairs,
   return Sum;
 }
 
-uint64_t opd::batchMinSumSplit(const uint32_t *CWPairs, const uint32_t *Left,
-                               const uint32_t *Prefix, size_t N, uint64_t NCW,
-                               uint64_t NTW) {
-#if OPD_BATCH_X86
-  if (activeBatchBackend() == BatchBackend::AVX2 && (NCW >> 32) == 0 &&
-      (NTW >> 32) == 0)
-    return minSumAVX2<true>(CWPairs, Left, Prefix, N, NCW, NTW);
-#endif
-  return batchMinSumSplitPortable(CWPairs, Left, Prefix, N, NCW, NTW);
-}
-
 uint64_t opd::batchRightmostNoisyPortable(const uint32_t *Counts,
                                           const SiteIndex *Elements,
                                           uint64_t N) {
@@ -280,15 +375,6 @@ uint64_t opd::batchRightmostNoisyPortable(const uint32_t *Counts,
   return 0;
 }
 
-uint64_t opd::batchRightmostNoisy(const uint32_t *Counts,
-                                  const SiteIndex *Elements, uint64_t N) {
-#if OPD_BATCH_X86
-  if (activeBatchBackend() == BatchBackend::AVX2)
-    return rightmostNoisyAVX2(Counts, Elements, N);
-#endif
-  return batchRightmostNoisyPortable(Counts, Elements, N);
-}
-
 uint64_t opd::batchLeftmostNonNoisyPortable(const uint32_t *Counts,
                                             const SiteIndex *Elements,
                                             uint64_t N) {
@@ -296,13 +382,4 @@ uint64_t opd::batchLeftmostNonNoisyPortable(const uint32_t *Counts,
     if (Counts[Elements[I]] != 0)
       return I;
   return N;
-}
-
-uint64_t opd::batchLeftmostNonNoisy(const uint32_t *Counts,
-                                    const SiteIndex *Elements, uint64_t N) {
-#if OPD_BATCH_X86
-  if (activeBatchBackend() == BatchBackend::AVX2)
-    return leftmostNonNoisyAVX2(Counts, Elements, N);
-#endif
-  return batchLeftmostNonNoisyPortable(Counts, Elements, N);
 }

@@ -38,6 +38,7 @@
 #include "support/Format.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <string>
@@ -101,6 +102,11 @@ struct AttachedTW {
   /// Per-index prefix counts; every entry is zero while no window is
   /// held.
   std::vector<uint32_t> Prefix;
+  /// The unweighted kernel's presence bitset of the TW, one bit per
+  /// site: cleared at attachment, and a read sets the bit of each CW
+  /// site it finds in the TW. The TW only grows while attached, so every
+  /// set bit stays true.
+  std::vector<uint32_t> TWSeen;
   /// The TW length.
   uint64_t NTW = 0;
   /// The NTW of the memoized exact read (UINT64_MAX: none yet).
@@ -196,9 +202,14 @@ template <typename ArithT = PlainKernelArith>
 class FastUnweightedSetKernel : public FastKernelBase, private ArithT {
 public:
   explicit FastUnweightedSetKernel(SiteIndex NumSites, ArithT A = ArithT())
-      : FastKernelBase(NumSites), ArithT(A) {}
+      : FastKernelBase(NumSites), ArithT(A),
+        CWBits((static_cast<size_t>(NumSites) + 31) / 32, 0) {}
 
   void reset() {
+    // Every set bit is a touched site's, so zeroing the touched sites'
+    // words clears them all.
+    for (SiteIndex S : TouchedSites)
+      CWBits[S / 32] = 0;
     resetCounts();
     CWDistinct = 0;
     BothDistinct = 0;
@@ -208,6 +219,7 @@ public:
     assert(S < CWCounts.size() && "site out of range");
     touch(S);
     if (CWCounts[S]++ == 0) {
+      CWBits[S / 32] |= 1u << (S % 32);
       ++CWDistinct;
       this->observeValue(KernelQuantity::CWDistinct, CWDistinct);
       if (TWCounts[S] != 0) {
@@ -224,6 +236,7 @@ public:
     assert(S < CWCounts.size() && "site out of range");
     assert(CWCounts[S] != 0 && "removing a site not in the CW");
     if (--CWCounts[S] == 0) {
+      CWBits[S / 32] &= ~(1u << (S % 32));
       --CWDistinct;
       if (TWCounts[S] != 0)
         --BothDistinct;
@@ -272,16 +285,34 @@ public:
     return similarity() >= T;
   }
 
+  /// Makes \p A hold this kernel's TW against \p Left, with no site
+  /// seen in it yet.
+  void attachTW(AttachedTW &A, const uint32_t *Left) const {
+    FastKernelBase::attachTW(A, Left);
+    A.TWSeen.assign(CWBits.size(), 0);
+  }
+
   /// similarity() with \p A's TW (against \p Left) in place of this
-  /// kernel's: the sites in both windows are counted afresh (one
-  /// branch-free pass over the sites), since the CW moves under \p A.
+  /// kernel's: the sites in both windows are counted afresh, since the
+  /// CW moves under \p A, as popcount(CW & TW) over the presence
+  /// bitsets. First each CW site not yet seen in the TW is tested (its
+  /// TW count Left - Prefix is nonzero iff Left != Prefix).
   OPD_FORCE_INLINE double attachedSimilarity(AttachedTW &A,
                                              const uint32_t *Left) const {
     if (A.ExactNTW != A.NTW) {
       const uint32_t *Prefix = A.Prefix.data();
-      uint32_t Both = 0;
-      for (size_t S = 0, E = CWCounts.size(); S != E; ++S)
-        Both += (CWCounts[S] != 0) & (Left[S] != Prefix[S]);
+      uint64_t Both = 0;
+      for (size_t W = 0, E = CWBits.size(); W != E; ++W) {
+        uint32_t CW = CWBits[W];
+        uint32_t TW = A.TWSeen[W];
+        for (uint32_t New = CW & ~TW; New != 0; New &= New - 1) {
+          unsigned Bit = static_cast<unsigned>(std::countr_zero(New));
+          size_t S = W * 32 + Bit;
+          TW |= uint32_t{Left[S] != Prefix[S]} << Bit;
+        }
+        A.TWSeen[W] = TW;
+        Both += static_cast<uint64_t>(std::popcount(CW & TW));
+      }
       A.ExactSum = Both;
       A.ExactSim = similarityOf(Both);
       A.ExactNTW = A.NTW;
@@ -318,6 +349,12 @@ private:
     return static_cast<double>(Both) / static_cast<double>(CWDistinct);
   }
 
+  /// Presence bitset of the CW, one bit per site (CWCounts[S] != 0), in
+  /// 32-bit words, the type of the counts the window loops store
+  /// anyway. With 64-bit words, whose stores the compiler must assume
+  /// may alias the kernel's 64-bit totals, a skip-16 fast detector run
+  /// took 1.5x as long.
+  std::vector<uint32_t> CWBits;
   uint64_t CWDistinct = 0;
   uint64_t BothDistinct = 0;
 };
@@ -330,7 +367,7 @@ private:
 /// per-site slot map for O(1) lookup. The min-sum recompute that
 /// dominates the weighted-adaptive shape (it runs per element while an
 /// adaptive TW grows) then becomes one contiguous sweep over the count
-/// pairs, dispatched to the AVX2 or portable block kernel
+/// pairs, dispatched to the SIMD or portable block kernel
 /// (core/BatchKernel.h); the interleaving also lands a site's two counts
 /// on the same cache line for the replace-delta path. The sum is an
 /// integer sum of non-negative terms, so neither the roster order nor
@@ -354,7 +391,7 @@ class FastWeightedSetKernel : private ArithT {
 public:
   explicit FastWeightedSetKernel(SiteIndex NumSites, ArithT A = ArithT())
       : ArithT(A), Slot(NumSites, InvalidSlot), RosterSites(NumSites),
-        RosterCounts(2 * static_cast<size_t>(NumSites)) {}
+        RosterCounts(2 * wholeMinSumBlocks(NumSites)) {}
 
   bool inCW(SiteIndex S) const {
     assert(S < Slot.size() && "site out of range");
@@ -376,9 +413,13 @@ public:
 
   void reset() {
     // O(roster) un-enrollment, the counterpart of FastKernelBase's
-    // O(touched) resetCounts(): only enrolled sites have live slots.
+    // O(touched) resetCounts(): only enrolled sites have live slots. The
+    // freed slots' pairs are zeroed, so every pair past the roster is
+    // zero, as the min-sum's whole blocks need.
     for (uint32_t I = 0; I != RosterSize; ++I)
       Slot[RosterSites[I]] = InvalidSlot;
+    std::fill_n(RosterCounts.begin(), 2 * static_cast<size_t>(RosterSize),
+                0u);
     RosterSize = 0;
     NCW = NTW = 0;
     MinSum = 0;
@@ -579,10 +620,10 @@ public:
     return exactAtLeast(MinSum, Denom, T);
   }
 
-  /// AttachedTW layout: one count per roster slot, so an exact read
-  /// sweeps this kernel's CW lanes and the attached counts side by side
-  /// (batchMinSumSplit).
-  size_t attachedSize() const { return Slot.size(); }
+  /// AttachedTW layout: one count per roster slot, in whole min-sum
+  /// blocks, so an exact read sweeps this kernel's CW lanes and the
+  /// attached counts side by side (batchMinSumSplit).
+  size_t attachedSize() const { return wholeMinSumBlocks(Slot.size()); }
   OPD_FORCE_INLINE uint32_t attachedIndex(SiteIndex S) const {
     assert(Slot[S] != InvalidSlot && "attached site was never in a window");
     return Slot[S];
@@ -615,7 +656,7 @@ public:
       A.ExactSum =
           BatchEnabled
               ? batchMinSumSplit(RosterCounts.data(), Left, A.Prefix.data(),
-                                 RosterSize, NCW, A.NTW)
+                                 wholeMinSumBlocks(RosterSize), NCW, A.NTW)
               : batchMinSumSplitPortable(RosterCounts.data(), Left,
                                          A.Prefix.data(), RosterSize, NCW,
                                          A.NTW);
@@ -727,16 +768,15 @@ private:
   }
 
   /// Slot of site \p S, enrolling it into the roster on first use (the
-  /// counterpart of FastKernelBase::touch): both count lanes start at
-  /// zero, since reset() leaves stale lane values behind the sentinel.
+  /// counterpart of FastKernelBase::touch): both count lanes of a slot
+  /// past the roster are already zero (see reset()).
   OPD_FORCE_INLINE uint32_t slotOf(SiteIndex S) {
     uint32_t I = Slot[S];
     if (I == InvalidSlot) {
       I = RosterSize++;
       Slot[S] = I;
       RosterSites[I] = S;
-      cwAt(I) = 0;
-      twAt(I) = 0;
+      assert(cwAt(I) == 0 && twAt(I) == 0 && "stale pair past the roster");
     }
     return I;
   }
@@ -756,7 +796,8 @@ private:
                 this->mul(KernelQuantity::ProductTWCW, twAt(I), NCW)));
       MinSum = Sum;
     } else if (BatchEnabled) {
-      MinSum = batchMinSum(RosterCounts.data(), RosterSize, NCW, NTW);
+      MinSum = batchMinSum(RosterCounts.data(), wholeMinSumBlocks(RosterSize),
+                           NCW, NTW);
     } else {
       MinSum = batchMinSumPortable(RosterCounts.data(), RosterSize, NCW, NTW);
     }
@@ -781,7 +822,7 @@ private:
   std::vector<uint32_t> Slot;
   /// Packed SoA roster over the enrolled sites: the owning site per slot
   /// plus the interleaved (cw, tw) count pairs the batch min-sum sweeps
-  /// contiguously.
+  /// contiguously, in whole blocks (the pairs past the roster are zero).
   std::vector<SiteIndex> RosterSites;
   std::vector<uint32_t> RosterCounts;
   uint32_t RosterSize = 0;

@@ -60,12 +60,14 @@
 //     is right even where Left has wrapped. The shard's own step from p
 //     to p+1 is only its TW length. A read is the kernel's own formula
 //     over the group CW counts and Left - P: the unweighted
-//     sites-in-both count ((c != 0) & (Left != P)), the weighted MinSum
-//     (batchMinSumSplit over Left and P, the same integer sum),
-//     Manhattan's ascending loop over Left[s] - P[s]. Every kernel
-//     decision is a function of those two count vectors (the
-//     SharedScanTest path-independence property), so reads match the
-//     per-config model's bit for bit. The weighted Threshold decision
+//     sites-in-both count (popcount of the group's CW presence bits and
+//     the shard's TW bits, where a CW site gets its TW bit once Left !=
+//     P there: the TW only grows, so a site seen in it stays), the
+//     weighted MinSum (batchMinSumSplit over Left and P, the same
+//     integer sum), Manhattan's ascending loop over Left[s] - P[s].
+//     Every kernel decision is a function of those two count vectors
+//     (the SharedScanTest path-independence property), so reads match
+//     the per-config model's bit for bit. The weighted Threshold decision
 //     also keeps the kernel's deferral: NCW is fixed and every step is
 //     the model's cwReplace then twAdd, so the per-operation widenings
 //     of the MinSum envelope sum, over the K steps since the last exact

@@ -45,10 +45,19 @@
 ///    (one increment per position), and an attached shard stores only
 ///    the snapshot of E[0, Base) it took at attachment: its TW counts
 ///    are the difference, read against the group window's CW counts,
-///    and advancing it does no per-element work. Only a Slide shard
-///    before its refill keeps detached windows, a KernelWindows
-///    (core/FastKernels.h) copied from the group window and resized per
-///    the anchor. Every kernel's similarity()
+///    and advancing it does no per-element work. A read costs one pass
+///    over the group's sites: the weighted MinSum is one
+///    batchMinSumSplit sweep over the roster's whole 8-slot blocks (the
+///    slots past the roster hold zero counts, so no scalar tail runs),
+///    and the unweighted sites-in-both count is popcount(CW & TW) over
+///    presence bitsets, one bit per site in as many 32-bit words as the
+///    sites need: the group kernel keeps its CW bits on its 0<->1 count
+///    crossings, and the shard's TW bits, cleared at attachment, gain
+///    each CW site whose count Left - P is nonzero when a read tests it
+///    (the TW only grows while attached, so a set bit stays true). Only
+///    a Slide shard before its refill keeps detached windows, a
+///    KernelWindows (core/FastKernels.h) copied from the group window
+///    and resized per the anchor. Every kernel's similarity()
 ///    and similarityAtLeast() is a function of the two count vectors
 ///    (unweighted distinct counts, the weighted MinSum recomputed
 ///    exactly, Manhattan's full ascending loop), whatever sequence of
@@ -102,8 +111,8 @@
 /// The oracles are FastPhaseDetector and the reference PhaseDetector,
 /// in tests: tests/SharedScanTest.cpp drives the full sweep grid through
 /// the engine and both detectors and requires bit-identical
-/// StateSequences, phases, and anchored phases on both SIMD and
-/// portable backends.
+/// StateSequences, phases, and anchored phases on every batch-kernel
+/// backend the host runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -216,9 +225,9 @@ public:
   /// Enables (the default) or disables the batch kernels
   /// (core/BatchKernel.h) for subsequent runs; disabled, the group runs
   /// the portable min-sum and the scalar anchor scans. Both give the
-  /// same output, so this selects code paths, not results: tests use it
-  /// to cover the scalar paths, and perfbench still passes a
-  /// certificate verdict here.
+  /// same output, so this selects code paths, not results. Only
+  /// perfbench still calls it, passing a certificate verdict; tests run
+  /// each backend through setBatchBackend() (core/BatchKernel.h).
   virtual void setBatchKernels(bool Enabled) = 0;
 
   /// Runs the group over \p Elements / \p NumElements, writing config

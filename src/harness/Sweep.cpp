@@ -63,13 +63,16 @@ void runConfigsShared(const BranchTrace &Trace,
 
   std::vector<size_t> Order(Plan.Groups.size());
   std::iota(Order.begin(), Order.end(), size_t{0});
-  // The model factor is measured: single-thread on the pruned jess
-  // paper plan, whose 28 groups hold the same member mix (so the member
-  // terms below tie), the 14 weighted groups took 0.15-0.40 s (3.8 s in
-  // all) and the 14 unweighted ones 0.04-0.24 s (1.8 s): about 2x. A
-  // Manhattan group of the same configs (CW 1000) took about 2.3x its
-  // weighted twin. Simulated on those group times, weighted-first cuts
-  // the 4-thread makespan from 1.48 s (plan order) to 1.45 s.
+  // The model factor ranks the models by measured group time:
+  // single-thread on the pruned jess paper plan, the 14 weighted groups
+  // took 0.05-0.13 s (1.26 s in all) and the 14 unweighted ones
+  // 0.02-0.10 s (0.78 s), about 1.6x; a Manhattan group of the same
+  // configs (CW 1000) took about 3x its weighted twin. Those 28 groups
+  // hold the same member mix, so the member terms below tie and any
+  // factor above 1 gives the same order, weighted groups first. A
+  // 4-worker list-scheduling simulation on those single-thread times
+  // does not favour that order (0.546 s against 0.539 s in plan order),
+  // though earlier 4-thread runs found it helped (docs/PERFORMANCE.md).
   auto ModelFactor = [](ModelKind Model) {
     switch (Model) {
     case ModelKind::UnweightedSet:

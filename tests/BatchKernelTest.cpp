@@ -9,10 +9,10 @@
 /// The batch kernel layer (core/BatchKernel.h) is only admissible
 /// because every primitive is bit-identical across backends. This suite
 /// pins that claim: the min-sum sweep and the anchor scans against naive
-/// oracles over block-remainder tails and lane-saturating values on both
-/// backends, and whole weighted detector runs against the reference
-/// detector per backend (including mid-block window flushes). It also
-/// pins admitsBatchLanes' verdict on all 18 shapes.
+/// oracles over zero-padded partial blocks and lane-saturating values on
+/// every runnable backend, and whole weighted detector runs against the
+/// reference detector per backend (including mid-block window flushes).
+/// It also pins admitsBatchLanes' verdict on all 18 shapes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,13 +42,21 @@ public:
   ~BackendGuard() { setBatchBackend(Saved); }
 };
 
-/// The backends this host can actually run (Portable always; AVX2 when
-/// compiled in and supported).
+/// The backends this host can actually run (Portable always; AVX2 and
+/// AVX-512 when compiled in and supported).
 std::vector<BatchBackend> runnableBackends() {
   std::vector<BatchBackend> B{BatchBackend::Portable};
-  if (simdAvailable())
-    B.push_back(BatchBackend::AVX2);
+  for (BatchBackend Simd : {BatchBackend::AVX2, BatchBackend::AVX512})
+    if (batchBackendAvailable(Simd))
+      B.push_back(Simd);
   return B;
+}
+
+/// \p Counts (one per slot, \p Width entries per slot) extended with
+/// zero slots to whole min-sum blocks, the size the dispatched sums read.
+std::vector<uint32_t> padded(std::vector<uint32_t> Counts, size_t Width) {
+  Counts.resize(Width * wholeMinSumBlocks(Counts.size() / Width), 0);
+  return Counts;
 }
 
 /// Naive mod-2^64 oracle for batchMinSum over interleaved (cw, tw)
@@ -122,8 +130,8 @@ DetectorConfig shapeConfig(size_t S) {
 } // namespace
 
 TEST(BatchKernelBackendTest, EnvOverrideOnlyForcesThePortableFallback) {
-  for (BatchBackend Detected :
-       {BatchBackend::Portable, BatchBackend::AVX2}) {
+  for (BatchBackend Detected : {BatchBackend::Portable, BatchBackend::AVX2,
+                                BatchBackend::AVX512}) {
     // The documented fallback spellings force Portable...
     for (const char *Off : {"off", "portable", "0", "scalar"})
       EXPECT_EQ(batchBackendFromEnv(Off, Detected), BatchBackend::Portable)
@@ -134,22 +142,30 @@ TEST(BatchKernelBackendTest, EnvOverrideOnlyForcesThePortableFallback) {
     EXPECT_EQ(batchBackendFromEnv("", Detected), Detected);
     EXPECT_EQ(batchBackendFromEnv("on", Detected), Detected);
     EXPECT_EQ(batchBackendFromEnv("avx2", Detected), Detected);
+    EXPECT_EQ(batchBackendFromEnv("avx512", Detected), Detected);
     EXPECT_EQ(batchBackendFromEnv("bogus", Detected), Detected);
   }
 }
 
 TEST(BatchKernelBackendTest, SetBackendIsBoundedByAvailability) {
   BackendGuard Guard;
+  EXPECT_TRUE(batchBackendAvailable(BatchBackend::Portable));
   EXPECT_TRUE(setBatchBackend(BatchBackend::Portable));
   EXPECT_EQ(activeBatchBackend(), BatchBackend::Portable);
-  bool Enabled = setBatchBackend(BatchBackend::AVX2);
-  EXPECT_EQ(Enabled, simdAvailable());
-  // A refused request must leave the process on the fallback, not on a
-  // backend the host cannot execute.
-  EXPECT_EQ(activeBatchBackend(),
-            Enabled ? BatchBackend::AVX2 : BatchBackend::Portable);
-  if (!simdCompiledIn()) {
-    EXPECT_FALSE(simdAvailable());
+  for (BatchBackend B : {BatchBackend::AVX2, BatchBackend::AVX512}) {
+    bool Enabled = setBatchBackend(B);
+    EXPECT_EQ(Enabled, batchBackendAvailable(B)) << batchBackendName(B);
+    // A refused request must leave the process on the fallback, not on a
+    // backend the host cannot execute.
+    EXPECT_EQ(activeBatchBackend(), Enabled ? B : BatchBackend::Portable)
+        << batchBackendName(B);
+    if (!simdCompiledIn()) {
+      EXPECT_FALSE(Enabled) << batchBackendName(B);
+    }
+  }
+  // AVX-512 hosts run the AVX2 anchor scans.
+  if (batchBackendAvailable(BatchBackend::AVX512)) {
+    EXPECT_TRUE(batchBackendAvailable(BatchBackend::AVX2));
   }
 }
 
@@ -157,8 +173,8 @@ TEST(BatchKernelMinSumTest, MatchesNaiveAcrossTailSizesOnEveryBackend) {
   BackendGuard Guard;
   std::mt19937 Rng(7);
   std::uniform_int_distribution<uint32_t> Count(0, 5000);
-  // Sizes straddling the 8-wide unrolled blocks, the 4-wide sign-flip
-  // blocks, and their remainder tails.
+  // Sizes straddling the 8-slot blocks; the dispatched sums read the
+  // arrays zero-padded to whole blocks.
   for (size_t N : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 31u, 64u,
                    100u, 1000u}) {
     std::vector<uint32_t> Pairs(2 * N);
@@ -180,12 +196,17 @@ TEST(BatchKernelMinSumTest, MatchesNaiveAcrossTailSizesOnEveryBackend) {
         ASSERT_EQ(batchMinSumSplitPortable(CWPairs.data(), Left.data(),
                                            Prefix.data(), N, NCW, NTW),
                   Expected);
+        std::vector<uint32_t> PPairs = padded(Pairs, 2),
+                              PCWPairs = padded(CWPairs, 2),
+                              PLeft = padded(Left, 1),
+                              PPrefix = padded(Prefix, 1);
+        size_t Whole = wholeMinSumBlocks(N);
         for (BatchBackend B : runnableBackends()) {
           ASSERT_TRUE(setBatchBackend(B));
-          ASSERT_EQ(batchMinSum(Pairs.data(), N, NCW, NTW), Expected)
+          ASSERT_EQ(batchMinSum(PPairs.data(), Whole, NCW, NTW), Expected)
               << "N=" << N << " backend=" << batchBackendName(B);
-          ASSERT_EQ(batchMinSumSplit(CWPairs.data(), Left.data(),
-                                     Prefix.data(), N, NCW, NTW),
+          ASSERT_EQ(batchMinSumSplit(PCWPairs.data(), PLeft.data(),
+                                     PPrefix.data(), Whole, NCW, NTW),
                     Expected)
               << "N=" << N << " backend=" << batchBackendName(B);
         }
@@ -205,15 +226,18 @@ TEST(BatchKernelMinSumTest, LaneSaturatingValuesStayExact) {
     Pairs[2 * I] = UINT32_MAX - static_cast<uint32_t>(I);
     Pairs[2 * I + 1] = static_cast<uint32_t>(I * 97 + 1);
   }
-  std::vector<uint32_t> TW(21), Zero(21, 0);
+  std::vector<uint32_t> TW(21);
   for (size_t I = 0; I != 21; ++I)
     TW[I] = Pairs[2 * I + 1];
   uint64_t Expected = naiveMinSum(Pairs, Total, Total - 2);
+  Pairs = padded(Pairs, 2);
+  TW = padded(TW, 1);
+  std::vector<uint32_t> Zero(TW.size(), 0);
   for (BatchBackend B : runnableBackends()) {
     ASSERT_TRUE(setBatchBackend(B));
-    ASSERT_EQ(batchMinSum(Pairs.data(), 21, Total, Total - 2), Expected)
+    ASSERT_EQ(batchMinSum(Pairs.data(), 24, Total, Total - 2), Expected)
         << batchBackendName(B);
-    ASSERT_EQ(batchMinSumSplit(Pairs.data(), TW.data(), Zero.data(), 21,
+    ASSERT_EQ(batchMinSumSplit(Pairs.data(), TW.data(), Zero.data(), 24,
                                Total, Total - 2),
               Expected)
         << batchBackendName(B);
@@ -244,15 +268,20 @@ TEST(BatchKernelMinSumTest, SplitFormTakesTheDifferenceModulo2To32) {
                                            Prefix.data(), N, NCW, NTW),
                   Expected)
             << "N=" << N;
+        std::vector<uint32_t> PPairs = padded(Pairs, 2),
+                              PLeft = padded(Left, 1),
+                              PPrefix = padded(Prefix, 1),
+                              PTW = padded(TW, 1), PZero = padded(Zero, 1);
+        size_t Whole = wholeMinSumBlocks(N);
         for (BatchBackend B : runnableBackends()) {
           ASSERT_TRUE(setBatchBackend(B));
-          uint64_t Split = batchMinSumSplit(Pairs.data(), Left.data(),
-                                            Prefix.data(), N, NCW, NTW);
+          uint64_t Split = batchMinSumSplit(PPairs.data(), PLeft.data(),
+                                            PPrefix.data(), Whole, NCW, NTW);
           ASSERT_EQ(Split, Expected)
               << "N=" << N << " backend=" << batchBackendName(B);
           // The split form over the counts themselves agrees.
-          ASSERT_EQ(Split, batchMinSumSplit(Pairs.data(), TW.data(),
-                                            Zero.data(), N, NCW, NTW))
+          ASSERT_EQ(Split, batchMinSumSplit(PPairs.data(), PTW.data(),
+                                            PZero.data(), Whole, NCW, NTW))
               << "N=" << N << " backend=" << batchBackendName(B);
         }
       }
@@ -269,11 +298,47 @@ TEST(BatchKernelMinSumTest, TotalsBeyondTheLaneGuardTakeThePortablePath) {
                                  13, 13};
   uint64_t Expected = naiveMinSum(Pairs, Wide, 999);
   uint64_t Expected2 = naiveMinSum(Pairs, 999, Wide);
+  Pairs = padded(Pairs, 2);
   for (BatchBackend B : runnableBackends()) {
     ASSERT_TRUE(setBatchBackend(B));
-    ASSERT_EQ(batchMinSum(Pairs.data(), 5, Wide, 999), Expected);
-    ASSERT_EQ(batchMinSum(Pairs.data(), 5, 999, Wide), Expected2);
+    ASSERT_EQ(batchMinSum(Pairs.data(), 8, Wide, 999), Expected);
+    ASSERT_EQ(batchMinSum(Pairs.data(), 8, 999, Wide), Expected2);
   }
+}
+
+TEST(BatchKernelMinSumTest, ZeroPadLanesLeaveBothSumsUnchanged) {
+  BackendGuard Guard;
+  // The kernels read whole blocks, with every count of the slots past
+  // the live ones at zero. Over live counts up to their totals, and
+  // totals up to the lane limit (so both AVX2 compare forms run), the
+  // padded read must give the live slots' sums on every backend.
+  std::mt19937_64 Rng(13);
+  for (size_t N : {1u, 5u, 8u, 13u, 29u})
+    for (uint64_t NCW : {1ull, 4999ull, (1ull << 32) - 1})
+      for (uint64_t NTW : {3ull, 5001ull, (1ull << 32) - 1}) {
+        size_t Whole = wholeMinSumBlocks(N);
+        std::vector<uint32_t> Pairs(2 * Whole, 0), Left(Whole, 0),
+            Prefix(Whole, 0);
+        for (size_t I = 0; I != N; ++I) {
+          Pairs[2 * I] = static_cast<uint32_t>(Rng() % (NCW + 1));
+          Pairs[2 * I + 1] = static_cast<uint32_t>(Rng() % (NTW + 1));
+          Prefix[I] = static_cast<uint32_t>(Rng());
+          Left[I] = Prefix[I] + Pairs[2 * I + 1];
+        }
+        uint64_t Expected = batchMinSumPortable(Pairs.data(), N, NCW, NTW);
+        ASSERT_EQ(batchMinSumSplitPortable(Pairs.data(), Left.data(),
+                                           Prefix.data(), N, NCW, NTW),
+                  Expected);
+        for (BatchBackend B : runnableBackends()) {
+          ASSERT_TRUE(setBatchBackend(B));
+          ASSERT_EQ(batchMinSum(Pairs.data(), Whole, NCW, NTW), Expected)
+              << "N=" << N << " backend=" << batchBackendName(B);
+          ASSERT_EQ(batchMinSumSplit(Pairs.data(), Left.data(),
+                                     Prefix.data(), Whole, NCW, NTW),
+                    Expected)
+              << "N=" << N << " backend=" << batchBackendName(B);
+        }
+      }
 }
 
 TEST(BatchKernelAnchorTest, ScansMatchTheOracleOnEveryBackend) {

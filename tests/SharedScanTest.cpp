@@ -11,8 +11,8 @@
 /// detector. This suite is the guard: it drives the full configuration
 /// shape grid through the engine and requires equal StateSequences,
 /// detected phases, and anchored phases against both the per-config
-/// fast path and the reference PhaseDetector, on both the batch and
-/// portable kernel backends; it holds the sweep harness's shared-scan
+/// fast path and the reference PhaseDetector, on every batch-kernel
+/// backend the host runs; it holds the sweep harness's shared-scan
 /// engine to bit-identical scores against its reference-detector stats
 /// path (pruned and unpruned); and it pins the paper preset's group
 /// structure so plan regressions are loud.
@@ -40,6 +40,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/BatchKernel.h"
 #include "core/DetectorRunner.h"
 #include "core/FastDetector.h"
 #include "core/FastKernels.h"
@@ -62,6 +63,28 @@
 using namespace opd;
 
 namespace {
+
+/// Restores the batch-kernel backend a test switched (process state).
+class BackendGuard {
+  BatchBackend Saved = activeBatchBackend();
+
+public:
+  ~BackendGuard() { setBatchBackend(Saved); }
+};
+
+/// The batch-kernel backends this host runs, Portable first.
+std::vector<BatchBackend> runnableBackends() {
+  std::vector<BatchBackend> B{BatchBackend::Portable};
+  for (BatchBackend Simd : {BatchBackend::AVX2, BatchBackend::AVX512})
+    if (batchBackendAvailable(Simd))
+      B.push_back(Simd);
+  return B;
+}
+
+/// "\p What [backend]", a differential leg's tag.
+std::string legName(const char *What, BatchBackend B) {
+  return std::string(What) + " [" + batchBackendName(B) + "]";
+}
 
 /// One small-scale workload shared by all differential tests.
 const BenchmarkData &testBenchmark() {
@@ -114,7 +137,7 @@ void expectRunsEqual(const DetectorRun &Expected, const DetectorRun &Actual,
 /// model — and returns one DetectorRun per config, in config order.
 std::vector<DetectorRun>
 runShared(const std::vector<DetectorConfig> &Configs,
-          const BranchTrace &Trace, bool BatchKernels) {
+          const BranchTrace &Trace) {
   SharedScanPlan Plan = planSharedScan(Configs);
   std::array<std::unique_ptr<SharedScanEngineBase>, 3> Engines;
   std::vector<DetectorRun> Out(Configs.size());
@@ -124,7 +147,6 @@ runShared(const std::vector<DetectorConfig> &Configs,
         Engines[static_cast<size_t>(G.Key.Model)];
     if (!Engine)
       Engine = makeSharedScanEngine(G.Key.Model, Trace.numSites());
-    Engine->setBatchKernels(BatchKernels);
     if (GroupRuns.size() < G.Members.size())
       GroupRuns.resize(G.Members.size());
     Engine->run(Configs, G.Members, Trace.elements().data(), Trace.size(),
@@ -178,31 +200,35 @@ TEST(SharedScanTest, PlanPartitionsByWindowKernelShape) {
 
 // The load-bearing test: every configuration in the shape/corner-case
 // cross product produces bit-identical output through the shared scan,
-// the per-config fast path, and the reference detector — on both the
-// batch and portable kernel backends.
+// the per-config fast path, and the reference detector — on every
+// batch-kernel backend the host runs.
 TEST(SharedScanTest, BitIdenticalToFastAndReferenceAcrossTheConfigSpace) {
   const BenchmarkData &B = testBenchmark();
   std::vector<DetectorConfig> Configs = differentialConfigs();
   ASSERT_GT(Configs.size(), 500u);
 
-  std::vector<DetectorRun> Shared =
-      runShared(Configs, B.Trace, /*BatchKernels=*/true);
-  std::vector<DetectorRun> Portable =
-      runShared(Configs, B.Trace, /*BatchKernels=*/false);
+  BackendGuard Guard;
+  std::vector<BatchBackend> Backends = runnableBackends();
+  std::vector<std::vector<DetectorRun>> Shared;
+  for (BatchBackend Backend : Backends) {
+    ASSERT_TRUE(setBatchBackend(Backend));
+    Shared.push_back(runShared(Configs, B.Trace));
+  }
 
   for (size_t I = 0; I != Configs.size(); ++I) {
     const DetectorConfig &Config = Configs[I];
     std::unique_ptr<FastDetectorBase> Fast =
         makeFastDetector(Config, B.Trace.numSites());
     DetectorRun FastRun = runDetector(*Fast, B.Trace);
-    expectRunsEqual(FastRun, Shared[I], Config, "shared vs fast");
-    expectRunsEqual(FastRun, Portable[I], Config,
-                    "shared portable vs fast");
-
     std::unique_ptr<PhaseDetector> Reference =
         makeDetector(Config, B.Trace.numSites());
     DetectorRun ReferenceRun = runDetector(*Reference, B.Trace);
-    expectRunsEqual(ReferenceRun, Shared[I], Config, "shared vs reference");
+    for (size_t K = 0; K != Backends.size(); ++K) {
+      expectRunsEqual(FastRun, Shared[K][I], Config,
+                      legName("shared vs fast", Backends[K]).c_str());
+      expectRunsEqual(ReferenceRun, Shared[K][I], Config,
+                      legName("shared vs reference", Backends[K]).c_str());
+    }
   }
 }
 
@@ -241,8 +267,7 @@ TEST(SharedScanTest, StrideAndWindowCornerCases) {
   Configs.push_back(Huge);
   ASSERT_NE(TraceLen % 97, 0u);
 
-  std::vector<DetectorRun> Shared =
-      runShared(Configs, B.Trace, /*BatchKernels=*/true);
+  std::vector<DetectorRun> Shared = runShared(Configs, B.Trace);
   for (size_t I = 0; I != Configs.size(); ++I) {
     std::unique_ptr<FastDetectorBase> Fast =
         makeFastDetector(Configs[I], B.Trace.numSites());
@@ -403,15 +428,15 @@ DetectorConfig idConfig(ResizeKind Resize, uint32_t Skip,
 using CursorSpec = std::vector<std::pair<ResizeKind, uint32_t>>;
 
 /// What one shared-scan group run left behind: the engine's counters
-/// and every member's run (batch kernels on).
+/// and every member's run (on the last runnable backend).
 struct GroupResult {
   SharedScanCounters Counters;
   std::vector<DetectorRun> Runs;
 };
 
 /// Runs \p Configs (one shape) as one shared-scan group over \p Trace
-/// on both kernel backends, requiring every member's run to be
-/// bit-identical to its own FastPhaseDetector and (unless
+/// on every runnable batch-kernel backend, requiring every member's run
+/// to be bit-identical to its own FastPhaseDetector and (unless
 /// \p CheckReference is false) reference detector. Runs on \p Reused
 /// if given, else on a fresh engine.
 GroupResult runCheckedGroup(const std::vector<DetectorConfig> &Configs,
@@ -426,8 +451,9 @@ GroupResult runCheckedGroup(const std::vector<DetectorConfig> &Configs,
     Fresh = makeSharedScanEngine(Configs.front().Model, Trace.numSites());
   SharedScanEngineBase *Engine = Reused ? Reused : Fresh.get();
   GroupResult Result;
-  for (bool Batch : {false, true}) {
-    Engine->setBatchKernels(Batch);
+  BackendGuard Guard;
+  for (BatchBackend Backend : runnableBackends()) {
+    EXPECT_TRUE(setBatchBackend(Backend));
     Result.Runs.assign(Configs.size(), DetectorRun());
     Engine->run(Configs, Members, Trace.elements().data(), Trace.size(),
                 Result.Runs);
@@ -436,13 +462,14 @@ GroupResult runCheckedGroup(const std::vector<DetectorConfig> &Configs,
       std::unique_ptr<FastDetectorBase> Fast =
           makeFastDetector(Configs[I], Trace.numSites());
       expectRunsEqual(runDetector(*Fast, Trace), Result.Runs[I], Configs[I],
-                      Batch ? "group vs fast" : "group portable vs fast");
+                      legName("group vs fast", Backend).c_str());
       if (!CheckReference)
         continue;
       std::unique_ptr<PhaseDetector> Reference =
           makeDetector(Configs[I], Trace.numSites());
       expectRunsEqual(runDetector(*Reference, Trace), Result.Runs[I],
-                      Configs[I], "group vs reference");
+                      Configs[I],
+                      legName("group vs reference", Backend).c_str());
     }
   }
   return Result;
@@ -748,9 +775,10 @@ template <ModelKind M> void checkPathIndependence() {
       SCOPED_TRACE(::testing::Message()
                    << "tail " << DirtyTail << " trial " << Trial);
       Kernel Walked(NumSites);
-      for (bool Batch : {false, true}) {
+      BackendGuard Guard;
+      for (BatchBackend Backend : runnableBackends()) {
+        ASSERT_TRUE(setBatchBackend(Backend));
         Walked.reset();
-        Walked.setBatchEnabled(Batch);
         WindowContents W = randomWalk(Walked, Rng, NumSites,
                                       /*Steps=*/300, DirtyTail);
         expectSameDecisions(Walked, std::move(W), Rng, NumSites);
@@ -778,7 +806,7 @@ TEST(SharedScanIdentityTest, KernelDecisionsAreFunctionsOfTheCounts) {
 // one state, under one analyzer kind and, for Average, with one set of
 // stats) with one check of the member that would flip first. Each case
 // below is one group on a hand-built trace at CW = TW = 20, run on all
-// three models and both kernel backends and bit-checked against
+// three models and every runnable kernel backend and bit-checked against
 // FastPhaseDetector and the reference detector; the positions in the
 // comments, and the structural expectations, are the unweighted
 // model's. An evaluation at N decides the batch [N - skip, N), so a
@@ -1153,6 +1181,77 @@ TEST(SharedScanAttachedTest, EngineReusedAcrossGroupsWithDifferentCW) {
       EXPECT_GT(Engine->counters().ShardSteps, 0u);
     }
   }
+}
+
+// One weighted engine runs a group over a trace that loops over four
+// sites (roster slots 0 to 3) and then over eight more (slots 4 to 11),
+// then a group of another shape whose attached shards read during the
+// first stretch, while the roster holds only slots 0 to 3. Those reads
+// sweep whole 8-slot blocks, so slots 4 to 7 must read as zero: the
+// first group's counts left there would change the MinSum. The reused
+// engine must give the fresh engine's runs and counters.
+TEST(SharedScanAttachedTest, WeightedEngineReusedOnASmallerRoster) {
+  BranchTrace Trace = makeSegmentTrace({{4, 120, 0}, {8, 150, 20}});
+  auto group = [](uint32_t CW, uint32_t TW) {
+    std::vector<DetectorConfig> Configs;
+    for (ResizeKind Resize : {Move, Slide}) {
+      addConfigs(Configs, Adaptive, Resize, 1, Threshold, {0.5, 0.9});
+      addConfigs(Configs, Adaptive, Resize, 1, Average, {0.01, 0.2});
+    }
+    for (DetectorConfig &C : Configs) {
+      C.Model = ModelKind::WeightedSet;
+      C.Window.CWSize = CW;
+      C.Window.TWSize = TW;
+    }
+    return Configs;
+  };
+  std::vector<DetectorConfig> First = group(20, 25), Second = group(9, 11);
+  std::unique_ptr<SharedScanEngineBase> Engine =
+      makeSharedScanEngine(ModelKind::WeightedSet, Trace.numSites());
+  runCheckedGroup(First, Trace, /*CheckReference=*/true, Engine.get());
+  GroupResult Reused =
+      runCheckedGroup(Second, Trace, /*CheckReference=*/true, Engine.get());
+  GroupResult Fresh = runCheckedGroup(Second, Trace);
+  for (size_t I = 0; I != Second.size(); ++I)
+    expectRunsEqual(Fresh.Runs[I], Reused.Runs[I], Second[I],
+                    "reused vs fresh engine");
+  EXPECT_EQ(Reused.Counters.ShardsForked, Fresh.Counters.ShardsForked);
+  EXPECT_EQ(Reused.Counters.ShardSteps, Fresh.Counters.ShardSteps);
+  // The second group is in phase during the first stretch.
+  bool Early = false;
+  for (const DetectorRun &Run : Reused.Runs)
+    for (const PhaseInterval &P : Run.DetectedPhases)
+      Early |= P.Begin < 100;
+  EXPECT_TRUE(Early);
+}
+
+// Sites interned across bitset word boundaries (multiples of 32, so
+// of 64 too): 60 never-repeating sites take indices 0-59, so a loop
+// over eight more takes 60-67; 55 more fresh ones push a second loop to
+// 123-130; a loop over 70 sites reuses 60-67 and adds 131-192; then the
+// second loop returns. The CW and TW presence bitsets of the unweighted
+// attached reads straddle words while adaptive phases are open, over
+// seven words: Threshold 0 stays in phase
+// across the segment changes, where the CW and TW hold different
+// sites. Bit-checked on all three models.
+TEST(SharedScanAttachedTest, SitesStraddlingBitsetWordsInAnAdaptivePhase) {
+  BranchTrace Trace = makeSegmentTrace({{0, 60, 0},
+                                        {8, 90, 5000},
+                                        {0, 55, 0},
+                                        {8, 70, 6000},
+                                        {70, 280, 5000},
+                                        {8, 60, 6000}});
+  ASSERT_EQ(Trace.numSites(), 193u);
+  std::vector<DetectorConfig> Configs;
+  for (ResizeKind Resize : {Move, Slide}) {
+    addConfigs(Configs, Adaptive, Resize, 1, Threshold, {0.0, 0.5, 0.8});
+    addConfigs(Configs, Adaptive, Resize, 3, Average, {0.05, 0.3});
+  }
+  GroupResult R = runCohortCase(Configs, Trace);
+  EXPECT_GE(R.Counters.ShardsForked, 2u);
+  // Threshold 0 (Move) holds one phase from its first entry to the end.
+  ASSERT_EQ(R.Runs[0].DetectedPhases.size(), 1u);
+  EXPECT_EQ(R.Runs[0].DetectedPhases[0].End, Trace.size());
 }
 
 // Run storage grows to what the output needs, not to a flip per batch:
