@@ -174,6 +174,14 @@ static void BM_BatchSimdDetector(benchmark::State &State, ModelKind Model,
   BM_BatchDetector(State, Model, Policy, BatchBackend::AVX2);
 }
 
+// The AVX-512 backend, which CPU detection picks by default where the
+// host runs it; skipped with an error elsewhere. No BENCH_PERF.json case
+// reads it: on such a host it is the default BM_FastDetector path.
+static void BM_BatchAvx512Detector(benchmark::State &State, ModelKind Model,
+                                   TWPolicyKind Policy) {
+  BM_BatchDetector(State, Model, Policy, BatchBackend::AVX512);
+}
+
 static void BM_BatchPortableDetector(benchmark::State &State,
                                      ModelKind Model, TWPolicyKind Policy) {
   BM_BatchDetector(State, Model, Policy, BatchBackend::Portable);
@@ -182,6 +190,10 @@ static void BM_BatchPortableDetector(benchmark::State &State,
 BENCHMARK_CAPTURE(BM_BatchSimdDetector, weighted_constant,
                   ModelKind::WeightedSet, TWPolicyKind::Constant);
 BENCHMARK_CAPTURE(BM_BatchSimdDetector, weighted_adaptive,
+                  ModelKind::WeightedSet, TWPolicyKind::Adaptive);
+BENCHMARK_CAPTURE(BM_BatchAvx512Detector, weighted_constant,
+                  ModelKind::WeightedSet, TWPolicyKind::Constant);
+BENCHMARK_CAPTURE(BM_BatchAvx512Detector, weighted_adaptive,
                   ModelKind::WeightedSet, TWPolicyKind::Adaptive);
 BENCHMARK_CAPTURE(BM_BatchPortableDetector, weighted_constant,
                   ModelKind::WeightedSet, TWPolicyKind::Constant);
@@ -223,6 +235,39 @@ static void BM_FastDetectorSkipFactor(benchmark::State &State) {
                           static_cast<int64_t>(B.Trace.size()));
 }
 BENCHMARK(BM_FastDetectorSkipFactor)->Arg(1)->Arg(16)->Arg(256)->Arg(5000);
+
+namespace {
+/// The db trace at scale 2, the session perfbench's serve_bulk streams.
+const BranchTrace &serveBulkTrace() {
+  static const ExecutionResult Exec = executeWorkload(*findWorkload("db"), 2.0);
+  return Exec.Branches;
+}
+} // namespace
+
+// The detector of perfbench's serve_bulk session, offline: db at scale 2,
+// CW = TW = 1000, skip 100, constant TW, threshold 0.5. This is the
+// per-element window cost of a served session without the wire and the
+// TCP loop around it.
+static void BM_FastDetectorServeBulk(benchmark::State &State,
+                                     ModelKind Model) {
+  const BranchTrace &T = serveBulkTrace();
+  DetectorConfig C = configFor(Model, TWPolicyKind::Constant);
+  C.Window.CWSize = 1000;
+  C.Window.TWSize = 1000;
+  C.Window.SkipFactor = 100;
+  C.AnalyzerParam = 0.5;
+  std::unique_ptr<FastDetectorBase> D = makeFastDetector(C, T.numSites());
+  DetectorRun Run;
+  for (auto _ : State) {
+    runDetector(*D, T, Run);
+    benchmark::DoNotOptimize(Run.States.size());
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(T.size()));
+}
+BENCHMARK_CAPTURE(BM_FastDetectorServeBulk, unweighted,
+                  ModelKind::UnweightedSet);
+BENCHMARK_CAPTURE(BM_FastDetectorServeBulk, weighted, ModelKind::WeightedSet);
 
 // The observability hooks must be zero-cost when no observer is attached
 // (the BM_Detector numbers above) and cheap when one is: this measures a
@@ -329,11 +374,11 @@ BENCHMARK(BM_WeightedKernelDirtyRecompute)->Arg(64)->Arg(256)->Arg(1024);
 // ingress watermark and then pumps the backlog, which is where the
 // pending buffer's growth policy shows.
 static void BM_ServeSessionIngest(benchmark::State &State) {
-  static const ExecutionResult Exec = executeWorkload(*findWorkload("db"), 2.0);
-  const std::vector<SiteIndex> &E = Exec.Branches.elements();
+  const BranchTrace &T = serveBulkTrace();
+  const std::vector<SiteIndex> &E = T.elements();
   HelloMsg Hello;
   Hello.Flags = HelloWantProgress | HelloWantAnchors;
-  Hello.NumSites = Exec.Branches.numSites();
+  Hello.NumSites = T.numSites();
   Hello.Config.Window.CWSize = 1000;
   Hello.Config.Window.TWSize = 1000;
   Hello.Config.Window.SkipFactor = 100;

@@ -132,6 +132,8 @@ public:
   }
   uint64_t cwTotal() const { return NCW; }
   uint64_t twTotal() const { return NTW; }
+  uint32_t cwCount(SiteIndex S) const { return CWCounts[S]; }
+  uint32_t twCount(SiteIndex S) const { return TWCounts[S]; }
   SiteIndex numSites() const {
     return static_cast<SiteIndex>(CWCounts.size());
   }
@@ -198,6 +200,13 @@ protected:
 /// a private base so the empty production policy occupies no storage
 /// (empty-base optimization keeps the layout identical to a policy-free
 /// kernel).
+///
+/// The per-operation mutators keep CWDistinct and BothDistinct exact by
+/// testing each count for a 0<->1 crossing. KernelWindows can instead
+/// step a batch with the plain count operations (cwAddCount and
+/// friends), which move only the counts and totals, and call settle()
+/// once: it recounts both quantities, and the CW presence bits that
+/// attachedSimilarity() reads, over the touched sites.
 template <typename ArithT = PlainKernelArith>
 class FastUnweightedSetKernel : public FastKernelBase, private ArithT {
 public:
@@ -277,6 +286,66 @@ public:
   OPD_FORCE_INLINE void moveCWToTW(SiteIndex S) {
     cwRemove(S);
     twAdd(S);
+  }
+
+  /// Whether KernelWindows may step a batch with the plain count
+  /// operations and settle() once. The checked kernel stays on the
+  /// per-operation path: its probe observes the distinct counts there.
+  static constexpr bool Settles = !ArithT::Checked;
+
+  /// The plain count operations: the counts and totals of cwAdd and
+  /// friends, without the distinct counts and CW bits, which are stale
+  /// until settle().
+  OPD_FORCE_INLINE void cwAddCount(SiteIndex S) {
+    touch(S);
+    ++CWCounts[S];
+    ++NCW;
+  }
+  OPD_FORCE_INLINE void cwRemoveCount(SiteIndex S) {
+    assert(CWCounts[S] != 0 && "removing a site not in the CW");
+    --CWCounts[S];
+    --NCW;
+  }
+  /// Precondition: \p S has been in the CW since reset(), as every
+  /// element KernelWindows moves into the TW has.
+  OPD_FORCE_INLINE void twAddCount(SiteIndex S) {
+    assert(SiteTouched[S] && "TW add of a site never in the CW");
+    ++TWCounts[S];
+    ++NTW;
+  }
+  OPD_FORCE_INLINE void twRemoveCount(SiteIndex S) {
+    assert(TWCounts[S] != 0 && "removing a site not in the TW");
+    --TWCounts[S];
+    --NTW;
+  }
+
+  /// What settle() costs: one pass over the touched sites.
+  size_t settleCost() const { return TouchedSites.size(); }
+
+  /// Recounts CWDistinct, BothDistinct and the CW bits from the counts:
+  /// every site with a nonzero count is a touched one. A bit is stored
+  /// only when it flips, which few do in one batch; rewriting every
+  /// touched site's word would chain the stores to a shared word.
+  void settle() {
+    uint64_t Distinct = 0;
+    uint64_t Both = 0;
+    for (SiteIndex S : TouchedSites) {
+      uint32_t InCW = CWCounts[S] != 0;
+      Distinct += InCW;
+      Both += InCW & uint32_t{TWCounts[S] != 0};
+      uint32_t &Word = CWBits[S / 32];
+      if (((Word >> (S % 32)) & 1u) != InCW)
+        Word ^= 1u << (S % 32);
+    }
+    CWDistinct = Distinct;
+    BothDistinct = Both;
+  }
+
+  uint64_t cwDistinct() const { return CWDistinct; }
+  uint64_t bothDistinct() const { return BothDistinct; }
+  /// Whether site \p S's CW presence bit is set.
+  bool cwBit(SiteIndex S) const {
+    return (CWBits[S / 32] >> (S % 32)) & 1u;
   }
 
   OPD_FORCE_INLINE double similarity() { return similarityOf(BothDistinct); }
@@ -382,6 +451,12 @@ private:
 /// kernel performs, so MinSum and the returned similarity are
 /// bit-identical.
 ///
+/// A batch KernelWindows settles moves only the counts and totals
+/// (cwAddCount and friends); settle() then marks MinSum dirty with an
+/// envelope that decides nothing, so the next read pays one recompute
+/// over the roster instead of the batch paying two delta updates per
+/// element.
+///
 /// Under the CheckedKernelArith shadow policy the recompute keeps the
 /// scalar per-step instrumented loop (the probe must observe every
 /// product and partial sum), so certificates are validated against the
@@ -400,6 +475,12 @@ public:
   }
   uint64_t cwTotal() const { return NCW; }
   uint64_t twTotal() const { return NTW; }
+  uint32_t cwCount(SiteIndex S) const {
+    return Slot[S] == InvalidSlot ? 0 : cwAt(Slot[S]);
+  }
+  uint32_t twCount(SiteIndex S) const {
+    return Slot[S] == InvalidSlot ? 0 : twAt(Slot[S]);
+  }
   SiteIndex numSites() const { return static_cast<SiteIndex>(Slot.size()); }
 
   /// The CW counts live in packed roster lanes, not densely by site, so
@@ -567,6 +648,49 @@ public:
   OPD_FORCE_INLINE void moveCWToTW(SiteIndex S) {
     cwRemove(S);
     twAdd(S);
+  }
+
+  /// Whether KernelWindows may step a batch with the plain count
+  /// operations and settle() once. The checked kernel stays on the
+  /// per-operation path: its probe observes the replace deltas there.
+  static constexpr bool Settles = !ArithT::Checked;
+
+  /// The plain count operations: the counts and totals of cwAdd and
+  /// friends, leaving MinSum and its envelope to settle().
+  OPD_FORCE_INLINE void cwAddCount(SiteIndex S) {
+    ++cwAt(slotOf(S));
+    ++NCW;
+  }
+  OPD_FORCE_INLINE void cwRemoveCount(SiteIndex S) {
+    assert(Slot[S] != InvalidSlot && cwAt(Slot[S]) != 0 &&
+           "removing a site not in the CW");
+    --cwAt(Slot[S]);
+    --NCW;
+  }
+  /// Precondition: \p S has been in the CW since reset(), as every
+  /// element KernelWindows moves into the TW has (see twReplace).
+  OPD_FORCE_INLINE void twAddCount(SiteIndex S) {
+    assert(Slot[S] != InvalidSlot && "TW add of a site never in the CW");
+    ++twAt(Slot[S]);
+    ++NTW;
+  }
+  OPD_FORCE_INLINE void twRemoveCount(SiteIndex S) {
+    assert(Slot[S] != InvalidSlot && twAt(Slot[S]) != 0 &&
+           "removing a site not in the TW");
+    --twAt(Slot[S]);
+    --NTW;
+  }
+
+  /// What settle() leaves to the next read: one min-sum sweep over the
+  /// roster.
+  size_t settleCost() const { return RosterSize; }
+
+  /// Marks MinSum dirty with an envelope that decides nothing, so the
+  /// next read recomputes it from the counts.
+  void settle() {
+    Dirty = true;
+    BoundLo = 0;
+    BoundHi = UINT64_MAX;
   }
 
   OPD_FORCE_INLINE double similarity() {
@@ -850,6 +974,10 @@ public:
       : FastKernelBase(NumSites), ArithT(A) {}
 
   void reset() { resetCounts(); }
+
+  /// Every similarity() is a full pass over the sites whatever the
+  /// stepping, so batches stay on the per-operation path.
+  static constexpr bool Settles = false;
 
   OPD_FORCE_INLINE void cwAdd(SiteIndex S) {
     assert(S < CWCounts.size() && "site out of range");
@@ -1162,6 +1290,14 @@ private:
 /// window and its in-phase shards (over the trace) all step through
 /// these members, the single copy of the paper's window stepping; the
 /// window sizes, skip and policies stay with the callers.
+///
+/// A batch is stepped one of two ways. The per-operation path calls the
+/// kernel's mutators (cwReplace, twAdd, ...), which keep every derived
+/// quantity exact after each element. The settled path, for a kernel
+/// with Settles, moves only the counts and totals (cwAddCount, ...) and
+/// then calls the kernel's settle() once, which rebuilds the derived
+/// quantities from the counts. Either way the kernel is exact when
+/// advance() returns, so no caller sees the difference.
 template <typename Kernel> struct KernelWindows {
   Kernel K;
   uint64_t Base = 0;
@@ -1171,21 +1307,33 @@ template <typename Kernel> struct KernelWindows {
   /// One past the last CW element (the elements consumed so far).
   uint64_t end() const { return Base + TWLen + CWLen; }
 
-  /// Consumes E[end(), end()+N) with the operation sequence of N
-  /// per-element WindowedModel::consume() calls: while the CW is below
-  /// \p CWSize an element is added to it; then, while \p Grow holds or
-  /// the TW is below \p TWSize, the CW's oldest element moves into the
-  /// TW; after that both windows rotate one element right. The fill
-  /// edges (CW below CWSize, or TW below TWSize out of growth) are out
-  /// of line; the steady state is one loop, grow() or rotate().
+  /// Consumes E[end(), end()+N) with the count updates of N per-element
+  /// WindowedModel::consume() calls: while the CW is below \p CWSize an
+  /// element is added to it; then, while \p Grow holds or the TW is below
+  /// \p TWSize, the CW's oldest element moves into the TW; after that both
+  /// windows rotate one element right. The fill edges (CW below CWSize,
+  /// or TW below TWSize out of growth) are out of line; the steady state
+  /// is one loop, grow() or rotate().
   OPD_FORCE_INLINE void advance(const SiteIndex *E, uint64_t N,
                                 uint64_t CWSize, uint64_t TWSize, bool Grow) {
-    if (CWLen < CWSize || (!Grow && TWLen < TWSize))
-      N -= fillEdges(E, N, CWSize, TWSize, Grow);
-    if (Grow)
-      grow(E, N);
+    if constexpr (Kernel::Settles) {
+      if (settles(N)) {
+        advanceSettled(E, N, CWSize, TWSize, Grow);
+        return;
+      }
+    }
+    step<false>(E, N, CWSize, TWSize, Grow);
+  }
+
+  /// Whether advance() takes the settled path for a batch of \p N
+  /// elements: when the kernel settles, and the batch is at least as
+  /// long as one settle() costs, so the saved per-element work pays for
+  /// it. A one-element step is always per-operation.
+  bool settles(uint64_t N) const {
+    if constexpr (Kernel::Settles)
+      return N > 1 && N >= K.settleCost();
     else
-      rotate(E, N);
+      return false;
   }
 
   /// The anchor position of \p Kind as a TW index in [0, TWLen].
@@ -1228,32 +1376,67 @@ template <typename Kernel> struct KernelWindows {
   }
 
 private:
+  /// advance()'s settled path, out of line: the plain count loops, then
+  /// one settle().
+  OPD_NOINLINE void advanceSettled(const SiteIndex *E, uint64_t N,
+                                   uint64_t CWSize, uint64_t TWSize,
+                                   bool Grow) {
+    step<true>(E, N, CWSize, TWSize, Grow);
+    K.settle();
+  }
+
+  /// The stepping of advance(), with the kernel's plain count operations
+  /// if \p Plain and its mutators otherwise.
+  template <bool Plain>
+  OPD_FORCE_INLINE void step(const SiteIndex *E, uint64_t N, uint64_t CWSize,
+                             uint64_t TWSize, bool Grow) {
+    if (CWLen < CWSize || (!Grow && TWLen < TWSize))
+      N -= fillEdges<Plain>(E, N, CWSize, TWSize, Grow);
+    if (Grow)
+      grow<Plain>(E, N);
+    else
+      rotate<Plain>(E, N);
+  }
+
   /// advance()'s fill edges: adds up to N elements to the CW until it
   /// holds \p CWSize (never more: CWLen <= CWSize always), then, unless
   /// \p Grow, grows the TW with the rest until it holds \p TWSize.
   /// Returns how many elements it consumed.
+  template <bool Plain>
   OPD_NOINLINE uint64_t fillEdges(const SiteIndex *E, uint64_t N,
                                   uint64_t CWSize, uint64_t TWSize,
                                   bool Grow) {
     uint64_t F = std::min(N, CWSize - CWLen);
     const SiteIndex *S = E + end();
-    for (uint64_t J = 0; J != F; ++J)
-      K.cwAdd(S[J]);
+    for (uint64_t J = 0; J != F; ++J) {
+      if constexpr (Plain)
+        K.cwAddCount(S[J]);
+      else
+        K.cwAdd(S[J]);
+    }
     CWLen += F;
     uint64_t G =
         Grow ? 0 : std::min(N - F, TWSize - std::min(TWSize, TWLen));
-    grow(E, G);
+    grow<Plain>(E, G);
     return F + G;
   }
 
   /// N steps in which the CW's oldest element moves into the TW as
-  /// E[end()] enters the CW.
+  /// E[end()] enters the CW. The plain steps count each window down
+  /// before up, so no count passes its window size even for a moment.
+  template <bool Plain>
   OPD_FORCE_INLINE void grow(const SiteIndex *E, uint64_t N) {
     const SiteIndex *Y = E + Base + TWLen;
     const SiteIndex *S = Y + CWLen;
     for (uint64_t J = 0; J != N; ++J) {
-      K.cwReplace(S[J], Y[J]);
-      K.twAdd(Y[J]);
+      if constexpr (Plain) {
+        K.cwRemoveCount(Y[J]);
+        K.cwAddCount(S[J]);
+        K.twAddCount(Y[J]);
+      } else {
+        K.cwReplace(S[J], Y[J]);
+        K.twAdd(Y[J]);
+      }
     }
     TWLen += N;
   }
@@ -1261,13 +1444,21 @@ private:
   /// N steps in which both windows move one element right: E[end()]
   /// enters the CW, the CW's oldest element moves into the TW, and the
   /// TW's oldest element leaves.
+  template <bool Plain>
   OPD_FORCE_INLINE void rotate(const SiteIndex *E, uint64_t N) {
     const SiteIndex *Z = E + Base;
     const SiteIndex *Y = Z + TWLen;
     const SiteIndex *S = Y + CWLen;
     for (uint64_t J = 0; J != N; ++J) {
-      K.cwReplace(S[J], Y[J]);
-      K.twReplace(Y[J], Z[J]);
+      if constexpr (Plain) {
+        K.cwRemoveCount(Y[J]);
+        K.cwAddCount(S[J]);
+        K.twRemoveCount(Z[J]);
+        K.twAddCount(Y[J]);
+      } else {
+        K.cwReplace(S[J], Y[J]);
+        K.twReplace(Y[J], Z[J]);
+      }
     }
     Base += N;
   }
@@ -1316,9 +1507,9 @@ public:
     compactBuffer();
   }
 
-  /// Advances the windows over one skip batch. The kernels see exactly
-  /// the operation sequence of N consume() calls: a one-element batch is
-  /// consume() itself, anything longer is one advanceBatch() call.
+  /// Advances the windows over one skip batch. The kernel ends it with
+  /// the state of N consume() calls: a one-element batch is consume()
+  /// itself, anything longer is one advanceBatch() call.
   OPD_FORCE_INLINE void consumeBatch(const SiteIndex *E, size_t N) {
     if (N == 1)
       consume(E[0]);

@@ -8,11 +8,13 @@
 // Bit-identity argument, in terms of the FastWindowedModel
 // (core/FastKernels.h) a per-config detector drives. The model, the
 // engine's group window and its shards all step through one
-// KernelWindows::advance, the single consume: it feeds the kernel the
-// operation sequence of per-element consume() calls (CW fill, TW growth
-// while growing or below TWSize, then rotation), whatever the length of
-// the stretch it is handed. The points below are about which windows
-// each one holds, not how they are stepped.
+// KernelWindows::advance, the single consume: it moves the kernel's
+// counts as per-element consume() calls would (CW fill, TW growth while
+// growing or below TWSize, then rotation), whatever the length of the
+// stretch it is handed, and returns with every derived quantity exact,
+// whether it stepped per operation or settled the batch once. The
+// points below are about which windows each one holds, not how they are
+// stepped.
 //
 //  1. Out of phase, the model's consume never reads PhaseOpen, and a
 //     constant-equivalent TW (adaptive with InPhaseGrowth=false behaves

@@ -51,10 +51,11 @@
 ///    slots past the roster hold zero counts, so no scalar tail runs),
 ///    and the unweighted sites-in-both count is popcount(CW & TW) over
 ///    presence bitsets, one bit per site in as many 32-bit words as the
-///    sites need: the group kernel keeps its CW bits on its 0<->1 count
-///    crossings, and the shard's TW bits, cleared at attachment, gain
-///    each CW site whose count Left - P is nonzero when a read tests it
-///    (the TW only grows while attached, so a set bit stays true). Only
+///    sites need: the group kernel sets its CW bits on its 0<->1 count
+///    crossings or rebuilds them when it settles a batch, and the
+///    shard's TW bits, cleared at attachment, gain each CW site whose
+///    count Left - P is nonzero when a read tests it (the TW only grows
+///    while attached, so a set bit stays true). Only
 ///    a Slide shard before its refill keeps detached windows, a
 ///    KernelWindows (core/FastKernels.h) copied from the group window
 ///    and resized per the anchor. Every kernel's similarity()

@@ -21,12 +21,15 @@
 #include "analysis/KernelBounds.h"
 #include "core/DetectorRunner.h"
 #include "core/FastDetector.h"
+#include "core/FastKernels.h"
 #include "harness/Experiment.h"
 #include "harness/Sweep.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -447,4 +450,112 @@ TEST(KernelBoundsTest, ShadowDetectorsMatchPlainDetectors) {
   // And the probe actually saw the kernel work.
   EXPECT_GT(Probe.observedMax(KernelQuantity::MinSum), 0u);
   EXPECT_EQ(Probe.totalOverflows(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Settled windows
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A checked kernel and a plain one take the same chunked KernelWindows
+/// advances. The checked kernel stays on the per-operation path, where
+/// its probe observes every quantity; the plain one settles each batch
+/// at least as long as its settle cost. The trace holds runs of one site
+/// longer than both windows, so counts reach the window sizes, the
+/// certified per-site bounds, and the TW grows far past TWSize in
+/// phases. After every chunk both hold the same windows, counts, totals
+/// and decisions, so the shadow run certifies what production runs.
+template <ModelKind M> void checkSettledMatchesChecked() {
+  using CheckedKernel =
+      typename fastkernels::KernelOf<M, CheckedKernelArith>::type;
+  using PlainKernel = typename fastkernels::KernelOf<M, PlainKernelArith>::type;
+  constexpr SiteIndex NumSites = 4;
+  constexpr uint64_t CW = 500, TW = 800;
+  std::mt19937_64 Rng(0x5e771ed0 + static_cast<uint64_t>(M));
+  std::vector<SiteIndex> E;
+  while (E.size() < 200000) {
+    SiteIndex S = static_cast<SiteIndex>(Rng() % NumSites);
+    uint64_t Run = Rng() % 3 == 0 ? CW + TW + Rng() % 200 : 1 + Rng() % 20;
+    E.insert(E.end(), Run, S);
+  }
+  TraceBounds Stats;
+  Stats.TraceLen = E.size();
+  Stats.NumSites = NumSites;
+  for (SiteIndex S = 0; S != NumSites; ++S)
+    Stats.MaxMultiplicity = std::max<uint64_t>(
+        Stats.MaxMultiplicity, std::count(E.begin(), E.end(), S));
+  DetectorConfig Config = makeConfig(M, TWPolicyKind::Adaptive,
+                                     AnalyzerKind::Threshold, CW, TW);
+  KernelCertificate Cert = certifyKernel(Config, Stats);
+  ASSERT_TRUE(Cert.NoWraparound);
+
+  KernelValueProbe Probe;
+  fastkernels::KernelWindows<CheckedKernel> Checked{
+      CheckedKernel(NumSites, CheckedKernelArith(Probe))};
+  fastkernels::KernelWindows<PlainKernel> Plain{PlainKernel(NumSites)};
+  bool Grow = false;
+  unsigned Settled = 0;
+  uint64_t Pos = 0;
+  while (Pos != E.size()) {
+    uint64_t N =
+        std::min<uint64_t>(E.size() - Pos, 1 + Rng() % (2 * (CW + TW)));
+    SCOPED_TRACE(::testing::Message() << "chunk [" << Pos << ", "
+                                      << Pos + N << ")");
+    ASSERT_FALSE(Checked.settles(N));
+    Settled += Plain.settles(N);
+    Checked.advance(E.data(), N, CW, TW, Grow);
+    Plain.advance(E.data(), N, CW, TW, Grow);
+    Pos += N;
+    if (Rng() % 3 == 0) {
+      Grow = !Grow;
+      if (Grow) {
+        AnchorKind Kind = Rng() % 2 ? AnchorKind::RightmostNoisy
+                                    : AnchorKind::LeftmostNonNoisy;
+        bool Slide = Rng() % 2;
+        uint64_t A = Plain.anchor(E.data(), Kind);
+        ASSERT_EQ(Checked.anchor(E.data(), Kind), A);
+        Checked.resizeForPhase(E.data(), A, Slide);
+        Plain.resizeForPhase(E.data(), A, Slide);
+      }
+    }
+
+    ASSERT_EQ(Plain.Base, Checked.Base);
+    ASSERT_EQ(Plain.TWLen, Checked.TWLen);
+    ASSERT_EQ(Plain.CWLen, Checked.CWLen);
+    ASSERT_EQ(Plain.K.cwTotal(), Checked.K.cwTotal());
+    ASSERT_EQ(Plain.K.twTotal(), Checked.K.twTotal());
+    for (SiteIndex S = 0; S != NumSites; ++S) {
+      ASSERT_EQ(Plain.K.cwCount(S), Checked.K.cwCount(S)) << "site " << S;
+      ASSERT_EQ(Plain.K.twCount(S), Checked.K.twCount(S)) << "site " << S;
+    }
+    if constexpr (M == ModelKind::UnweightedSet) {
+      ASSERT_EQ(Plain.K.cwDistinct(), Checked.K.cwDistinct());
+      ASSERT_EQ(Plain.K.bothDistinct(), Checked.K.bothDistinct());
+    }
+    for (double T : {0.1, 0.3, 0.5, 0.7, 0.9})
+      ASSERT_EQ(Plain.K.similarityAtLeast(T), Checked.K.similarityAtLeast(T))
+          << "threshold " << T;
+    double Sim = Checked.K.similarity();
+    ASSERT_EQ(std::bit_cast<uint64_t>(Plain.K.similarity()),
+              std::bit_cast<uint64_t>(Sim));
+    for (double T : {Sim, std::nextafter(Sim, -1.0), std::nextafter(Sim, 2.0)})
+      ASSERT_EQ(Plain.K.similarityAtLeast(T), Checked.K.similarityAtLeast(T))
+          << "threshold " << T;
+  }
+  EXPECT_GT(Settled, 100u);
+  expectObservationsWithin(Probe, Cert, Config, "checked");
+  // The run reached the certified per-site CW count bound.
+  EXPECT_EQ(Probe.observedMax(KernelQuantity::CWCount),
+            Cert.bound(KernelQuantity::CWCount).Max);
+}
+
+} // namespace
+
+// Checked kernels never take the settled window path: this holds the
+// settled plain kernels to them, chunk by chunk, at the certified count
+// bounds.
+TEST(KernelBoundsTest, SettledWindowsMatchTheCheckedKernels) {
+  checkSettledMatchesChecked<ModelKind::UnweightedSet>();
+  checkSettledMatchesChecked<ModelKind::WeightedSet>();
 }

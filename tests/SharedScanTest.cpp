@@ -34,9 +34,10 @@
 ///
 /// The group window and the shards step through KernelWindows, the
 /// window layer they share with the fast detector: a property test
-/// steps it one element at a time and in random chunks, with phase
-/// entries and exits between them, and holds both to the window
-/// lengths and similarities per-element consumes would build.
+/// steps it one element at a time and in random chunks, settled or
+/// per operation, with phase entries, exits and flushes between them,
+/// and holds both to the window lengths, counts and similarities
+/// per-element consumes would build.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -1325,27 +1326,101 @@ struct WindowLengths {
   }
 };
 
-template <ModelKind M> void checkChunking() {
-  using Kernel =
-      typename fastkernels::KernelOf<M, PlainKernelArith>::type;
+/// Requires \p K, stepped in chunks, to hold what \p Fresh, built from
+/// scratch over the same windows, holds: every count and total, the
+/// quantities a settled batch rebuilds (the unweighted distinct counts
+/// and CW bits), and bit-identical similarities and threshold decisions.
+/// The decisions are read off a copy, so \p K keeps a weighted kernel's
+/// deferred MinSum unless \p ReadK.
+template <typename Kernel>
+void expectSameKernel(Kernel &K, Kernel &Fresh, SiteIndex NumSites,
+                      bool ReadK) {
+  ASSERT_EQ(K.cwTotal(), Fresh.cwTotal());
+  ASSERT_EQ(K.twTotal(), Fresh.twTotal());
+  for (SiteIndex S = 0; S != NumSites; ++S) {
+    ASSERT_EQ(K.cwCount(S), Fresh.cwCount(S)) << "site " << S;
+    ASSERT_EQ(K.twCount(S), Fresh.twCount(S)) << "site " << S;
+  }
+  if constexpr (requires { K.bothDistinct(); }) {
+    ASSERT_EQ(K.cwDistinct(), Fresh.cwDistinct());
+    ASSERT_EQ(K.bothDistinct(), Fresh.bothDistinct());
+  }
+  if constexpr (requires { K.cwBit(0); }) {
+    for (SiteIndex S = 0; S != NumSites; ++S)
+      ASSERT_EQ(K.cwBit(S), Fresh.cwBit(S)) << "site " << S;
+  }
+  double Sim = Fresh.similarity();
+  for (double T : {Sim, std::nextafter(Sim, -1.0), std::nextafter(Sim, 2.0),
+                   0.25, 0.5, 0.75}) {
+    Kernel Copy = K;
+    ASSERT_EQ(Copy.similarityAtLeast(T), Sim >= T) << "threshold " << T;
+  }
+  Kernel Copy = K;
+  Kernel &Read = ReadK ? K : Copy;
+  ASSERT_EQ(bitsOf(Read.similarity()), bitsOf(Sim));
+}
+
+/// Steps one KernelWindows one element at a time and another in chunks
+/// over a skewed random trace (a few hot sites, so the touched-site
+/// count, the settle threshold, keeps moving), with phase entries,
+/// exits and flushes at chunk boundaries, and holds both to the window
+/// lengths and kernel per-element consumes would build. Chunk lengths
+/// cluster around the settle threshold (one below, at, one above) and
+/// past CW + TW, where an element enters and leaves both windows inside
+/// one batch.
+template <typename Kernel> void checkChunking(uint64_t Seed) {
   using Windows = fastkernels::KernelWindows<Kernel>;
-  constexpr SiteIndex NumSites = 50;
-  constexpr uint64_t CW = 30, TW = 300, Len = 20000;
-  Xoshiro256 Rng(0x3d0c0000 + static_cast<uint64_t>(M));
+  constexpr SiteIndex NumSites = 70;
+  constexpr uint64_t CW = 30, TW = 300, Len = 60000;
+  Xoshiro256 Rng(Seed);
   std::vector<SiteIndex> E(Len);
   for (SiteIndex &S : E)
-    S = static_cast<SiteIndex>(Rng.nextBelow(NumSites));
+    S = static_cast<SiteIndex>(Rng.nextBool(0.9) ? Rng.nextBelow(6)
+                                                 : Rng.nextBelow(NumSites));
 
   Windows Stepped{Kernel(NumSites)};
   Windows Chunked{Kernel(NumSites)};
   WindowLengths Expected;
+  // The sites that entered the windows since the last flush: what the
+  // kernel's settle() costs (touched sites, or the weighted roster).
+  std::vector<bool> Touched(NumSites);
+  uint64_t NumTouched = 0;
+  auto Touch = [&](uint64_t From, uint64_t To) {
+    for (uint64_t I = From; I != To; ++I)
+      if (!Touched[E[I]]) {
+        Touched[E[I]] = true;
+        ++NumTouched;
+      }
+  };
   bool Grow = false;
-  unsigned Slides = 0, FillEdges = 0, GrowEdges = 0;
+  unsigned Slides = 0, FillEdges = 0, GrowEdges = 0, Flushes = 0;
+  unsigned Settled = 0, PerOp = 0, Straddles = 0, GrowSettled = 0;
   uint64_t Pos = 0;
   while (Pos != Len) {
-    uint64_t N = std::min(Len - Pos, 1 + Rng.nextBelow(2 * (CW + TW)));
+    uint64_t Threshold = std::max<uint64_t>(2, NumTouched);
+    uint64_t N;
+    switch (Rng.nextBelow(4)) {
+    case 0:
+      N = Threshold - 1 + Rng.nextBelow(3);
+      break;
+    case 1:
+      N = CW + TW + 1 + Rng.nextBelow(CW + TW);
+      break;
+    default:
+      N = 1 + Rng.nextBelow(2 * (CW + TW));
+      break;
+    }
+    N = std::min(Len - Pos, N);
     SCOPED_TRACE(::testing::Message() << "chunk [" << Pos << ", "
                                       << Pos + N << ")");
+    // The settle rule, stated from the trace: a multi-element batch at
+    // least as long as the touched-site count settles.
+    bool Settles = Kernel::Settles && N > 1 && N >= NumTouched;
+    ASSERT_EQ(Chunked.settles(N), Settles) << NumTouched << " touched";
+    Settled += Settles;
+    PerOp += !Settles && N > 1;
+    GrowSettled += Settles && Grow;
+    Straddles += Settles && N > CW + TW;
     // Chunks that cross from the CW fill, or from TW growth into the
     // rotation, inside one advance.
     uint64_t Fill = CW - std::min(CW, Chunked.CWLen);
@@ -1357,11 +1432,14 @@ template <ModelKind M> void checkChunking() {
       Expected.consume(CW, TW, Grow);
     }
     Chunked.advance(E.data(), N, CW, TW, Grow);
+    Touch(Pos, Pos + N);
     Pos += N;
 
     // A phase edge at this position: entry resizes both windows at the
-    // anchor, exit stops the TW growth. Phases are short, so some end
-    // with the TW below TWSize and the TW growth resumes out of phase.
+    // anchor, exit stops the TW growth and, like endPhase(), sometimes
+    // flushes the kernel down to a seed of the last elements. Phases
+    // are short, so some end with the TW below TWSize and the TW growth
+    // resumes out of phase.
     if (Rng.nextBool(Grow ? 0.7 : 0.3)) {
       Grow = !Grow;
       if (Grow) {
@@ -1374,6 +1452,22 @@ template <ModelKind M> void checkChunking() {
         Stepped.resizeForPhase(E.data(), A, Slide);
         Chunked.resizeForPhase(E.data(), A, Slide);
         Expected.resize(A, Slide);
+      } else if (Rng.nextBool(0.5)) {
+        uint64_t Keep = std::min<uint64_t>(1 + Rng.nextBelow(CW),
+                                           Expected.TWLen + Expected.CWLen);
+        for (Windows *W : {&Stepped, &Chunked}) {
+          W->K.reset();
+          W->Base = Pos - Keep;
+          W->TWLen = 0;
+          W->CWLen = Keep;
+          for (uint64_t I = Pos - Keep; I != Pos; ++I)
+            W->K.cwAdd(E[I]);
+        }
+        Expected = WindowLengths{Pos - Keep, 0, Keep};
+        std::fill(Touched.begin(), Touched.end(), false);
+        NumTouched = 0;
+        Touch(Pos - Keep, Pos);
+        ++Flushes;
       }
     }
 
@@ -1392,24 +1486,36 @@ template <ModelKind M> void checkChunking() {
       Fresh.twAdd(E[Expected.Base + I]);
     for (uint64_t I = Expected.Base + Expected.TWLen; I != Pos; ++I)
       Fresh.cwAdd(E[I]);
-    double Sim = Fresh.similarity();
-    ASSERT_EQ(bitsOf(Stepped.K.similarity()), bitsOf(Sim));
-    ASSERT_EQ(bitsOf(Chunked.K.similarity()), bitsOf(Sim));
+    expectSameKernel(Stepped.K, Fresh, NumSites, /*ReadK=*/true);
+    expectSameKernel(Chunked.K, Fresh, NumSites, Rng.nextBool(0.5));
   }
   // The walk reached the paths the chunking could get wrong.
   EXPECT_GT(Slides, 0u);
   EXPECT_GT(FillEdges, 1u);
   EXPECT_GT(GrowEdges, 1u);
+  EXPECT_GT(Flushes, 1u);
+  EXPECT_GT(PerOp, 1u);
+  if (Kernel::Settles) {
+    EXPECT_GT(Settled, 1u);
+    EXPECT_GT(GrowSettled, 1u);
+    EXPECT_GT(Straddles, 1u);
+  }
 }
 
 } // namespace
 
 // One element at a time or in chunks of up to 2(CW+TW) elements, with
-// phase entries (Move and Slide resizes) and exits at chunk boundaries:
-// the same windows, and bit-identical similarities, as per-element
-// consume() calls would build.
+// phase entries (Move and Slide resizes), exits and flushes at chunk
+// boundaries: the same windows, counts and settled quantities, and
+// bit-identical similarities and decisions, as per-element consume()
+// calls would build. Chunks at or above the settle threshold take the
+// settled path (plain count steps, one settle()).
 TEST(KernelWindowsTest, ChunkingDoesNotChangeTheWindows) {
-  checkChunking<ModelKind::UnweightedSet>();
-  checkChunking<ModelKind::WeightedSet>();
-  checkChunking<ModelKind::ManhattanBBV>();
+  using fastkernels::KernelOf;
+  checkChunking<KernelOf<ModelKind::UnweightedSet, PlainKernelArith>::type>(
+      0x3d0c0000);
+  checkChunking<KernelOf<ModelKind::WeightedSet, PlainKernelArith>::type>(
+      0x3d0c0001);
+  checkChunking<KernelOf<ModelKind::ManhattanBBV, PlainKernelArith>::type>(
+      0x3d0c0002);
 }
