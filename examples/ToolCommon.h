@@ -14,6 +14,11 @@
 /// readDetectorConfig. Every policy name goes through the core's
 /// parse*Kind functions, the inverses of its *Name functions.
 ///
+/// These helpers parse text only. Whether a parsed config is legal is
+/// decided by validateConfig() (core/DetectorConfig.h): readDetectorConfig
+/// and sweep_tool reject what it rejects, and config_check reports its
+/// verdict as the empty-window and invalid-analyzer-param errors.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef OPD_EXAMPLES_TOOLCOMMON_H
@@ -245,7 +250,8 @@ bool readName(const ArgParser &Args, const char *Flag,
 /// --model --analyzer --param, which each tool registers with its own
 /// defaults; an empty --tw means TW = CW. The anchor and resize policies
 /// keep \p Config's values. Returns false with a one-line \p Error on a
-/// zero or non-numeric size, skip or param, or an unknown name.
+/// zero or non-numeric size or skip, an unknown name, or a config
+/// validateConfig() rejects.
 inline bool readDetectorConfig(const ArgParser &Args, DetectorConfig &Config,
                                std::string &Error) {
   auto ReadCount = [&](const char *Flag, uint32_t &Out) {
@@ -271,13 +277,11 @@ inline bool readDetectorConfig(const ArgParser &Args, DetectorConfig &Config,
       !readName(Args, "analyzer", parseAnalyzerKind, Config.TheAnalyzer,
                 Error))
     return false;
+  // A non-numeric --param reads as NaN, which validateConfig rejects.
   Config.AnalyzerParam =
       Args.getDouble("param", std::numeric_limits<double>::quiet_NaN());
-  if (std::isnan(Config.AnalyzerParam)) {
-    Error = "--param must be a number, got '" + Args.getOption("param") + "'";
-    return false;
-  }
-  return true;
+  Error = validateConfig(Config);
+  return Error.empty();
 }
 
 } // namespace opd

@@ -37,6 +37,7 @@
 #include "harness/Sweep.h"
 #include "support/ArgParser.h"
 #include "support/Format.h"
+#include "workloads/Workloads.h"
 
 #include <cstdio>
 #include <string>
@@ -86,17 +87,36 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  std::vector<uint64_t> MPLs;
-  for (const std::string &M : splitList(Args.getOption("mpls")))
-    MPLs.push_back(parseSize(M));
+  // Everything the sweep reads is checked before any workload runs.
+  std::vector<uint32_t> MPLSizes;
+  if (!readSizeList(Args, "mpls", MPLSizes))
+    return 1;
+  std::vector<uint64_t> MPLs(MPLSizes.begin(), MPLSizes.end());
 
   std::vector<std::string> Names = splitList(Args.getOption("workloads"));
-  std::vector<BenchmarkData> Benchmarks =
-      prepareBenchmarks(Names, MPLs, Args.getDouble("scale", 1.0));
+  for (const std::string &Name : Names)
+    if (!findWorkload(Name)) {
+      std::fprintf(stderr, "error: unknown workload '%s'\n", Name.c_str());
+      return 1;
+    }
 
   std::vector<DetectorConfig> Configs = RawCrossProduct
                                             ? enumerateCrossProduct(Spec)
                                             : enumerateConfigs(Spec);
+  if (Configs.empty()) {
+    std::fprintf(stderr, "error: the sweep dimensions enumerate no "
+                         "configurations\n");
+    return 1;
+  }
+  for (const DetectorConfig &C : Configs)
+    if (std::string Why = validateConfig(C); !Why.empty()) {
+      std::fprintf(stderr, "error: config '%s': %s\n", C.describe().c_str(),
+                   Why.c_str());
+      return 1;
+    }
+
+  std::vector<BenchmarkData> Benchmarks =
+      prepareBenchmarks(Names, MPLs, Args.getDouble("scale", 1.0));
   std::fprintf(stderr, "sweep_tool: %zu configs x %zu workloads x %zu "
                        "MPLs, batch backend %s\n",
                Configs.size(), Benchmarks.size(), MPLs.size(),

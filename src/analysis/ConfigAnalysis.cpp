@@ -44,8 +44,22 @@ std::string formatParam(double Param) {
   return Buf;
 }
 
+/// Reports validateConfig's verdict on \p Probe as error \p Code, its
+/// message prefixed with \p Where; true when \p Probe is legal.
+bool lintLegal(const DetectorConfig &Probe, const char *Code,
+               const std::string &Where, DiagnosticEngine &Diags) {
+  std::string Why = validateConfig(Probe);
+  if (!Why.empty())
+    Diags.report(DiagSeverity::Error, SpecLoc, Code, Where + Why);
+  return Why.empty();
+}
+
 /// The analyzer-dimension checks shared by lintConfig and lintSweepSpec.
+/// A parameter validateConfig rejects gets its error and nothing else.
 void lintAnalyzer(AnalyzerKind Kind, double Param, DiagnosticEngine &Diags) {
+  if (!lintLegal({.Window = {}, .TheAnalyzer = Kind, .AnalyzerParam = Param},
+                 "invalid-analyzer-param", "", Diags))
+    return;
   std::string Desc =
       std::string(analyzerKindName(Kind)) + " " + formatParam(Param);
   switch (classifyAnalyzer(Kind, Param)) {
@@ -79,11 +93,6 @@ void lintAnalyzer(AnalyzerKind Kind, double Param, DiagnosticEngine &Diags) {
                  "hysteresis enter threshold " + formatParam(Param) +
                      " derives an exit threshold of 0; a phase, once "
                      "entered, never ends");
-  if (Kind == AnalyzerKind::Hysteresis && Param < 0.0)
-    Diags.report(DiagSeverity::Error, SpecLoc, "invalid-analyzer-param",
-                 "hysteresis enter threshold " + formatParam(Param) +
-                     " is negative; the derived exit threshold (0) would "
-                     "exceed it and the analyzer cannot be constructed");
 }
 
 /// The KernelBounds-backed checks shared by lintConfig and
@@ -109,14 +118,7 @@ void opd::lintConfig(const DetectorConfig &Config,
                      const ConfigLintOptions &Options,
                      DiagnosticEngine &Diags) {
   const WindowConfig &W = Config.Window;
-  if (W.CWSize == 0 || W.TWSize == 0 || W.SkipFactor == 0)
-    Diags.report(DiagSeverity::Error, SpecLoc, "empty-window",
-                 "window configuration " + std::to_string(W.CWSize) + "/" +
-                     std::to_string(W.TWSize) + "/skip " +
-                     std::to_string(W.SkipFactor) +
-                     " has an empty window or skip; the detector cannot be "
-                     "constructed");
-
+  lintLegal({.Window = W}, "empty-window", "", Diags);
   lintAnalyzer(Config.TheAnalyzer, Config.AnalyzerParam, Diags);
 
   if (W.SkipFactor > W.CWSize && W.CWSize > 0)
@@ -170,18 +172,15 @@ void opd::lintSweepSpec(const SweepSpec &Spec, const ConfigLintOptions &Options,
   checkEmpty(Spec.Anchors.empty(), "Anchors");
   checkEmpty(Spec.Resizes.empty(), "Resizes");
 
-  auto checkZero = [&](const std::vector<uint32_t> &Values,
-                       const char *Name) {
-    for (uint32_t V : Values)
-      if (V == 0)
-        Diags.report(DiagSeverity::Error, SpecLoc, "empty-window",
-                     std::string("dimension '") + Name +
-                         "' contains 0; every derived window or skip is "
-                         "empty and the detector cannot be constructed");
-  };
-  checkZero(Spec.CWSizes, "CWSizes");
-  checkZero(Spec.TWFactors, "TWFactors");
-  checkZero(Spec.SkipFactors, "SkipFactors");
+  // One probe per value. A TW factor probes as a TW size: with CW >= 1
+  // the TW it derives is empty exactly when the factor is 0.
+  for (uint32_t V : Spec.CWSizes)
+    lintLegal({.Window = {.CWSize = V}}, "empty-window", "CWSizes: ", Diags);
+  for (uint32_t V : Spec.TWFactors)
+    lintLegal({.Window = {.TWSize = V}}, "empty-window", "TWFactors: ", Diags);
+  for (uint32_t V : Spec.SkipFactors)
+    lintLegal({.Window = {.SkipFactor = V}}, "empty-window", "SkipFactors: ",
+              Diags);
 
   auto checkDuplicates = [&](const std::vector<uint32_t> &Values,
                              const char *Name) {

@@ -18,7 +18,7 @@
 ///   code                      severity  meaning
 ///   ------------------------- --------  ------------------------------
 ///   empty-window              error     CW, TW, or skip factor is 0
-///                                       (the detector cannot be built)
+///                                       (validateConfig's window rule)
 ///   empty-dimension           error     a spec dimension vector is
 ///                                       empty, annihilating the cross
 ///                                       product (warning when only the
@@ -30,9 +30,10 @@
 ///                                       every similarity value
 ///   hysteresis-no-exit        warning   derived exit threshold is 0: a
 ///                                       phase, once entered, never ends
-///   invalid-analyzer-param    error     negative hysteresis enter
-///                                       threshold: the analyzer cannot
-///                                       be constructed
+///   invalid-analyzer-param    error     non-finite parameter or
+///                                       negative hysteresis enter
+///                                       threshold (validateConfig's
+///                                       analyzer rule)
 ///   skip-exceeds-cw           warning   skip factor exceeds the CW size
 ///                                       (whole windows pass unevaluated)
 ///   duplicate-dimension-value warning   a dimension lists a value twice

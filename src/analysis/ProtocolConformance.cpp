@@ -12,6 +12,7 @@
 #include "serve/Session.h"
 #include "trace/BranchTrace.h"
 
+#include <limits>
 #include <random>
 
 using namespace opd;
@@ -56,6 +57,34 @@ std::vector<uint8_t> helloFrame(const DetectorConfig &Config,
   return Out;
 }
 
+/// The number of validateConfig rules; badConfig() breaks each in turn.
+constexpr unsigned NumConfigRules = 5;
+
+/// \p Config with validateConfig rule \p Rule broken under the default
+/// ServeLimits: zero CW, TW over the window limit, zero skip, a NaN
+/// parameter, a negative hysteresis enter threshold.
+DetectorConfig badConfig(DetectorConfig Config, unsigned Rule) {
+  switch (Rule % NumConfigRules) {
+  case 0:
+    Config.Window.CWSize = 0;
+    break;
+  case 1:
+    Config.Window.TWSize = ServeLimits().MaxWindow + 1;
+    break;
+  case 2:
+    Config.Window.SkipFactor = 0;
+    break;
+  case 3:
+    Config.AnalyzerParam = std::numeric_limits<double>::quiet_NaN();
+    break;
+  default:
+    Config.TheAnalyzer = AnalyzerKind::Hysteresis;
+    Config.AnalyzerParam = -0.5;
+    break;
+  }
+  return Config;
+}
+
 /// How one classified event is delivered to a ServeSession.
 struct Action {
   enum class Kind : uint8_t { Feed, PumpOne, PumpAll, Evict, Drain };
@@ -64,10 +93,11 @@ struct Action {
 };
 
 /// Encodes \p Ev as a concrete session action. \p Elems carries the
-/// element values for ElementsOk (size == the event's Count).
+/// element values for ElementsOk (size == the event's Count);
+/// \p BadRule picks the config rule HelloBadConfig breaks.
 Action encodeEvent(ProtoEvent Ev, const DetectorConfig &Config,
                    SiteIndex NumSites, uint16_t Flags,
-                   const std::vector<SiteIndex> &Elems) {
+                   const std::vector<SiteIndex> &Elems, unsigned BadRule) {
   Action A;
   switch (Ev) {
   case ProtoEvent::HelloOk:
@@ -82,12 +112,9 @@ Action encodeEvent(ProtoEvent Ev, const DetectorConfig &Config,
     A.Bytes[9] = 0xFF; // Version field (payload offset 4).
     A.Bytes[10] = 0xFF;
     break;
-  case ProtoEvent::HelloBadConfig: {
-    DetectorConfig Bad = Config;
-    Bad.Window.CWSize = 0; // Rejected by ServeLimits validation.
-    A.Bytes = helloFrame(Bad, NumSites, Flags);
+  case ProtoEvent::HelloBadConfig:
+    A.Bytes = helloFrame(badConfig(Config, BadRule), NumSites, Flags);
     break;
-  }
   case ProtoEvent::HelloMalformed:
     // One byte short of the 37-byte handshake payload.
     A.Bytes = rawFrame(uint8_t(MsgKind::Hello), std::vector<uint8_t>(36, 0));
@@ -246,6 +273,8 @@ struct LockstepDriver {
   uint64_t Processed = 0;
   /// Replayed schedule, for diagnostics.
   std::vector<ProtoStep> Schedule;
+  /// The config rule the next HelloBadConfig breaks (see badConfig).
+  unsigned BadRule = 0;
 
   LockstepDriver(ProtocolModel &M, const ServeLimits &Limits,
                  DetectorCache &Cache, const DetectorConfig &Config,
@@ -266,7 +295,7 @@ struct LockstepDriver {
     if (Res.Ambiguous)
       return "model transition is ambiguous for this event";
 
-    Action A = encodeEvent(Ev, Config, NumSites, Flags, Elems);
+    Action A = encodeEvent(Ev, Config, NumSites, Flags, Elems, BadRule);
     switch (A.K) {
     case Action::Kind::Feed:
       Sess.feed(A.Bytes.data(), A.Bytes.size());
@@ -398,18 +427,25 @@ void opd::checkImplConformance(const ProtocolModel &M,
       break;
     std::vector<ProtoStep> Path = Ex.Witness[E.From];
     Path.push_back(E.Step);
-
-    LockstepDriver D(Mutable, Limits, Cache, Config, NumSites, /*Flags=*/0);
-    for (const ProtoStep &Step : Path) {
-      std::vector<SiteIndex> Elems(Step.Count, SiteIndex(1));
-      ObservedFrames Obs;
-      std::string Diff = D.step(Step.Event, Elems, Obs);
-      if (!Diff.empty()) {
-        Diags.report(DiagSeverity::Error, ImplLoc, "impl-divergence",
-                     "ServeSession diverges from the model: " + Diff +
-                         " (schedule: " + renderWitness(D.Schedule) + ")");
-        Reported += 1;
-        break;
+    // A HelloBadConfig edge is replayed once per config rule.
+    unsigned Rules =
+        E.Step.Event == ProtoEvent::HelloBadConfig ? NumConfigRules : 1;
+    for (unsigned Rule = 0; Rule != Rules; ++Rule) {
+      LockstepDriver D(Mutable, Limits, Cache, Config, NumSites,
+                       /*Flags=*/0);
+      D.BadRule = Rule;
+      for (const ProtoStep &Step : Path) {
+        std::vector<SiteIndex> Elems(Step.Count, SiteIndex(1));
+        ObservedFrames Obs;
+        std::string Diff = D.step(Step.Event, Elems, Obs);
+        if (!Diff.empty()) {
+          Diags.report(DiagSeverity::Error, ImplLoc, "impl-divergence",
+                       "ServeSession diverges from the model: " + Diff +
+                           " (schedule: " + renderWitness(D.Schedule) +
+                           ")");
+          Reported += 1;
+          break;
+        }
       }
     }
   }
@@ -847,6 +883,8 @@ void opd::fuzzProtocolConformance(const ProtocolFuzzOptions &Options,
          Step != Options.MaxSteps && !ProtocolModel::isTerminal(D.S.St);
          ++Step) {
       ProtoEvent Ev = chooseEvent(Rng, M, D.S);
+      if (Ev == ProtoEvent::HelloBadConfig)
+        D.BadRule = static_cast<unsigned>(Rng() % NumConfigRules);
       std::vector<SiteIndex> Elems;
       if (Ev == ProtoEvent::ElementsOk) {
         size_t Count = 1 + Rng() % P.MaxFrameElements;

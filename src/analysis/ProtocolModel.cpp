@@ -65,7 +65,7 @@ ProtocolModel::ProtocolModel(ProtocolParams P) : Params(P) {
                            "unsupported protocol version"));
   Rules.push_back(failRule(AH, ProtoEvent::HelloBadConfig,
                            ServeError::BadConfig,
-                           "config rejected by ServeLimits validation"));
+                           "config rejected by validateConfig"));
   Rules.push_back(failRule(AH, ProtoEvent::HelloMalformed,
                            ServeError::BadFrame,
                            "structurally malformed handshake payload"));

@@ -74,7 +74,7 @@ enum class ProtoEvent : uint8_t {
   HelloOk,         ///< Well-formed handshake passing ServeLimits.
   HelloBadMagic,   ///< Payload intact but wrong magic.
   HelloBadVersion, ///< Right magic, unsupported version.
-  HelloBadConfig,  ///< Parses but rejected by ServeLimits validation.
+  HelloBadConfig,  ///< Parses but its config fails validateConfig.
   HelloMalformed,  ///< Structural: short/long payload or bad enum byte.
   // Elements frames by validation class.
   ElementsOk,         ///< Well-formed, all elements inside the site space.

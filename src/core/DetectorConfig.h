@@ -9,7 +9,8 @@
 /// A DetectorConfig captures one point in the framework's parameter space
 /// (window policy x model policy x analyzer policy). The evaluation
 /// instantiates thousands of these; makeDetector() builds the concrete
-/// PhaseDetector.
+/// PhaseDetector. validateConfig() is the one rule for which points are
+/// legal: the server, the tools and the config lint all ask it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,8 @@
 
 #include "core/PhaseDetector.h"
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -52,6 +55,21 @@ struct DetectorConfig {
     return !(A == B);
   }
 };
+
+/// Upper bounds validateConfig() applies to the window sizes and the skip
+/// factor. The defaults admit any uint32_t; the server passes its own.
+struct ConfigLimits {
+  uint32_t MaxWindow = std::numeric_limits<uint32_t>::max();
+  uint32_t MaxSkip = std::numeric_limits<uint32_t>::max();
+};
+
+/// Decides whether \p Config is a legal point of the parameter space:
+/// CW and TW in [1, MaxWindow], skip in [1, MaxSkip], a finite
+/// AnalyzerParam, and a Hysteresis enter threshold of at least 0 (the
+/// derived exit threshold, never below 0, must not exceed it). Returns ""
+/// for a legal config, else one line naming the first field at fault.
+std::string validateConfig(const DetectorConfig &Config,
+                           const ConfigLimits &Limits = {});
 
 /// Builds the detector \p Config describes, sized for \p NumSites
 /// distinct profile elements.

@@ -7,7 +7,6 @@
 
 #include "serve/Session.h"
 
-#include <cmath>
 #include <cstring>
 
 using namespace opd;
@@ -159,32 +158,12 @@ bool ServeSession::handleElements(const ElementsView &View) {
 }
 
 bool ServeSession::validateHello(const HelloMsg &M, std::string &Why) const {
-  const WindowConfig &W = M.Config.Window;
-  if (M.NumSites == 0 || M.NumSites > Limits.MaxSites) {
-    Why = "site-space size " + std::to_string(M.NumSites) +
-          " outside (0, " + std::to_string(Limits.MaxSites) + "]";
-    return false;
-  }
-  if (W.CWSize == 0 || W.CWSize > Limits.MaxWindow) {
-    Why = "current-window size " + std::to_string(W.CWSize) +
-          " outside (0, " + std::to_string(Limits.MaxWindow) + "]";
-    return false;
-  }
-  if (W.TWSize == 0 || W.TWSize > Limits.MaxWindow) {
-    Why = "trailing-window size " + std::to_string(W.TWSize) +
-          " outside (0, " + std::to_string(Limits.MaxWindow) + "]";
-    return false;
-  }
-  if (W.SkipFactor == 0 || W.SkipFactor > Limits.MaxSkip) {
-    Why = "skip factor " + std::to_string(W.SkipFactor) + " outside (0, " +
-          std::to_string(Limits.MaxSkip) + "]";
-    return false;
-  }
-  if (!std::isfinite(M.Config.AnalyzerParam)) {
-    Why = "non-finite analyzer parameter";
-    return false;
-  }
-  return true;
+  if (M.NumSites == 0 || M.NumSites > Limits.MaxSites)
+    Why = "site-space size " + std::to_string(M.NumSites) + " outside (0, " +
+          std::to_string(Limits.MaxSites) + "]";
+  else
+    Why = validateConfig(M.Config, {Limits.MaxWindow, Limits.MaxSkip});
+  return Why.empty();
 }
 
 bool ServeSession::handleHello(const Frame &F) {

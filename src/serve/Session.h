@@ -40,11 +40,12 @@
 namespace opd {
 
 /// Server-side validation bounds for incoming sessions; a Hello outside
-/// them is rejected with ServeError::BadConfig before any allocation.
+/// them, or one validateConfig() rejects, is answered with
+/// ServeError::BadConfig before any allocation.
 struct ServeLimits {
-  /// Largest accepted CW or TW size.
+  /// Largest accepted CW or TW size (validateConfig's MaxWindow).
   uint32_t MaxWindow = 1u << 20;
-  /// Largest accepted skip factor.
+  /// Largest accepted skip factor (validateConfig's MaxSkip).
   uint32_t MaxSkip = 1u << 20;
   /// Largest accepted site-space size (kernel arrays are O(NumSites)).
   SiteIndex MaxSites = 1u << 22;
@@ -170,7 +171,8 @@ private:
   /// Accepts or rejects the handshake.
   bool handleHello(const Frame &F);
 
-  /// Validates \p M against Limits; fills \p Why on rejection.
+  /// Checks \p M's site-space size against Limits, then its config with
+  /// validateConfig(); fills \p Why on rejection.
   bool validateHello(const HelloMsg &M, std::string &Why) const;
 
   /// Emits the terminal Error frame and moves to Failed.

@@ -22,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace opd;
 
 namespace {
@@ -627,6 +629,50 @@ TEST(ConfigLintTest, SingleConfigLint) {
   EXPECT_EQ(Codes, (std::vector<std::string>{"analyzer-always-transition",
                                              "skip-exceeds-cw",
                                              "window-exceeds-trace"}));
+}
+
+TEST(ConfigLintTest, ErrorsTakeTheirVerdictFromValidateConfig) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  auto WithAnalyzer = [](AnalyzerKind Kind, double Param) {
+    DetectorConfig C = baseConfig();
+    C.TheAnalyzer = Kind;
+    C.AnalyzerParam = Param;
+    return C;
+  };
+  DetectorConfig ZeroTW = baseConfig();
+  ZeroTW.Window.TWSize = 0;
+  // A +inf threshold is an error, not merely always-transition.
+  const std::pair<const char *, DetectorConfig> Cases[] = {
+      {"empty-window", ZeroTW},
+      {"invalid-analyzer-param",
+       WithAnalyzer(AnalyzerKind::Hysteresis, -0.5)},
+      {"invalid-analyzer-param",
+       WithAnalyzer(AnalyzerKind::Average,
+                    std::numeric_limits<double>::quiet_NaN())},
+      {"invalid-analyzer-param", WithAnalyzer(AnalyzerKind::Threshold, Inf)},
+  };
+  for (const auto &[Code, Config] : Cases) {
+    std::string Why = validateConfig(Config);
+    ASSERT_FALSE(Why.empty());
+    DiagnosticEngine Diags;
+    lintConfig(Config, {}, Diags);
+    EXPECT_EQ(diagnosticCodes(Diags), std::vector<std::string>{Code}) << Why;
+    EXPECT_NE(Diags.diagnostics().front().Message.find(Why),
+              std::string::npos);
+  }
+  DiagnosticEngine Clean;
+  lintConfig(baseConfig(), {}, Clean);
+  EXPECT_NE(Clean.maxSeverity(), DiagSeverity::Error);
+
+  SweepSpec Spec;
+  Spec.CWSizes = {500};
+  Spec.TWFactors = {0};
+  Spec.Analyzers = {{AnalyzerKind::Threshold, Inf}};
+  DiagnosticEngine SpecDiags;
+  lintSweepSpec(Spec, {}, SpecDiags);
+  EXPECT_TRUE(hasCode(SpecDiags, "empty-window"));
+  EXPECT_TRUE(hasCode(SpecDiags, "invalid-analyzer-param"));
+  EXPECT_FALSE(hasCode(SpecDiags, "analyzer-always-transition"));
 }
 
 //===----------------------------------------------------------------------===//

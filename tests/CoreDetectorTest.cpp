@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace opd;
 
 namespace {
@@ -185,6 +187,47 @@ TEST(DetectorConfigTest, FixedIntervalPredicate) {
   C.Window.SkipFactor = 100;
   C.Window.TWPolicy = TWPolicyKind::Adaptive;
   EXPECT_FALSE(C.isFixedInterval());
+}
+
+TEST(DetectorConfigTest, ValidateConfigNamesTheFirstFieldAtFault) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const uint32_t Max = std::numeric_limits<uint32_t>::max();
+  auto Check = [](uint32_t CW, uint32_t TW, uint32_t Skip, AnalyzerKind A,
+                  double Param, ConfigLimits Limits = {}) {
+    DetectorConfig C = makeConfig(CW, TWPolicyKind::Constant,
+                                  ModelKind::UnweightedSet, A, Param, Skip);
+    C.Window.TWSize = TW;
+    return validateConfig(C, Limits);
+  };
+  const AnalyzerKind T = AnalyzerKind::Threshold;
+  const AnalyzerKind H = AnalyzerKind::Hysteresis;
+
+  EXPECT_EQ(Check(0, 1, 1, T, 0.5),
+            "current-window size 0 outside [1, 4294967295]");
+  EXPECT_EQ(Check(1, 0, 1, T, 0.5),
+            "trailing-window size 0 outside [1, 4294967295]");
+  EXPECT_EQ(Check(1, 1, 0, T, 0.5), "skip factor 0 outside [1, 4294967295]");
+  EXPECT_EQ(Check(1, 1, 1, T, Inf), "analyzer parameter inf is not finite");
+  EXPECT_EQ(Check(1, 1, 1, H, NaN), "analyzer parameter nan is not finite");
+  EXPECT_EQ(Check(1, 1, 1, H, -0.5),
+            "hysteresis enter threshold -0.5 is negative");
+  EXPECT_EQ(Check(1, 1, 0, T, NaN), "skip factor 0 outside [1, 4294967295]");
+
+  // Legal: every uint32_t size by default, degenerate but constructible
+  // thresholds, and a hysteresis enter threshold of zero of either sign.
+  EXPECT_EQ(Check(Max, Max, Max, T, -1.0), "");
+  EXPECT_EQ(Check(1, 1, 1, T, 2.0), "");
+  EXPECT_EQ(Check(1, 1, 1, H, 0.0), "");
+  EXPECT_EQ(Check(1, 1, 1, H, -0.0), "");
+
+  // Limits bound the sizes inclusively.
+  ConfigLimits Limits{/*MaxWindow=*/1000, /*MaxSkip=*/10};
+  EXPECT_EQ(Check(1000, 1000, 10, T, 0.5, Limits), "");
+  EXPECT_EQ(Check(1000, 1001, 10, T, 0.5, Limits),
+            "trailing-window size 1001 outside [1, 1000]");
+  EXPECT_EQ(Check(1000, 1000, 11, T, 0.5, Limits),
+            "skip factor 11 outside [1, 10]");
 }
 
 //===----------------------------------------------------------------------===//

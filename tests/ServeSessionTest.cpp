@@ -209,12 +209,24 @@ TEST(ServeSession, HandshakeRejectsInvalidConfigs) {
   HugeTW.Window.TWSize = (1u << 20) + 1;
   DetectorConfig NanParam = baseConfig();
   NanParam.AnalyzerParam = std::numeric_limits<double>::quiet_NaN();
+  // A negative hysteresis enter threshold must stop at the handshake:
+  // past it, the analyzer's constructor asserts and ends the process.
+  DetectorConfig NegHysteresis = baseConfig();
+  NegHysteresis.TheAnalyzer = AnalyzerKind::Hysteresis;
+  NegHysteresis.AnalyzerParam = -0.5;
+  DetectorConfig NanHysteresis = NegHysteresis;
+  NanHysteresis.AnalyzerParam = std::numeric_limits<double>::quiet_NaN();
+  DetectorConfig InfThreshold = baseConfig();
+  InfThreshold.AnalyzerParam = std::numeric_limits<double>::infinity();
 
   const Case Cases[] = {
       {"zero cw", ZeroCW, Sites, ServeError::BadConfig},
       {"zero skip", ZeroSkip, Sites, ServeError::BadConfig},
       {"huge tw", HugeTW, Sites, ServeError::BadConfig},
       {"nan param", NanParam, Sites, ServeError::BadConfig},
+      {"negative hysteresis", NegHysteresis, Sites, ServeError::BadConfig},
+      {"nan hysteresis", NanHysteresis, Sites, ServeError::BadConfig},
+      {"inf threshold", InfThreshold, Sites, ServeError::BadConfig},
       {"zero sites", baseConfig(), 0, ServeError::BadConfig},
   };
   uint64_t Id = 10;
