@@ -50,7 +50,10 @@ inline bool parseBenchArgs(int Argc, char **Argv, const char *Name,
     ExitCode = Args.helpRequested() ? 0 : 1;
     return false;
   }
-  Options.Scale = Args.getDouble("scale", 1.0);
+  if (!Args.getPositiveDouble("scale", Options.Scale)) {
+    ExitCode = 1;
+    return false;
+  }
   Options.Full = Args.getFlag("full");
   Options.CSV = Args.getFlag("csv");
   return true;

@@ -28,7 +28,9 @@ int main(int Argc, char **Argv) {
   Args.addFlag("csv", "emit CSV instead of aligned tables");
   if (!Args.parse(Argc, Argv))
     return Args.helpRequested() ? 0 : 1;
-  double Scale = Args.getDouble("scale", 1.0);
+  double Scale = 1.0;
+  if (!Args.getPositiveDouble("scale", Scale))
+    return 1;
 
   std::vector<BenchmarkData> Benchmarks =
       prepareBenchmarks(StandardMPLs, Scale);

@@ -129,7 +129,10 @@ int main(int Argc, char **Argv) {
                    SourceName.c_str());
       return 1;
     }
-    Exec = executeWorkload(*W, Args.getDouble("scale", 0.5));
+    double Scale = 0.5;
+    if (!Args.getPositiveDouble("scale", Scale))
+      return 1;
+    Exec = executeWorkload(*W, Scale);
   }
   double ExecuteSeconds = Timer.seconds();
 

@@ -492,7 +492,8 @@ int main(int Argc, char **Argv) {
   if (Opts.Total == 0)
     Opts.Total = Opts.Concurrent;
   Opts.WorkloadName = Args.getOption("workload");
-  Opts.Scale = Args.getDouble("scale", 1.0);
+  if (!Args.getPositiveDouble("scale", Opts.Scale))
+    return 1;
   Opts.Chunk = size_t(std::max(1L, Args.getInt("chunk", 4096)));
   Opts.Verify = Args.getFlag("verify");
   Opts.TolerateShutdown = Args.getFlag("tolerate-shutdown");

@@ -119,7 +119,9 @@ int main(int Argc, char **Argv) {
                    SourceName.c_str());
       return 1;
     }
-    double Scale = Args.getDouble("scale", 0.5);
+    double Scale = 0.5;
+    if (!Args.getPositiveDouble("scale", Scale))
+      return 1;
     Prog = compileWorkload(*W, Scale);
     InterpreterOptions Options;
     Options.Seed = W->Seed;

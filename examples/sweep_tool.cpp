@@ -93,7 +93,16 @@ int main(int Argc, char **Argv) {
     return 1;
   std::vector<uint64_t> MPLs(MPLSizes.begin(), MPLSizes.end());
 
+  double Scale = 1.0;
+  if (!Args.getPositiveDouble("scale", Scale))
+    return 1;
+
   std::vector<std::string> Names = splitList(Args.getOption("workloads"));
+  if (Names.empty()) {
+    std::fprintf(stderr, "error: --workloads must list at least one "
+                         "workload\n");
+    return 1;
+  }
   for (const std::string &Name : Names)
     if (!findWorkload(Name)) {
       std::fprintf(stderr, "error: unknown workload '%s'\n", Name.c_str());
@@ -116,7 +125,7 @@ int main(int Argc, char **Argv) {
     }
 
   std::vector<BenchmarkData> Benchmarks =
-      prepareBenchmarks(Names, MPLs, Args.getDouble("scale", 1.0));
+      prepareBenchmarks(Names, MPLs, Scale);
   std::fprintf(stderr, "sweep_tool: %zu configs x %zu workloads x %zu "
                        "MPLs, batch backend %s\n",
                Configs.size(), Benchmarks.size(), MPLs.size(),

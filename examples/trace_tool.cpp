@@ -45,10 +45,13 @@ int cmdGenerate(const ArgParser &Args) {
     std::fprintf(stderr, "error: unknown workload '%s'\n", Name.c_str());
     return 1;
   }
+  double Scale = 1.0;
+  if (!Args.getPositiveDouble("scale", Scale))
+    return 1;
   std::string Out = Args.getOption("out");
   if (Out.empty())
     Out = Name;
-  ExecutionResult Exec = executeWorkload(*W, Args.getDouble("scale", 1.0));
+  ExecutionResult Exec = executeWorkload(*W, Scale);
   std::string BranchPath = Out + ".branch.bin";
   std::string CallLoopPath = Out + ".callloop.bin";
   if (IOStatus S = writeBranchTraceBinary(Exec.Branches, BranchPath); !S) {
@@ -73,9 +76,11 @@ int cmdDumpSource(const ArgParser &Args) {
     std::fprintf(stderr, "error: unknown workload '%s'\n", Name.c_str());
     return 1;
   }
+  double Scale = 1.0;
+  if (!Args.getPositiveDouble("scale", Scale))
+    return 1;
   // Print the canonical (parsed and pretty-printed) form.
-  std::unique_ptr<Program> Prog =
-      compileWorkload(*W, Args.getDouble("scale", 1.0));
+  std::unique_ptr<Program> Prog = compileWorkload(*W, Scale);
   std::fputs(printProgram(*Prog).c_str(), stdout);
   return 0;
 }

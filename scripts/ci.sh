@@ -52,7 +52,9 @@
 #   perf:         Release perf smoke vs BENCH_PERF.json — the fast and
 #                 batch-backend detector ratios within 25% and the
 #                 serving ratio within 50% (scripts/check_perf.py);
-#                 the skip-factor pairs are recorded, not gated
+#                 the skip-factor pairs are recorded, not gated, and
+#                 the skip-1 fast/reference ratios are reported again
+#                 from a build with branch-boundary padding
 #
 # All ctest configurations include the jp_lint_* / config_check_* tests,
 # which lint the bundled .jp workloads and the shipped sweep specs. The
@@ -319,8 +321,45 @@ stage_perf() {
   "$dir/examples/opd_loadgen" --port "$SERVE_PORT" \
     --sessions 128 --total 256 --json > "$dir/serving_smoke.json"
   stop_opd_serve
+  # The skip-1 BM_FastDetector figures move about 10% with branch
+  # placement alone, so their fast/reference ratios are taken a second
+  # time from a bench_perf whose branches are padded off 32-byte
+  # boundaries and printed after the gate, as a report that gates
+  # nothing: a move in one placement only is placement, not work.
+  local padded="${PREFIX}-perf-padded"
+  echo "=== [perf] configure + build (Release, branch-boundary padding) ==="
+  cmake -B "$padded" -S . -DCMAKE_BUILD_TYPE=Release -DOPD_WERROR=ON \
+    -DCMAKE_CXX_FLAGS=-Wa,-mbranches-within-32B-boundaries
+  cmake --build "$padded" -j "$JOBS" --target bench_perf
+  "$padded/bench/bench_perf" \
+    --benchmark_filter='BM_Detector/|BM_FastDetector/' \
+    --benchmark_min_time=0.5 \
+    --benchmark_format=json > "$padded/bench_smoke.json"
+  local gate=0
   python3 scripts/check_perf.py "$dir/bench_smoke.json" BENCH_PERF.json \
-    0.25 "$dir/serving_smoke.json"
+    0.25 "$dir/serving_smoke.json" || gate=$?
+  python3 - "$dir/bench_smoke.json" "$padded/bench_smoke.json" <<'EOF'
+import json
+import sys
+
+
+def ratios(path):
+    rates = {}
+    for bench in json.load(open(path))["benchmarks"]:
+        if "items_per_second" in bench:
+            name, case = bench["name"].split("/", 1)
+            rates.setdefault(case, {})[name] = bench["items_per_second"]
+    return {case: pair["BM_FastDetector"] / pair["BM_Detector"]
+            for case, pair in rates.items()
+            if "BM_FastDetector" in pair and "BM_Detector" in pair}
+
+
+plain, padded = ratios(sys.argv[1]), ratios(sys.argv[2])
+for case in sorted(plain):
+    print(f"perf (report only): {case}: skip-1 fast/ref {plain[case]:.2f}x, "
+          f"padded build {padded.get(case, float('nan')):.2f}x")
+EOF
+  return "$gate"
 }
 
 STAGE_TIMES=""

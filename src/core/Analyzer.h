@@ -193,8 +193,9 @@ public:
 };
 
 /// The hysteresis exit threshold derived from the enter threshold: 0.15
-/// below it, clamped at 0. Every hysteresis analyzer (makeAnalyzer, the
-/// fast detector's buildAnalyzer, the shared-scan cursors) uses this one.
+/// below it, clamped at 0. Every hysteresis decision (makeAnalyzer's
+/// analyzer, and the fast detector and shared-scan cursors, which call
+/// decideHysteresis in core/FastKernels.h) uses this one.
 inline double hysteresisExitThreshold(double EnterThreshold) {
   return EnterThreshold >= 0.15 ? EnterThreshold - 0.15 : 0.0;
 }

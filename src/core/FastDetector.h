@@ -14,10 +14,11 @@
 ///
 /// makeFastDetector() instead picks one of NumFastShapes template
 /// instantiations — one per (model x TW policy x analyzer kind) shape —
-/// in which the kernel and analyzer are held by concrete final type, so
-/// their per-element operations devirtualize and inline into the consume
-/// loop, and consumeTrace() is overridden with a fully monomorphic loop:
-/// a whole run costs a single virtual dispatch.
+/// in which the kernel is held by concrete type and the analyzer decision
+/// is a free function of the shape's kind (core/FastKernels.h), so their
+/// per-element operations inline into the consume loop, and
+/// consumeTrace() is overridden with a fully monomorphic loop: a whole
+/// run costs a single virtual dispatch.
 ///
 /// The fast path is an optimization, not a fork: it produces
 /// bit-identical StateSequences, anchored phases, and scores to the

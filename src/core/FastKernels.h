@@ -6,20 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The non-virtual kernels, analyzers, and windowed model behind the
-/// monomorphic fast path. These templates mirror core/WindowedModel.cpp
-/// and the unobserved path of core/PhaseDetector.cpp statement for
-/// statement; the deltas are concrete kernel/analyzer types (so every
-/// call inlines), the TW policy as a compile-time constant, and
-/// decision-identical substitutions documented on each class.
+/// The non-virtual kernels, the analyzer decision functions, and the
+/// windowed model behind the monomorphic fast path. These mirror
+/// core/WindowedModel.cpp, core/Analyzer.h and the unobserved path of
+/// core/PhaseDetector.cpp statement for statement; the deltas are
+/// concrete kernel types (so every call inlines), the TW policy as a
+/// compile-time constant, analyzer decisions as free functions over
+/// caller-held state, and decision-identical substitutions documented
+/// where they are made.
 ///
-/// Historically these lived in FastDetector.cpp's anonymous namespace;
-/// they are a header so the shared-scan execution engine
-/// (core/SharedScan.h) can drive the same kernels — one free-running
-/// window fanning results out to many analyzer cursors — without
-/// duplicating a single line of kernel arithmetic. Everything here is
-/// an internal implementation detail of the two engines: the supported
-/// entry points remain makeFastDetector() and makeSharedScanEngine().
+/// They are a header so the fast detector (core/FastDetector.cpp) and
+/// the shared-scan execution engine (core/SharedScan.cpp) drive the same
+/// kernels, windows and decisions — the engine runs one free-running
+/// window fanning results out to many analyzer cursors — without a
+/// second copy of any of them. Everything here is an internal
+/// implementation detail of the two engines: the supported entry points
+/// remain makeFastDetector() and makeSharedScanEngine().
 ///
 /// Bit-identity contract: any behavioral change to the reference
 /// detector must be replicated here — FastDetectorTest and
@@ -35,13 +37,11 @@
 #include "core/BatchKernel.h"
 #include "core/DetectorConfig.h"
 #include "core/WindowedModel.h"
-#include "support/Format.h"
 
 #include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstring>
-#include <string>
 #include <vector>
 
 // The fast kernels only pay off if the per-element operations dissolve
@@ -61,8 +61,7 @@
 
 namespace opd {
 namespace fastkernels {
-// Internal linkage on purpose: these types historically lived in
-// FastDetector.cpp's anonymous namespace, and the consume loops lose
+// Internal linkage on purpose: the consume loops lose
 // measurable throughput (~10% on the unweighted shapes) when the
 // kernels get vague linkage — each translation unit optimizes its own
 // private copy instead.
@@ -1091,133 +1090,67 @@ template <typename ArithT> struct KernelOf<ModelKind::ManhattanBBV, ArithT> {
   using type = FastManhattanKernel<ArithT>;
 };
 
-/// Decision-identical threshold analyzer without the confidence margin
-/// computation (the reference analyzer's margin divisions and Welford
-/// variance updates never feed a P/T decision on this interface).
-class FastThresholdAnalyzer {
-  double Threshold;
+//===----------------------------------------------------------------------===//
+// Analyzer decisions
+//
+// The one fast copy of each per-config rule the reference analyzers
+// (core/Analyzer.h) and PhaseDetector::endPhase apply. The fast detector
+// and the shared-scan cursors and cohorts call these; the state they
+// read (stats, the hysteresis state) stays with the caller. What the
+// reference computes besides the decision, the confidence margin and
+// RunningStats' variance, min and max, never feeds a P/T decision, so
+// it is dropped. FastDetectorTest holds each function step for step
+// equal to its makeAnalyzer() analyzer.
+//===----------------------------------------------------------------------===//
 
-public:
-  explicit FastThresholdAnalyzer(double Threshold) : Threshold(Threshold) {}
-
-  double threshold() const { return Threshold; }
-
-  PhaseState processValue(double Similarity) {
-    return Similarity >= Threshold ? PhaseState::InPhase
-                                   : PhaseState::Transition;
-  }
-  void resetStats() {}
-  void updateStats(double Similarity) { (void)Similarity; }
-  void reset() {}
-
-  std::string describe() const {
-    return std::string("threshold ") + formatDouble(Threshold, 2);
-  }
-};
-
-/// Mean-only Welford accumulator: the identical Mean update sequence as
-/// RunningStats::push (the M2/min/max folds it drops never feed Mean).
-class FastMeanStats {
+/// The Average analyzer's phase statistics: the Mean update sequence of
+/// RunningStats::push, without the folds that never feed Mean.
+struct MeanStats {
   uint64_t N = 0;
   double Mean = 0.0;
 
-public:
-  void reset() { *this = FastMeanStats(); }
-  void push(double X) {
+  OPD_FORCE_INLINE void push(double X) {
     ++N;
     Mean += (X - Mean) / static_cast<double>(N);
   }
-  bool empty() const { return N == 0; }
-  double mean() const { return N == 0 ? 0.0 : Mean; }
 };
 
-/// Decision-identical average analyzer: same entry gate, same
-/// mean-minus-delta comparison on the same running mean.
-class FastAverageAnalyzer {
-  double Delta;
-  double EntryThreshold;
-  FastMeanStats Stats;
+/// ThresholdAnalyzer::processValue: P iff the similarity meets the
+/// threshold.
+OPD_FORCE_INLINE PhaseState decideThreshold(double Similarity,
+                                            double Threshold) {
+  return Similarity >= Threshold ? PhaseState::InPhase
+                                 : PhaseState::Transition;
+}
 
-public:
-  explicit FastAverageAnalyzer(double Delta, double EntryThreshold = -1.0)
-      : Delta(Delta), EntryThreshold(EntryThreshold) {}
+/// AverageAnalyzer::processValue as makeAnalyzer() builds it (no entry
+/// threshold): P with no phase statistics yet, else P iff the similarity
+/// is at least the running mean minus \p Delta.
+OPD_FORCE_INLINE PhaseState decideAverage(double Similarity, double Delta,
+                                          const MeanStats &Stats) {
+  if (Stats.N == 0)
+    return PhaseState::InPhase;
+  return decideThreshold(Similarity, Stats.Mean - Delta);
+}
 
-  PhaseState processValue(double Similarity) {
-    if (Stats.empty()) {
-      if (EntryThreshold >= 0.0 && Similarity < EntryThreshold)
-        return PhaseState::Transition;
-      return PhaseState::InPhase;
-    }
-    return Similarity >= Stats.mean() - Delta ? PhaseState::InPhase
-                                              : PhaseState::Transition;
-  }
-  void resetStats() { Stats.reset(); }
-  void updateStats(double Similarity) { Stats.push(Similarity); }
-  void reset() { Stats.reset(); }
+/// HysteresisAnalyzer::processValue over the caller's analyzer state
+/// \p State: the \p Exit threshold applies in phase, \p Enter (whose
+/// hysteresisExitThreshold() \p Exit is) otherwise. The reference
+/// advances \p State only at an evaluation with full windows, and no
+/// phase edge resets it.
+OPD_FORCE_INLINE PhaseState decideHysteresis(double Similarity, double Enter,
+                                             double Exit, PhaseState &State) {
+  State = decideThreshold(Similarity,
+                          State == PhaseState::InPhase ? Exit : Enter);
+  return State;
+}
 
-  std::string describe() const {
-    return std::string("average d=") + formatDouble(Delta, 2);
-  }
-};
-
-/// Decision-identical hysteresis analyzer.
-class FastHysteresisAnalyzer {
-  double EnterThreshold;
-  double ExitThreshold;
-  PhaseState State = PhaseState::Transition;
-
-public:
-  FastHysteresisAnalyzer(double EnterThreshold, double ExitThreshold)
-      : EnterThreshold(EnterThreshold), ExitThreshold(ExitThreshold) {
-    assert(ExitThreshold <= EnterThreshold &&
-           "exit threshold must not exceed the enter threshold");
-  }
-
-  PhaseState processValue(double Similarity) {
-    double Threshold = State == PhaseState::InPhase ? ExitThreshold
-                                                    : EnterThreshold;
-    State = Similarity >= Threshold ? PhaseState::InPhase
-                                    : PhaseState::Transition;
-    return State;
-  }
-  void resetStats() {}
-  void updateStats(double Similarity) { (void)Similarity; }
-  void reset() { State = PhaseState::Transition; }
-
-  std::string describe() const {
-    return std::string("hysteresis ") + formatDouble(EnterThreshold, 2) +
-           "/" + formatDouble(ExitThreshold, 2);
-  }
-};
-
-/// Maps an AnalyzerKind to its fast analyzer type.
-template <AnalyzerKind A> struct AnalyzerOf;
-/// \copydoc AnalyzerOf
-template <> struct AnalyzerOf<AnalyzerKind::Threshold> {
-  /// The analyzer type.
-  using type = FastThresholdAnalyzer;
-};
-/// \copydoc AnalyzerOf
-template <> struct AnalyzerOf<AnalyzerKind::Average> {
-  /// The analyzer type.
-  using type = FastAverageAnalyzer;
-};
-/// \copydoc AnalyzerOf
-template <> struct AnalyzerOf<AnalyzerKind::Hysteresis> {
-  /// The analyzer type.
-  using type = FastHysteresisAnalyzer;
-};
-
-/// Mirrors makeAnalyzer()'s parameter mapping exactly (including the
-/// hysteresis exit threshold, hysteresisExitThreshold()).
-template <AnalyzerKind A>
-typename AnalyzerOf<A>::type buildAnalyzer(double Param) {
-  if constexpr (A == AnalyzerKind::Threshold)
-    return FastThresholdAnalyzer(Param);
-  else if constexpr (A == AnalyzerKind::Average)
-    return FastAverageAnalyzer(Param);
-  else
-    return FastHysteresisAnalyzer(Param, hysteresisExitThreshold(Param));
+/// WindowedModel::endPhase's seed: the flush keeps the last
+/// min(\p Skip, \p CW, \p WindowLen) elements of the \p WindowLen the
+/// windows held, and the kernel restarts from them.
+OPD_FORCE_INLINE uint64_t flushSeedLength(uint64_t Skip, uint64_t CW,
+                                          uint64_t WindowLen) {
+  return std::min(std::min(Skip, CW), WindowLen);
 }
 
 /// Minimal growable array for the model's element buffer. Exists only
@@ -1566,9 +1499,8 @@ public:
   }
 
   void endPhase() {
-    uint64_t Keep = std::min<uint64_t>(
-        std::min<uint64_t>(Config.SkipFactor, Config.CWSize),
-        W.TWLen + W.CWLen);
+    uint64_t Keep =
+        flushSeedLength(Config.SkipFactor, Config.CWSize, W.TWLen + W.CWLen);
     std::copy(Buffer.end() - static_cast<ptrdiff_t>(Keep), Buffer.end(),
               Buffer.begin());
     Buffer.truncate(Keep);

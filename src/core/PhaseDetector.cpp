@@ -113,8 +113,12 @@ void PhaseDetector::reset() {
 }
 
 std::string PhaseDetector::describe() const {
-  const WindowConfig &W = Model.config();
-  std::string Out = modelKindName(Model.modelKind());
+  return describeDetector(Model.config(), Model.modelKind(), *TheAnalyzer);
+}
+
+std::string opd::describeDetector(const WindowConfig &W, ModelKind Model,
+                                  const Analyzer &TheAnalyzer) {
+  std::string Out = modelKindName(Model);
   Out += " ";
   Out += twPolicyName(W.TWPolicy);
   Out += "-tw cw=" + std::to_string(W.CWSize) +
@@ -125,6 +129,6 @@ std::string PhaseDetector::describe() const {
            resizeKindName(W.Resize);
   }
   Out += " ";
-  Out += TheAnalyzer->describe();
+  Out += TheAnalyzer.describe();
   return Out;
 }

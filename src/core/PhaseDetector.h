@@ -148,6 +148,12 @@ private:
   DetectorObserver *Observer = nullptr;
 };
 
+/// PhaseDetector::describe()'s text for a detector over \p Window and
+/// \p Model deciding with \p TheAnalyzer; the fast detector appends its
+/// tag to the same text.
+std::string describeDetector(const WindowConfig &Window, ModelKind Model,
+                             const Analyzer &TheAnalyzer);
+
 } // namespace opd
 
 #endif // OPD_CORE_PHASEDETECTOR_H

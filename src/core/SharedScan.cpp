@@ -142,12 +142,14 @@
 //     visited, cannot change any output: a decision reads only the
 //     windows, and shards are shared by window identity (3).
 //
-// Analyzer state is tiny: the threshold compare, the average analyzer's
-// mean-only Welford stats (reset on both phase edges, updated on P->P
-// with the evaluation's similarity; a cohort member's live copy is its
-// cohort's), and the hysteresis analyzer's internal state (which the
+// Every analyzer decision and the flush seed are the fast detector's own
+// functions (decideThreshold, decideAverage, decideHysteresis,
+// flushSeedLength in core/FastKernels.h), over per-cursor state: the
+// average analyzer's MeanStats (reset on both phase edges, pushed on
+// P->P with the evaluation's similarity; a cohort member's live copy is
+// its cohort's), and the hysteresis analyzer's internal state (which the
 // reference only advances when windowsFull() — forced-Transition
-// evaluations must NOT touch it, and its resetStats() is a no-op, so it
+// evaluations must NOT touch it, and no phase edge resets it, so it
 // survives flushes).
 //
 // The multi-threshold fan-out: at each evaluation position the shared
@@ -236,12 +238,6 @@ class SharedScanEngine final : public SharedScanEngineBase {
       TW.Prefix.assign(W.K.attachedSize(), 0);
     }
     bool attached() const { return LastPos >= FullAt; }
-  };
-
-  /// FastMeanStats's mean-only Welford state (the Average analyzer).
-  struct MeanStats {
-    uint64_t N = 0;
-    double Mean = 0.0;
   };
 
   /// One config's detector state over the shared window.
@@ -777,7 +773,7 @@ private:
         K.State)
       return false;
     if (K.State == PhaseState::InPhase && K.Analyzer == AnalyzerKind::Average)
-      updateStats(K.Stats, SimHere);
+      K.Stats.push(SimHere);
     return true;
   }
 
@@ -884,9 +880,9 @@ private:
       // phase): decide off the shared kernel, one similarity for all.
       SimHere = sharedSim(N);
       if (Analyzer == AnalyzerKind::Threshold)
-        return SimHere >= P ? PhaseState::InPhase : PhaseState::Transition;
+        return decideThreshold(SimHere, P);
     }
-    return averageDecide(Stats, P, SimHere);
+    return decideAverage(SimHere, P, Stats);
   }
 
   /// The state an evaluation of \p C at \p N decides: decideOn() for
@@ -905,11 +901,10 @@ private:
       C.Sh = shardAt(C.Sh, N);
     if (C.Analyzer != AnalyzerKind::Hysteresis)
       return decideOn(C.Sh, C.Analyzer, C.P0, C.Stats, N, SimHere);
-    if (!C.Sh)
-      return hysteresisDecide(C, sharedSim(N));
-    if (!shardFull(*C.Sh))
+    if (C.Sh && !shardFull(*C.Sh))
       return PhaseState::Transition;
-    return hysteresisDecide(C, shardSim(*C.Sh));
+    return decideHysteresis(C.Sh ? shardSim(*C.Sh) : sharedSim(N), C.P0, C.P1,
+                            C.HystState);
   }
 
   /// One evaluation of \p C at position \p N covering \p L elements —
@@ -931,16 +926,14 @@ private:
     } else if (C.State == PhaseState::InPhase &&
                New == PhaseState::InPhase &&
                C.Analyzer == AnalyzerKind::Average) {
-      updateStats(C.Stats, SimHere);
+      C.Stats.push(SimHere);
     }
     if (C.State == PhaseState::InPhase && New == PhaseState::Transition) {
-      // endPhase: the seed kept is min(skip, CWSize, window length);
-      // refill completes (CWSize - Keep) + TWSize elements later. A
-      // shard's windows at N are [Base, N).
+      // endPhase keeps a seed of flushSeedLength() elements; refill
+      // completes (CWSize - seed) + TWSize elements later. A shard's
+      // windows at N are [Base, N).
       uint64_t WindowLen = C.Sh ? N - C.Sh->Base : CW + TW;
-      uint64_t Keep = std::min<uint64_t>(
-          std::min<uint64_t>(C.Skip, CW), WindowLen);
-      C.ResyncAt = N + (CW - Keep) + TW;
+      C.ResyncAt = N + (CW - flushSeedLength(C.Skip, CW, WindowLen)) + TW;
       if (C.Sh) {
         releaseShard(C.Sh);
         C.Sh = nullptr;
@@ -962,32 +955,6 @@ private:
       C.RunStart = Begin;
     }
     C.State = New;
-  }
-
-  /// FastAverageAnalyzer::processValue over \p Stats with delta \p
-  /// Delta (the sweep path never sets an entry threshold, so an
-  /// empty-stats evaluation opens a phase unconditionally).
-  static PhaseState averageDecide(const MeanStats &Stats, double Delta,
-                                  double Similarity) {
-    if (Stats.N == 0)
-      return PhaseState::InPhase;
-    return Similarity >= Stats.Mean - Delta ? PhaseState::InPhase
-                                            : PhaseState::Transition;
-  }
-
-  /// FastHysteresisAnalyzer::processValue over the cursor's state.
-  static PhaseState hysteresisDecide(Cursor &C, double Similarity) {
-    double Threshold =
-        C.HystState == PhaseState::InPhase ? C.P1 : C.P0;
-    C.HystState = Similarity >= Threshold ? PhaseState::InPhase
-                                          : PhaseState::Transition;
-    return C.HystState;
-  }
-
-  /// FastMeanStats::push — the identical Welford mean update.
-  static void updateStats(MeanStats &S, double Similarity) {
-    ++S.N;
-    S.Mean += (Similarity - S.Mean) / static_cast<double>(S.N);
   }
 
   // Shared free-running windows over the trace, and their sizes.

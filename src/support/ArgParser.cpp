@@ -8,6 +8,7 @@
 #include "support/ArgParser.h"
 
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -109,6 +110,22 @@ double ArgParser::getDouble(const std::string &Name, double Fallback) const {
   if (End == Text.c_str())
     return Fallback;
   return Value;
+}
+
+bool ArgParser::getPositiveDouble(const std::string &Name,
+                                  double &Out) const {
+  const std::string &Text = getOption(Name);
+  char *End = nullptr;
+  double Value = std::strtod(Text.c_str(), &End);
+  if (Text.empty() || *End != '\0' || !std::isfinite(Value) ||
+      !(Value > 0.0)) {
+    std::fprintf(stderr,
+                 "error: --%s must be a finite number above 0, got '%s'\n",
+                 Name.c_str(), Text.c_str());
+    return false;
+  }
+  Out = Value;
+  return true;
 }
 
 std::string ArgParser::usage() const {

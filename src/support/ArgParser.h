@@ -57,6 +57,12 @@ public:
   /// Value of option \p Name parsed as a double.
   double getDouble(const std::string &Name, double Fallback = 0.0) const;
 
+  /// Reads option \p Name into \p Out when its whole text is one finite
+  /// number above 0 (every tool's --scale goes through here). Otherwise
+  /// prints a one-line error naming the flag and the text to stderr and
+  /// returns false, leaving \p Out alone.
+  bool getPositiveDouble(const std::string &Name, double &Out) const;
+
   /// Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string> &positional() const { return Positional; }
 

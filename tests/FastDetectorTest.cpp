@@ -15,22 +15,29 @@
 /// detected phases, and anchored phases, run by run. It also holds
 /// detector reuse via reconfigure() to fresh-detector output, and the
 /// sweep harness's scores (shared-scan engine, pruned or not) to the
-/// scores of the serving detector run config by config.
+/// scores of the serving detector run config by config, and the analyzer
+/// decision functions both fast engines call (core/FastKernels.h) to the
+/// reference analyzers on similarity values no trace produces.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/DetectorRunner.h"
 #include "core/FastDetector.h"
+#include "core/FastKernels.h"
 #include "core/SweepSpec.h"
 #include "core/WindowedModel.h"
 #include "harness/Experiment.h"
 #include "harness/Sweep.h"
 #include "metrics/Scoring.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <set>
 
 using namespace opd;
@@ -160,6 +167,77 @@ TEST(FastDetectorTest, ShapeIndexIsABijectionOverTheShapeSpace) {
             << "duplicate shape index " << Index;
       }
   EXPECT_EQ(Seen.size(), NumFastShapes);
+}
+
+// The decision functions against makeAnalyzer()'s analyzers, driven as
+// PhaseDetector drives them (resetStats on both phase edges, updateStats
+// on P->P), step for step. A trace only yields finite similarities in
+// [0, 1]; here the values include ties at each threshold, -0.0, NaN and
+// +-inf, and the parameters values below 0.15 (where the hysteresis exit
+// threshold clamps to 0) and non-finite ones. Hysteresis takes no NaN,
+// -inf or negative enter threshold: validateConfig() rejects those, and
+// the reference constructor asserts on them.
+TEST(FastDetectorTest, DecisionFunctionsMatchReferenceAnalyzers) {
+  using namespace fastkernels;
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  constexpr double NaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<AnalyzerKind, std::vector<double>>> Cases = {
+      {AnalyzerKind::Threshold,
+       {0.5, 0.8, 0.1, 0.0, -0.0, -0.25, 1.0, NaN, Inf, -Inf}},
+      {AnalyzerKind::Average,
+       {0.01, 0.3, 0.0, -0.0, -0.1, 1.0, NaN, Inf, -Inf}},
+      {AnalyzerKind::Hysteresis,
+       {0.6, 0.15, std::nextafter(0.15, 0.0), 0.1, 0.0, -0.0, 1.0, Inf}},
+  };
+  Xoshiro256 Rng(31);
+  for (const auto &[Kind, Params] : Cases) {
+    for (double Param : Params) {
+      double Exit = hysteresisExitThreshold(Param);
+      // Ties at either threshold and at their neighbours, plus the
+      // special values and a few ordinary similarities.
+      std::vector<double> Pool = {Param, Exit,  std::nextafter(Param, -Inf),
+                                  std::nextafter(Param, Inf), 0.0,  -0.0,
+                                  1.0,   0.5,   NaN,   Inf,   -Inf};
+      for (int I = 0; I != 4; ++I)
+        Pool.push_back(Rng.nextDouble());
+      for (int Seq = 0; Seq != 200; ++Seq) {
+        std::unique_ptr<Analyzer> Reference = makeAnalyzer(Kind, Param);
+        RunningStats ReferenceStats;
+        MeanStats Stats;
+        PhaseState Hyst = PhaseState::Transition;
+        PhaseState State = PhaseState::Transition;
+        double Sim = 0.5;
+        for (int Step = 0; Step != 48; ++Step) {
+          // Repeats build equal runs, so the running mean ties the
+          // next value.
+          if (!Rng.nextBool(0.4))
+            Sim = Pool[Rng.nextBelow(Pool.size())];
+          PhaseState Want = Reference->processValue(Sim);
+          PhaseState Got =
+              Kind == AnalyzerKind::Threshold ? decideThreshold(Sim, Param)
+              : Kind == AnalyzerKind::Average
+                  ? decideAverage(Sim, Param, Stats)
+                  : decideHysteresis(Sim, Param, Exit, Hyst);
+          ASSERT_EQ(Got, Want)
+              << analyzerKindName(Kind) << " " << Param << ", sequence "
+              << Seq << " step " << Step << ", similarity " << Sim;
+          if (State != Want) {
+            Reference->resetStats();
+            ReferenceStats.reset();
+            Stats = MeanStats();
+          } else if (State == PhaseState::InPhase) {
+            Reference->updateStats(Sim);
+            ReferenceStats.push(Sim);
+            Stats.push(Sim);
+          }
+          ASSERT_EQ(Stats.N, ReferenceStats.count());
+          ASSERT_EQ(std::bit_cast<uint64_t>(Stats.Mean),
+                    std::bit_cast<uint64_t>(ReferenceStats.mean()));
+          State = Want;
+        }
+      }
+    }
+  }
 }
 
 TEST(FastDetectorTest, DescribeMatchesReferenceWithFastSuffix) {

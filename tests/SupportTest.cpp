@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <numeric>
 #include <vector>
 
@@ -286,6 +287,28 @@ TEST(ArgParserTest, MissingValueFails) {
   P.addOption("scale", "workload scale", "1");
   const char *Argv[] = {"tool", "--scale"};
   EXPECT_FALSE(P.parse(2, Argv));
+}
+
+TEST(ArgParserTest, PositiveDoubleTakesOnlyOneFiniteNumberAboveZero) {
+  for (const char *Good : {"0.25", "1", "8", "1e-3", " 2"}) {
+    ArgParser P("tool", "test tool");
+    P.addOption("scale", "workload scale", "1.0");
+    const char *Argv[] = {"tool", "--scale", Good};
+    ASSERT_TRUE(P.parse(3, Argv));
+    double Scale = 0.0;
+    EXPECT_TRUE(P.getPositiveDouble("scale", Scale)) << Good;
+    EXPECT_DOUBLE_EQ(Scale, std::strtod(Good, nullptr)) << Good;
+  }
+  for (const char *Bad : {"0", "-0", "-1", "abc", "", "1x", "inf", "-inf",
+                          "nan", "1e400"}) {
+    ArgParser P("tool", "test tool");
+    P.addOption("scale", "workload scale", "1.0");
+    const char *Argv[] = {"tool", "--scale", Bad};
+    ASSERT_TRUE(P.parse(3, Argv));
+    double Scale = 7.0;
+    EXPECT_FALSE(P.getPositiveDouble("scale", Scale)) << Bad;
+    EXPECT_EQ(Scale, 7.0) << Bad;
+  }
 }
 
 TEST(ArgParserTest, KSuffixInGetInt) {
