@@ -541,7 +541,7 @@ int main(int Argc, char **Argv) {
             "CW/policy/model/analyzer; MPL 10K)");
     T.setHeader({"Benchmark", "best score", "configuration"});
     SweepSpec Spec = benchSweepSpec("ablation13", analyzersFor(Options));
-    std::vector<DetectorConfig> Configs = enumerateConfigs(Spec);
+    std::vector<DetectorConfig> Configs = enumerateCrossProduct(Spec);
     for (const BenchmarkData &B : Benchmarks) {
       std::vector<RunScores> Runs =
           runSweep(B.Trace, B.Baselines, Configs);

@@ -34,7 +34,7 @@ int main(int Argc, char **Argv) {
 
   std::vector<BenchmarkData> Benchmarks =
       prepareBenchmarks(ExtendedMPLs, Options.Scale);
-  std::vector<DetectorConfig> Configs = enumerateConfigs(Spec);
+  std::vector<DetectorConfig> Configs = enumerateCrossProduct(Spec);
   std::fprintf(stderr, "fig4: %zu configs x %zu benchmarks\n",
                Configs.size(), Benchmarks.size());
 

@@ -54,7 +54,7 @@ int main(int Argc, char **Argv) {
 
   std::vector<BenchmarkData> Benchmarks =
       prepareBenchmarks(StandardMPLs, Options.Scale);
-  std::vector<DetectorConfig> Configs = enumerateConfigs(Spec);
+  std::vector<DetectorConfig> Configs = enumerateCrossProduct(Spec);
   std::fprintf(stderr, "table2: %zu configs x %zu benchmarks\n",
                Configs.size(), Benchmarks.size());
 

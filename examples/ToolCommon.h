@@ -58,22 +58,12 @@ inline std::vector<std::string> splitList(const std::string &Text) {
   return Out;
 }
 
-/// Parses "10K" / "2500" style sizes.
-inline uint64_t parseSize(const std::string &Text) {
-  char *End = nullptr;
-  uint64_t Value = std::strtoull(Text.c_str(), &End, 10);
-  if (End && (*End == 'K' || *End == 'k'))
-    Value *= 1000;
-  if (End && (*End == 'M' || *End == 'm'))
-    Value *= 1000000;
-  return Value;
-}
-
 /// Reads the comma-separated sizes of option \p Flag ("500,10K") into
-/// \p Out with the rule readDetectorConfig applies to one size: each
-/// item must be a positive integer of at most UINT32_MAX, and there
-/// must be one (an empty dimension empties the whole sweep). Prints a
-/// one-line error naming the flag and the item otherwise.
+/// \p Out with the rule readDetectorConfig applies to one size
+/// (readSize in support/ArgParser.h): each item must be a positive
+/// integer of at most UINT32_MAX, and there must be one (an empty
+/// dimension empties the whole sweep). Prints a one-line error naming
+/// the flag and the item otherwise.
 inline bool readSizeList(const ArgParser &Args, const char *Flag,
                          std::vector<uint32_t> &Out) {
   Out.clear();
@@ -84,20 +74,7 @@ inline bool readSizeList(const ArgParser &Args, const char *Flag,
   }
   for (const std::string &Item : Items) {
     uint64_t Value = 0;
-    const char *Text = Item.c_str();
-    char *End = nullptr;
-    if (*Text >= '0' && *Text <= '9') {
-      Value = std::strtoull(Text, &End, 10);
-      uint64_t Scale = *End == 'K' || *End == 'k'   ? 1000
-                       : *End == 'M' || *End == 'm' ? 1000000
-                                                    : 1;
-      End += Scale != 1;
-      // No wraparound: an unscaled value past UINT32_MAX fails anyway.
-      if (Value <= std::numeric_limits<uint32_t>::max())
-        Value *= Scale;
-    }
-    if (End == nullptr || *End != '\0' || Value == 0 ||
-        Value > std::numeric_limits<uint32_t>::max()) {
+    if (!readSize(Item, 1, std::numeric_limits<uint32_t>::max(), Value)) {
       std::fprintf(stderr,
                    "error: --%s item '%s' must be a positive integer of at "
                    "most %u\n",
@@ -147,24 +124,22 @@ inline void addSweepSpecOptions(ArgParser &Args) {
                  "t0.6,a0.05");
   Args.addOption("policies", "policies: constant,adaptive,fixed",
                  "constant,adaptive");
-  Args.addOption("anchors", "anchor policies: rn,lnn", "rn");
-  Args.addOption("resizes", "TW resize policies: slide,move", "slide");
+  Args.addOption("anchors",
+                 "anchor policies: rn,lnn (multiply every policy; "
+                 "--prune merges the duplicates)",
+                 "rn");
+  Args.addOption("resizes",
+                 "TW resize policies: slide,move (multiply every policy; "
+                 "--prune merges the duplicates)",
+                 "slide");
 }
 
-/// Builds the SweepSpec the parsed options describe. \p RawCrossProduct
-/// is set when the spec is meant for enumerateCrossProduct() (the
-/// "paper" preset). Returns false after printing an error to stderr.
-inline bool buildSweepSpec(const ArgParser &Args, SweepSpec &Spec,
-                           bool &RawCrossProduct) {
-  RawCrossProduct = false;
-
+/// Builds the SweepSpec the parsed options describe, for
+/// enumerateCrossProduct(). Returns false after printing an error to
+/// stderr.
+inline bool buildSweepSpec(const ArgParser &Args, SweepSpec &Spec) {
   std::string Preset = Args.getOption("preset");
   if (!Preset.empty()) {
-    if (Preset == "paper") {
-      Spec = paperCrossSpec();
-      RawCrossProduct = true;
-      return true;
-    }
     const std::vector<std::string> &Names = benchSweepNames();
     if (std::find(Names.begin(), Names.end(), Preset) == Names.end()) {
       std::fprintf(stderr, "error: unknown preset '%s'\n", Preset.c_str());
@@ -254,24 +229,14 @@ bool readName(const ArgParser &Args, const char *Flag,
 /// validateConfig() rejects.
 inline bool readDetectorConfig(const ArgParser &Args, DetectorConfig &Config,
                                std::string &Error) {
-  auto ReadCount = [&](const char *Flag, uint32_t &Out) {
-    long Value = Args.getInt(Flag, 0);
-    if (Value > 0 && Value <= long(std::numeric_limits<uint32_t>::max())) {
-      Out = uint32_t(Value);
-      return true;
-    }
-    Error = std::string("--") + Flag + " must be a positive integer, got '" +
-            Args.getOption(Flag) + "'";
-    return false;
-  };
   WindowConfig &W = Config.Window;
-  if (!ReadCount("cw", W.CWSize))
+  if (!Args.getSize("cw", W.CWSize, Error))
     return false;
   if (Args.getOption("tw").empty())
     W.TWSize = W.CWSize;
-  else if (!ReadCount("tw", W.TWSize))
+  else if (!Args.getSize("tw", W.TWSize, Error))
     return false;
-  if (!ReadCount("skip", W.SkipFactor) ||
+  if (!Args.getSize("skip", W.SkipFactor, Error) ||
       !readName(Args, "policy", parseTWPolicy, W.TWPolicy, Error) ||
       !readName(Args, "model", parseModelKind, Config.Model, Error) ||
       !readName(Args, "analyzer", parseAnalyzerKind, Config.TheAnalyzer,

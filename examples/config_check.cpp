@@ -49,15 +49,18 @@ int main(int Argc, char **Argv) {
     return Args.helpRequested() ? 0 : 2;
 
   SweepSpec Spec;
-  bool RawCrossProduct = false;
-  if (!buildSweepSpec(Args, Spec, RawCrossProduct))
+  if (!buildSweepSpec(Args, Spec))
     return 2;
 
   std::string Preset = Args.getOption("preset");
   std::string SpecName = Preset.empty() ? "custom" : Preset;
 
   ConfigLintOptions Options;
-  Options.TraceLen = parseSize(Args.getOption("trace-len"));
+  std::string Error;
+  if (!Args.getSize("trace-len", Options.TraceLen, Error, 0)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 2;
+  }
 
   DiagnosticEngine Diags;
   lintSweepSpec(Spec, Options, Diags);
@@ -73,10 +76,9 @@ int main(int Argc, char **Argv) {
   }
 
   if (Args.getFlag("plan")) {
-    SweepAnalysisOptions PlanOptions;
-    PlanOptions.Canon.AnchoredScoring = Args.getFlag("anchored");
-    PlanOptions.RawCrossProduct = RawCrossProduct;
-    SweepAnalysis Analysis = analyzeSweep(Spec, PlanOptions);
+    ConfigCanonOptions Canon;
+    Canon.AnchoredScoring = Args.getFlag("anchored");
+    SweepAnalysis Analysis = analyzeSweep(Spec, Canon);
     if (Json)
       std::fputs(renderSweepAnalysisJSON(Analysis, SpecName).c_str(),
                  stdout);

@@ -77,22 +77,22 @@ int main(int Argc, char **Argv) {
     return Args.helpRequested() ? 0 : 2;
 
   SweepSpec Spec;
-  bool RawCrossProduct = false;
-  if (!buildSweepSpec(Args, Spec, RawCrossProduct))
+  if (!buildSweepSpec(Args, Spec))
     return 2;
 
   std::string Preset = Args.getOption("preset");
   std::string SpecName = Preset.empty() ? "custom" : Preset;
 
   TraceBounds Stats;
-  Stats.TraceLen = parseSize(Args.getOption("trace-len"));
-  Stats.MaxMultiplicity = parseSize(Args.getOption("max-multiplicity"));
-  Stats.NumSites =
-      static_cast<SiteIndex>(parseSize(Args.getOption("num-sites")));
+  std::string Error;
+  if (!Args.getSize("trace-len", Stats.TraceLen, Error, 0) ||
+      !Args.getSize("max-multiplicity", Stats.MaxMultiplicity, Error, 0) ||
+      !Args.getSize("num-sites", Stats.NumSites, Error, 0)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 2;
+  }
 
-  std::vector<DetectorConfig> Configs = RawCrossProduct
-                                            ? enumerateCrossProduct(Spec)
-                                            : enumerateConfigs(Spec);
+  std::vector<DetectorConfig> Configs = enumerateCrossProduct(Spec);
 
   // One certificate per monomorphic fast-path shape, widened over every
   // enumerated config of that shape; diagnostics come from the merged

@@ -25,6 +25,10 @@ using namespace opd;
 
 namespace {
 
+/// The most shards --shards takes. Each shard is one OS thread, started
+/// before the first connection.
+constexpr unsigned MaxShards = 1024;
+
 std::atomic<bool> StopFlag{false};
 
 void onSignal(int) { StopFlag.store(true, std::memory_order_release); }
@@ -54,7 +58,7 @@ int main(int Argc, char **Argv) {
   Args.addOption("port", "TCP port to bind (0 picks an ephemeral port)", "0");
   Args.addOption("shards",
                  "event-loop threads, each owning its connections "
-                 "(0 = one per core)",
+                 "(0 = one per hardware thread; at most 1024)",
                  "0");
   Args.addOption("max-sessions", "concurrent session cap", "8192");
   Args.addOption("idle-timeout",
@@ -71,16 +75,21 @@ int main(int Argc, char **Argv) {
     return Args.helpRequested() ? 0 : 1;
 
   ServerOptions Opts;
-  Opts.Port = uint16_t(Args.getInt("port", 0));
-  Opts.Shards = unsigned(Args.getInt("shards", 0));
-  Opts.MaxSessions = size_t(Args.getInt("max-sessions", 8192));
+  size_t MaxPending = 0;
+  std::string Error;
+  if (!Args.getSize("port", Opts.Port, Error, 0) ||
+      !Args.getSize("shards", Opts.Shards, Error, 0, MaxShards) ||
+      !Args.getSize("max-sessions", Opts.MaxSessions, Error) ||
+      !Args.getSize("max-pending", MaxPending, Error, 0)) {
+    std::fprintf(stderr, "opd_serve: %s\n", Error.c_str());
+    return 1;
+  }
   Opts.IdleTimeoutSeconds = Args.getDouble("idle-timeout", 60.0);
   Opts.DrainTimeoutSeconds = Args.getDouble("drain-timeout", 10.0);
-  if (long MaxPending = Args.getInt("max-pending", 0))
-    Opts.Limits.MaxPendingElements = size_t(MaxPending);
+  if (MaxPending != 0)
+    Opts.Limits.MaxPendingElements = MaxPending;
 
   PhaseServer Server(Opts);
-  std::string Error;
   if (!Server.start(Error)) {
     std::fprintf(stderr, "opd_serve: %s\n", Error.c_str());
     return 1;

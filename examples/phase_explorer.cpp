@@ -81,8 +81,10 @@ int main(int Argc, char **Argv) {
     return Args.helpRequested() ? 0 : 1;
 
   DetectorConfig Config;
+  uint64_t MPL = 0;
   std::string Error;
-  if (!readDetectorConfig(Args, Config, Error)) {
+  if (!readDetectorConfig(Args, Config, Error) ||
+      !Args.getSize("mpl", MPL, Error)) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
   }
@@ -129,7 +131,6 @@ int main(int Argc, char **Argv) {
   }
   ProgramInfo Info = ProgramInfo::build(*Prog);
 
-  uint64_t MPL = static_cast<uint64_t>(Args.getInt("mpl", 10000));
   std::printf("%s: %s branches, %u sites; MPL = %s\n", SourceName.c_str(),
               formatCount(Exec.Branches.size()).c_str(),
               Exec.Branches.numSites(), formatAbbrev(MPL).c_str());

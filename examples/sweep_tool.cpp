@@ -65,17 +65,15 @@ int main(int Argc, char **Argv) {
     return Args.helpRequested() ? 0 : 1;
 
   SweepSpec Spec;
-  bool RawCrossProduct = false;
-  if (!buildSweepSpec(Args, Spec, RawCrossProduct))
+  if (!buildSweepSpec(Args, Spec))
     return 1;
 
   bool Anchored = Args.getFlag("anchored");
 
   if (Args.getFlag("plan")) {
-    SweepAnalysisOptions PlanOptions;
-    PlanOptions.Canon.AnchoredScoring = Anchored;
-    PlanOptions.RawCrossProduct = RawCrossProduct;
-    SweepAnalysis Analysis = analyzeSweep(Spec, PlanOptions);
+    ConfigCanonOptions Canon;
+    Canon.AnchoredScoring = Anchored;
+    SweepAnalysis Analysis = analyzeSweep(Spec, Canon);
     std::string Preset = Args.getOption("preset");
     if (Args.getFlag("json"))
       std::fputs(renderSweepAnalysisJSON(
@@ -109,9 +107,7 @@ int main(int Argc, char **Argv) {
       return 1;
     }
 
-  std::vector<DetectorConfig> Configs = RawCrossProduct
-                                            ? enumerateCrossProduct(Spec)
-                                            : enumerateConfigs(Spec);
+  std::vector<DetectorConfig> Configs = enumerateCrossProduct(Spec);
   if (Configs.empty()) {
     std::fprintf(stderr, "error: the sweep dimensions enumerate no "
                          "configurations\n");

@@ -333,11 +333,10 @@ opd::partitionConfigs(const std::vector<DetectorConfig> &Configs,
 }
 
 SweepAnalysis opd::analyzeSweep(const SweepSpec &Spec,
-                                const SweepAnalysisOptions &Options) {
+                                const ConfigCanonOptions &Options) {
   SweepAnalysis Analysis;
-  Analysis.Configs = Options.RawCrossProduct ? enumerateCrossProduct(Spec)
-                                             : enumerateConfigs(Spec);
-  Analysis.Partition = partitionConfigs(Analysis.Configs, Options.Canon);
+  Analysis.Configs = enumerateCrossProduct(Spec);
+  Analysis.Partition = partitionConfigs(Analysis.Configs, Options);
   Analysis.NumConfigs = Analysis.Configs.size();
   Analysis.NumClasses = Analysis.Partition.Classes.size();
   Analysis.RunsPruned = Analysis.NumConfigs - Analysis.NumClasses;

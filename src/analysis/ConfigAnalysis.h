@@ -124,13 +124,6 @@ void lintConfig(const DetectorConfig &Config, const ConfigLintOptions &Options,
 void lintSweepSpec(const SweepSpec &Spec, const ConfigLintOptions &Options,
                    DiagnosticEngine &Diags);
 
-/// Knobs for analyzeSweep().
-struct SweepAnalysisOptions {
-  ConfigCanonOptions Canon;
-  /// Analyze enumerateCrossProduct() instead of enumerateConfigs().
-  bool RawCrossProduct = false;
-};
-
 /// A sweep spec's enumerated space and its equivalence partition.
 struct SweepAnalysis {
   std::vector<DetectorConfig> Configs;
@@ -153,9 +146,10 @@ struct SweepAnalysis {
   size_t LargestSharedGroup = 0;
 };
 
-/// Enumerates \p Spec and partitions the result.
+/// Enumerates \p Spec with enumerateCrossProduct() and partitions the
+/// result under \p Options.
 SweepAnalysis analyzeSweep(const SweepSpec &Spec,
-                           const SweepAnalysisOptions &Options = {});
+                           const ConfigCanonOptions &Options = {});
 
 /// Renders the partition's rule breakdown as a table: rule, classes
 /// citing it, and the one-line justification.

@@ -46,59 +46,6 @@ std::vector<AnalyzerSpec> opd::reducedAnalyzers() {
   };
 }
 
-std::vector<DetectorConfig> opd::enumerateConfigs(const SweepSpec &Spec) {
-  std::vector<DetectorConfig> Configs;
-  auto addConfig = [&](const WindowConfig &W, ModelKind M,
-                       const AnalyzerSpec &A) {
-    DetectorConfig C;
-    C.Window = W;
-    C.Model = M;
-    C.TheAnalyzer = A.Kind;
-    C.AnalyzerParam = A.Param;
-    Configs.push_back(C);
-  };
-
-  for (uint32_t CW : Spec.CWSizes) {
-    for (uint32_t TWFactor : Spec.TWFactors) {
-      for (ModelKind M : Spec.Models) {
-        for (const AnalyzerSpec &A : Spec.Analyzers) {
-          // Regular policies with the requested skip factors.
-          for (TWPolicyKind Policy : Spec.TWPolicies) {
-            for (uint32_t Skip : Spec.SkipFactors) {
-              WindowConfig W;
-              W.CWSize = CW;
-              W.TWSize = twSize(CW, TWFactor);
-              W.SkipFactor = Skip;
-              W.TWPolicy = Policy;
-              if (Policy == TWPolicyKind::Adaptive) {
-                for (AnchorKind Anchor : Spec.Anchors) {
-                  for (ResizeKind Resize : Spec.Resizes) {
-                    W.Anchor = Anchor;
-                    W.Resize = Resize;
-                    addConfig(W, M, A);
-                  }
-                }
-              } else {
-                addConfig(W, M, A);
-              }
-            }
-          }
-          // The extant fixed-interval approach: Constant TW, skip == CW.
-          if (Spec.IncludeFixedInterval) {
-            WindowConfig W;
-            W.CWSize = CW;
-            W.TWSize = twSize(CW, TWFactor);
-            W.SkipFactor = CW;
-            W.TWPolicy = TWPolicyKind::Constant;
-            addConfig(W, M, A);
-          }
-        }
-      }
-    }
-  }
-  return Configs;
-}
-
 std::vector<DetectorConfig>
 opd::enumerateCrossProduct(const SweepSpec &Spec) {
   std::vector<DetectorConfig> Configs;
@@ -186,6 +133,9 @@ SweepSpec opd::benchSweepSpec(const std::string &Name,
   } else if (Name == "ablation13") {
     Spec.CWSizes = {500, 1000, 2500, 5000};
     Spec.IncludeFixedInterval = true;
+  } else if (Name == "paper") {
+    Spec = paperCrossSpec();
+    Spec.Analyzers = Analyzers;
   } else {
     std::fprintf(stderr, "benchSweepSpec: unknown sweep name '%s'\n",
                  Name.c_str());
@@ -196,6 +146,7 @@ SweepSpec opd::benchSweepSpec(const std::string &Name,
 
 const std::vector<std::string> &opd::benchSweepNames() {
   static const std::vector<std::string> Names = {
-      "table2", "fig4", "fig5", "fig6", "fig7", "fig8", "ablation13"};
+      "table2", "fig4", "fig5", "fig6", "fig7", "fig8", "ablation13",
+      "paper"};
   return Names;
 }

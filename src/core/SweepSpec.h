@@ -8,23 +8,17 @@
 /// \file
 /// SweepSpec describes one cross product of framework parameters (the
 /// paper's evaluation enumerates over 10,000 such points) and
-/// enumerateConfigs() expands it. The spec lives in core — not in the
-/// sweep harness — so the static config-space analyzer
+/// enumerateCrossProduct() expands it. The spec lives in core — not in
+/// the sweep harness — so the static config-space analyzer
 /// (analysis/ConfigAnalysis.h) can reason about it without dragging in
 /// traces or baselines; harness/Sweep.h re-exports it for clients.
 ///
-/// Two enumerators:
-///
-///  * enumerateConfigs() — the policy-aware expansion the reproduction
-///    benches use: anchor/resize dimensions only multiply the Adaptive
-///    policy, and the Fixed-Interval point is appended per (CW, factor,
-///    model, analyzer) cell.
-///  * enumerateCrossProduct() — the raw cross product with no special
-///    cases: every dimension multiplies every policy, and Fixed Interval
-///    is emitted even where it coincides with an enumerated (Constant,
-///    skip == CW) point. This is the brute-force space the paper's
-///    evaluation describes; ConfigAnalysis proves its redundancy away
-///    instead of hand-special-casing it.
+/// The expansion has no special cases: every dimension multiplies every
+/// policy, so a Constant point is listed once per anchor x resize, and
+/// Fixed Interval is emitted even where it coincides with an enumerated
+/// (Constant, skip == CW) point. ConfigAnalysis proves that redundancy
+/// away (partitionConfigs, SweepOptions::Prune) instead of the
+/// enumerator hand-special-casing it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,13 +65,7 @@ std::vector<AnalyzerSpec> paperAnalyzers();
 /// thresholds .6/.8 and deltas .05/.2.
 std::vector<AnalyzerSpec> reducedAnalyzers();
 
-/// Expands the cross product with the policy-aware special cases (see
-/// file comment).
-std::vector<DetectorConfig> enumerateConfigs(const SweepSpec &Spec);
-
-/// Expands the raw cross product with no special cases (see file
-/// comment). A superset of enumerateConfigs() output containing the
-/// provably redundant points ConfigAnalysis merges.
+/// Expands the cross product with no special cases (see file comment).
 std::vector<DetectorConfig> enumerateCrossProduct(const SweepSpec &Spec);
 
 /// The paper's full evaluation space as this reproduction frames it:
@@ -88,11 +76,12 @@ std::vector<DetectorConfig> enumerateCrossProduct(const SweepSpec &Spec);
 SweepSpec paperCrossSpec();
 
 /// Named sweep specs of the reproduction benches, shared between the
-/// bench binaries and the config_check linter so the checked spec is
-/// the executed spec. Known names: "table2", "fig4", "fig5", "fig6",
-/// "fig7", "fig8", "ablation13". \p Analyzers fills the analyzer
-/// dimension (the benches pass their --full-dependent set). Aborts on
-/// an unknown name; see benchSweepNames().
+/// bench binaries and the tools' --preset so the checked spec is the
+/// executed spec. Known names: "table2", "fig4", "fig5", "fig6",
+/// "fig7", "fig8", "ablation13", and "paper" (paperCrossSpec()).
+/// \p Analyzers fills the analyzer dimension (the benches pass their
+/// --full-dependent set). Aborts on an unknown name; see
+/// benchSweepNames().
 SweepSpec benchSweepSpec(const std::string &Name,
                          const std::vector<AnalyzerSpec> &Analyzers);
 

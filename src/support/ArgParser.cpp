@@ -8,11 +8,35 @@
 #include "support/ArgParser.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 using namespace opd;
+
+bool opd::readSize(std::string_view Text, uint64_t Min, uint64_t Max,
+                   uint64_t &Out) {
+  const char *End = Text.data() + Text.size();
+  uint64_t Value = 0;
+  // Digits only: no sign, no blanks, and an error on 64-bit overflow.
+  auto [Next, Err] = std::from_chars(Text.data(), End, Value);
+  if (Err != std::errc())
+    return false;
+  if (Next != End) {
+    uint64_t Scale = *Next == 'K' || *Next == 'k'   ? 1000
+                     : *Next == 'M' || *Next == 'm' ? 1000000
+                                                    : 0;
+    if (Scale == 0 || Next + 1 != End ||
+        Value > std::numeric_limits<uint64_t>::max() / Scale)
+      return false;
+    Value *= Scale;
+  }
+  if (Value < Min || Value > Max)
+    return false;
+  Out = Value;
+  return true;
+}
 
 void ArgParser::addFlag(const std::string &Name, const std::string &Help) {
   assert(!Specs.count(Name) && "duplicate flag registration");
@@ -126,6 +150,23 @@ bool ArgParser::getPositiveDouble(const std::string &Name,
   }
   Out = Value;
   return true;
+}
+
+bool ArgParser::getSizeIn(const std::string &Name, uint64_t Min,
+                          uint64_t Max, uint64_t &Out,
+                          std::string &Error) const {
+  const std::string &Text = getOption(Name);
+  if (readSize(Text, Min, Max, Out))
+    return true;
+  uint64_t Unbounded = 0;
+  std::string Want =
+      readSize(Text, Min, std::numeric_limits<uint64_t>::max(), Unbounded)
+          ? "at most " + std::to_string(Max)
+      : Min == 0 ? "a non-negative integer"
+      : Min == 1 ? "a positive integer"
+                 : "an integer of at least " + std::to_string(Min);
+  Error = "--" + Name + " must be " + Want + ", got '" + Text + "'";
+  return false;
 }
 
 std::string ArgParser::usage() const {

@@ -15,11 +15,22 @@
 #ifndef OPD_SUPPORT_ARGPARSER_H
 #define OPD_SUPPORT_ARGPARSER_H
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace opd {
+
+/// Reads \p Text as one size: decimal digits with an optional K (x1,000)
+/// or M (x1,000,000) suffix and nothing else, computed without
+/// wraparound. True with the value in \p Out when it lies in
+/// [\p Min, \p Max]; false, leaving \p Out alone, otherwise. The
+/// tools' size flags go through here, one value or one list item.
+bool readSize(std::string_view Text, uint64_t Min, uint64_t Max,
+              uint64_t &Out);
 
 /// Declarative command-line parser. Register flags, then call parse();
 /// lookups return the parsed value or the registered default.
@@ -63,6 +74,23 @@ public:
   /// returns false, leaving \p Out alone.
   bool getPositiveDouble(const std::string &Name, double &Out) const;
 
+  /// Reads option \p Name into \p Out when its text is one size in
+  /// [\p Min, \p Max] (readSize's rule); \p Max defaults to \p T's
+  /// ceiling. Otherwise sets \p Error to "--<Name> must be <what>, got
+  /// '<text>'" — "at most <Max>" for a size past \p Max, else "a
+  /// positive integer" (\p Min 1) or "a non-negative integer" (\p Min
+  /// 0) — and returns false, leaving \p Out alone.
+  template <typename T>
+  bool getSize(const std::string &Name, T &Out, std::string &Error,
+               uint64_t Min = 1,
+               uint64_t Max = std::numeric_limits<T>::max()) const {
+    uint64_t Value = 0;
+    if (!getSizeIn(Name, Min, Max, Value, Error))
+      return false;
+    Out = static_cast<T>(Value);
+    return true;
+  }
+
   /// Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string> &positional() const { return Positional; }
 
@@ -70,6 +98,9 @@ public:
   std::string usage() const;
 
 private:
+  bool getSizeIn(const std::string &Name, uint64_t Min, uint64_t Max,
+                 uint64_t &Out, std::string &Error) const;
+
   struct Spec {
     std::string Help;
     std::string Default;

@@ -16,6 +16,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "DifferentialGrid.h"
 #include "analysis/KernelBounds.h"
 #include "core/BatchKernel.h"
 #include "core/DetectorRunner.h"
@@ -30,27 +31,6 @@
 using namespace opd;
 
 namespace {
-
-/// Restores the dispatch backend a test pinned (the slot is process
-/// state; leaking a forced backend would silently change what every
-/// later test exercises).
-class BackendGuard {
-  BatchBackend Saved;
-
-public:
-  BackendGuard() : Saved(activeBatchBackend()) {}
-  ~BackendGuard() { setBatchBackend(Saved); }
-};
-
-/// The backends this host can actually run (Portable always; AVX2 and
-/// AVX-512 when compiled in and supported).
-std::vector<BatchBackend> runnableBackends() {
-  std::vector<BatchBackend> B{BatchBackend::Portable};
-  for (BatchBackend Simd : {BatchBackend::AVX2, BatchBackend::AVX512})
-    if (batchBackendAvailable(Simd))
-      B.push_back(Simd);
-  return B;
-}
 
 /// \p Counts (one per slot, \p Width entries per slot) extended with
 /// zero slots to whole min-sum blocks, the size the dispatched sums read.
@@ -67,13 +47,6 @@ uint64_t naiveMinSum(const std::vector<uint32_t> &Pairs, uint64_t NCW,
   for (size_t I = 0; I * 2 + 1 < Pairs.size(); ++I)
     Sum += std::min(Pairs[2 * I] * NTW, Pairs[2 * I + 1] * NCW);
   return Sum;
-}
-
-/// One small-scale workload shared by the differential tests.
-const BenchmarkData &testBenchmark() {
-  static const std::vector<BenchmarkData> Data =
-      prepareBenchmarks({"jess"}, {1000, 10000}, /*Scale=*/0.1);
-  return Data.front();
 }
 
 /// Weighted-model configurations exercising the batch-kernel paths:
@@ -95,22 +68,6 @@ std::vector<DetectorConfig> batchConfigs() {
   Spec.Anchors = {AnchorKind::RightmostNoisy, AnchorKind::LeftmostNonNoisy};
   Spec.Resizes = {ResizeKind::Slide, ResizeKind::Move};
   return enumerateCrossProduct(Spec);
-}
-
-void expectRunsEqual(const DetectorRun &Reference, const DetectorRun &Fast,
-                     const DetectorConfig &Config, const char *Tag) {
-  std::string Desc = Config.describe() + " [" + Tag + "]";
-  ASSERT_EQ(Reference.States.size(), Fast.States.size()) << Desc;
-  const std::vector<StateRun> &RR = Reference.States.runs();
-  const std::vector<StateRun> &FR = Fast.States.runs();
-  ASSERT_EQ(RR.size(), FR.size()) << Desc;
-  for (size_t I = 0; I != RR.size(); ++I) {
-    ASSERT_EQ(RR[I].Begin, FR[I].Begin) << Desc << " run " << I;
-    ASSERT_EQ(RR[I].Length, FR[I].Length) << Desc << " run " << I;
-    ASSERT_EQ(RR[I].State, FR[I].State) << Desc << " run " << I;
-  }
-  ASSERT_EQ(Reference.DetectedPhases, Fast.DetectedPhases) << Desc;
-  ASSERT_EQ(Reference.AnchoredPhases, Fast.AnchoredPhases) << Desc;
 }
 
 /// The shape with index \p S (the inverse of fastShapeIndex), with

@@ -23,6 +23,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
+#include <string>
 
 using namespace opd;
 
@@ -368,9 +370,8 @@ TEST(PartitionTest, ClassMembersCoverEveryConfigExactlyOnce) {
 
 TEST(PartitionTest, PaperCrossProductPrunesAtLeast20Percent) {
   for (bool Anchored : {false, true}) {
-    SweepAnalysisOptions Options;
-    Options.Canon.AnchoredScoring = Anchored;
-    Options.RawCrossProduct = true;
+    ConfigCanonOptions Options;
+    Options.AnchoredScoring = Anchored;
     SweepAnalysis Analysis = analyzeSweep(paperCrossSpec(), Options);
     EXPECT_EQ(Analysis.NumConfigs, 10080u);
     EXPECT_GE(Analysis.RunsPruned * 100, Analysis.NumConfigs * 20)
@@ -387,9 +388,8 @@ TEST(PartitionTest, PaperCrossProductPrunesAtLeast20Percent) {
 // deliberate events.
 TEST(PartitionTest, PaperCrossProductSharedScanPlanIsPinned) {
   for (bool Anchored : {false, true}) {
-    SweepAnalysisOptions Options;
-    Options.Canon.AnchoredScoring = Anchored;
-    Options.RawCrossProduct = true;
+    ConfigCanonOptions Options;
+    Options.AnchoredScoring = Anchored;
     SweepAnalysis Analysis = analyzeSweep(paperCrossSpec(), Options);
     EXPECT_EQ(Analysis.NumSharedGroups, 28u) << "anchored=" << Anchored;
     EXPECT_EQ(Analysis.LargestSharedGroup, Anchored ? 260u : 210u)
@@ -516,16 +516,13 @@ TEST(ConfigLintTest, CleanSpecStaysClean) {
 }
 
 TEST(ConfigLintTest, AllBenchSpecsAndThePaperSpaceAreWarningFree) {
+  // benchSweepNames() ends with "paper", the full cross product.
   for (const std::string &Name : benchSweepNames()) {
     DiagnosticEngine Diags;
     lintSweepSpec(benchSweepSpec(Name, paperAnalyzers()), {}, Diags);
     EXPECT_LT(Diags.maxSeverity(), DiagSeverity::Warning)
         << Name << ":\n" << Diags.renderAll();
   }
-  DiagnosticEngine Diags;
-  lintSweepSpec(paperCrossSpec(), {}, Diags);
-  EXPECT_LT(Diags.maxSeverity(), DiagSeverity::Warning)
-      << Diags.renderAll();
 }
 
 TEST(ConfigLintTest, EmptyDimensionIsAnError) {
@@ -679,14 +676,31 @@ TEST(ConfigLintTest, ErrorsTakeTheirVerdictFromValidateConfig) {
 // Spec enumeration
 //===----------------------------------------------------------------------===//
 
-TEST(SweepSpecTest, RawCrossProductIsASupersetOfEnumerateConfigs) {
-  SweepSpec Spec = degenerateSpec();
-  std::vector<DetectorConfig> Raw = enumerateCrossProduct(Spec);
-  std::vector<DetectorConfig> Cooked = enumerateConfigs(Spec);
-  ASSERT_GE(Raw.size(), Cooked.size());
-  for (const DetectorConfig &C : Cooked)
-    EXPECT_NE(std::find(Raw.begin(), Raw.end(), C), Raw.end())
-        << C.describe();
+// Every named spec enumerates to its pinned size, and every one but the
+// paper's full cross product is already free of provable duplicates:
+// one class per config under either canon mode. The bench specs need no
+// enumerator of their own that skips points pruning would merge.
+TEST(SweepSpecTest, NamedSpecsHaveTheirSizesAndOnlyPaperHasDuplicates) {
+  const std::map<std::string, size_t> Sizes = {
+      {"table2", 420}, {"fig4", 420}, {"fig5", 160},
+      {"fig6", 80},    {"fig7", 480}, {"fig8", 200},
+      {"ablation13", 240},            {"paper", 10080}};
+  ASSERT_EQ(benchSweepNames().size(), Sizes.size());
+  for (const std::string &Name : benchSweepNames()) {
+    std::vector<DetectorConfig> Configs =
+        enumerateCrossProduct(benchSweepSpec(Name, paperAnalyzers()));
+    ASSERT_EQ(Sizes.count(Name), 1u) << Name;
+    EXPECT_EQ(Configs.size(), Sizes.at(Name)) << Name;
+    if (Name == "paper")
+      continue;
+    for (bool Anchored : {false, true}) {
+      ConfigCanonOptions Options;
+      Options.AnchoredScoring = Anchored;
+      EXPECT_EQ(partitionConfigs(Configs, Options).Classes.size(),
+                Configs.size())
+          << Name << " anchored=" << Anchored;
+    }
+  }
 }
 
 TEST(SweepSpecTest, PaperCrossSpecHasTheDocumentedSize) {

@@ -132,7 +132,7 @@ TEST(SweepEdgeTest, SkipFactorsMultiplyNonFixedPolicies) {
   Spec.Models = {ModelKind::UnweightedSet};
   Spec.Analyzers = {{AnalyzerKind::Threshold, 0.5}};
   Spec.TWPolicies = {TWPolicyKind::Constant};
-  std::vector<DetectorConfig> Configs = enumerateConfigs(Spec);
+  std::vector<DetectorConfig> Configs = enumerateCrossProduct(Spec);
   EXPECT_EQ(Configs.size(), 2u);
   EXPECT_EQ(Configs[0].Window.SkipFactor, 1u);
   EXPECT_EQ(Configs[1].Window.SkipFactor, 10u);
@@ -145,7 +145,7 @@ TEST(SweepEdgeTest, TWFactorsScaleTrailingWindow) {
   Spec.Models = {ModelKind::UnweightedSet};
   Spec.Analyzers = {{AnalyzerKind::Threshold, 0.5}};
   Spec.TWPolicies = {TWPolicyKind::Constant};
-  std::vector<DetectorConfig> Configs = enumerateConfigs(Spec);
+  std::vector<DetectorConfig> Configs = enumerateCrossProduct(Spec);
   ASSERT_EQ(Configs.size(), 2u);
   EXPECT_EQ(Configs[0].Window.TWSize, 100u);
   EXPECT_EQ(Configs[1].Window.TWSize, 300u);
@@ -155,7 +155,7 @@ TEST(SweepEdgeTest, EmptyAnalyzerListYieldsNoConfigs) {
   SweepSpec Spec;
   Spec.CWSizes = {100};
   Spec.Analyzers = {};
-  EXPECT_TRUE(enumerateConfigs(Spec).empty());
+  EXPECT_TRUE(enumerateCrossProduct(Spec).empty());
 }
 
 //===----------------------------------------------------------------------===//

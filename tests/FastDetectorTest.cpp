@@ -21,6 +21,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "DifferentialGrid.h"
 #include "core/DetectorRunner.h"
 #include "core/FastDetector.h"
 #include "core/FastKernels.h"
@@ -43,52 +44,6 @@
 using namespace opd;
 
 namespace {
-
-/// One small-scale workload shared by all differential tests.
-const BenchmarkData &testBenchmark() {
-  static const std::vector<BenchmarkData> Data =
-      prepareBenchmarks({"jess"}, {1000, 10000}, /*Scale=*/0.1);
-  return Data.front();
-}
-
-/// The shape-and-corner-case cross product: all three models, both TW
-/// policies, all three analyzer kinds (two parameters each), both
-/// anchors and resizes, a skip factor above the CW size (exercising the
-/// flush seed clamp), and Fixed Interval.
-std::vector<DetectorConfig> differentialConfigs() {
-  SweepSpec Spec;
-  Spec.CWSizes = {50, 400};
-  Spec.TWFactors = {1, 2};
-  Spec.SkipFactors = {1, 10, 500};
-  Spec.IncludeFixedInterval = true;
-  Spec.Models = {ModelKind::UnweightedSet, ModelKind::WeightedSet,
-                 ModelKind::ManhattanBBV};
-  Spec.Analyzers = {{AnalyzerKind::Threshold, 0.5},
-                    {AnalyzerKind::Threshold, 0.8},
-                    {AnalyzerKind::Average, 0.01},
-                    {AnalyzerKind::Average, 0.3},
-                    {AnalyzerKind::Hysteresis, 0.6},
-                    {AnalyzerKind::Hysteresis, 0.1}};
-  Spec.Anchors = {AnchorKind::RightmostNoisy, AnchorKind::LeftmostNonNoisy};
-  Spec.Resizes = {ResizeKind::Slide, ResizeKind::Move};
-  return enumerateCrossProduct(Spec);
-}
-
-void expectRunsEqual(const DetectorRun &Reference, const DetectorRun &Fast,
-                     const DetectorConfig &Config) {
-  std::string Desc = Config.describe();
-  ASSERT_EQ(Reference.States.size(), Fast.States.size()) << Desc;
-  const std::vector<StateRun> &RR = Reference.States.runs();
-  const std::vector<StateRun> &FR = Fast.States.runs();
-  ASSERT_EQ(RR.size(), FR.size()) << Desc;
-  for (size_t I = 0; I != RR.size(); ++I) {
-    ASSERT_EQ(RR[I].Begin, FR[I].Begin) << Desc << " run " << I;
-    ASSERT_EQ(RR[I].Length, FR[I].Length) << Desc << " run " << I;
-    ASSERT_EQ(RR[I].State, FR[I].State) << Desc << " run " << I;
-  }
-  ASSERT_EQ(Reference.DetectedPhases, Fast.DetectedPhases) << Desc;
-  ASSERT_EQ(Reference.AnchoredPhases, Fast.AnchoredPhases) << Desc;
-}
 
 /// Which window edges a lockstep batch drive reached (see
 /// driveBatchesInLockstep).
@@ -309,7 +264,7 @@ TEST(FastDetectorTest, SweepScoresMatchServingDetector) {
                     {AnalyzerKind::Threshold, 0.0}};
   Spec.Anchors = {AnchorKind::RightmostNoisy, AnchorKind::LeftmostNonNoisy};
   Spec.Resizes = {ResizeKind::Slide, ResizeKind::Move};
-  std::vector<DetectorConfig> Configs = enumerateConfigs(Spec);
+  std::vector<DetectorConfig> Configs = enumerateCrossProduct(Spec);
 
   std::vector<std::vector<AccuracyScore>> Plain, Anchored;
   for (const DetectorConfig &Config : Configs) {

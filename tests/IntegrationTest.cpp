@@ -94,7 +94,7 @@ TEST(SweepTest, EnumerateCountsMatchCrossProduct) {
                     {AnalyzerKind::Average, 0.05}};
   Spec.TWPolicies = {TWPolicyKind::Constant, TWPolicyKind::Adaptive};
   Spec.IncludeFixedInterval = true;
-  std::vector<DetectorConfig> Configs = enumerateConfigs(Spec);
+  std::vector<DetectorConfig> Configs = enumerateCrossProduct(Spec);
   // 2 CW x 2 models x 2 analyzers x (2 policies + fixed interval) = 24.
   EXPECT_EQ(Configs.size(), 24u);
   unsigned FixedCount = 0;
@@ -103,16 +103,17 @@ TEST(SweepTest, EnumerateCountsMatchCrossProduct) {
   EXPECT_EQ(FixedCount, 8u);
 }
 
-TEST(SweepTest, AnchorAndResizeOnlyMultiplyAdaptive) {
+TEST(SweepTest, AnchorAndResizeMultiplyEveryPolicy) {
   SweepSpec Spec;
   Spec.CWSizes = {500};
   Spec.Models = {ModelKind::UnweightedSet};
   Spec.Analyzers = {{AnalyzerKind::Threshold, 0.6}};
   Spec.Anchors = {AnchorKind::RightmostNoisy, AnchorKind::LeftmostNonNoisy};
   Spec.Resizes = {ResizeKind::Slide, ResizeKind::Move};
-  std::vector<DetectorConfig> Configs = enumerateConfigs(Spec);
-  // Constant: 1; Adaptive: 2 anchors x 2 resizes = 4. Total 5.
-  EXPECT_EQ(Configs.size(), 5u);
+  std::vector<DetectorConfig> Configs = enumerateCrossProduct(Spec);
+  // 2 anchors x 2 resizes x 2 policies = 8: the Constant points repeat
+  // per anchor and resize, and pruning merges them (ConfigCanon).
+  EXPECT_EQ(Configs.size(), 8u);
 }
 
 TEST(SweepTest, RunSweepScoresEveryConfigAgainstEveryMPL) {
@@ -122,7 +123,7 @@ TEST(SweepTest, RunSweepScoresEveryConfigAgainstEveryMPL) {
   Spec.Models = {ModelKind::UnweightedSet};
   Spec.Analyzers = {{AnalyzerKind::Threshold, 0.6},
                     {AnalyzerKind::Average, 0.1}};
-  std::vector<DetectorConfig> Configs = enumerateConfigs(Spec);
+  std::vector<DetectorConfig> Configs = enumerateCrossProduct(Spec);
   SweepOptions Options;
   Options.ScoreAnchored = true;
   std::vector<RunScores> Runs =
@@ -145,7 +146,7 @@ TEST(SweepTest, BestScoreRespectsFilter) {
   Spec.Models = {ModelKind::UnweightedSet, ModelKind::WeightedSet};
   Spec.Analyzers = {{AnalyzerKind::Threshold, 0.6}};
   std::vector<RunScores> Runs =
-      runSweep(B.Trace, B.Baselines, enumerateConfigs(Spec), {});
+      runSweep(B.Trace, B.Baselines, enumerateCrossProduct(Spec), {});
   double BestAll =
       bestScore(Runs, 0, [](const DetectorConfig &) { return true; });
   double BestWeighted = bestScore(Runs, 0, [](const DetectorConfig &C) {
@@ -168,7 +169,7 @@ TEST(SweepTest, SkipOneBeatsFixedIntervalOnAverage) {
   Spec.Analyzers = paperAnalyzers();
   Spec.IncludeFixedInterval = true;
   std::vector<RunScores> Runs =
-      runSweep(B.Trace, B.Baselines, enumerateConfigs(Spec), {});
+      runSweep(B.Trace, B.Baselines, enumerateCrossProduct(Spec), {});
   double BestSkip1 = bestScore(Runs, 0, [](const DetectorConfig &C) {
     return C.Window.SkipFactor == 1;
   });
@@ -190,7 +191,7 @@ TEST(IntegrationTest, AnchoredScoringHelpsAdaptivePolicy) {
   SweepOptions Options;
   Options.ScoreAnchored = true;
   std::vector<RunScores> Runs =
-      runSweep(B.Trace, B.Baselines, enumerateConfigs(Spec), Options);
+      runSweep(B.Trace, B.Baselines, enumerateCrossProduct(Spec), Options);
   ASSERT_EQ(Runs.size(), 1u);
   EXPECT_GE(Runs[0].AnchoredPerMPL[1].Score + 0.02,
             Runs[0].PerMPL[1].Score);

@@ -18,6 +18,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "DifferentialGrid.h"
 #include "analysis/KernelBounds.h"
 #include "core/DetectorRunner.h"
 #include "core/FastDetector.h"
@@ -334,34 +335,6 @@ TEST(KernelBoundsTest, AdmissionAgreesWithLint) {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-/// One small-scale workload (shared with tests/FastDetectorTest.cpp).
-const BenchmarkData &testBenchmark() {
-  static const std::vector<BenchmarkData> Data =
-      prepareBenchmarks({"jess"}, {1000, 10000}, /*Scale=*/0.1);
-  return Data.front();
-}
-
-/// The same shape-and-corner-case cross product the fast-path
-/// differential suite streams (~1700 configs).
-std::vector<DetectorConfig> differentialConfigs() {
-  SweepSpec Spec;
-  Spec.CWSizes = {50, 400};
-  Spec.TWFactors = {1, 2};
-  Spec.SkipFactors = {1, 10, 500};
-  Spec.IncludeFixedInterval = true;
-  Spec.Models = {ModelKind::UnweightedSet, ModelKind::WeightedSet,
-                 ModelKind::ManhattanBBV};
-  Spec.Analyzers = {{AnalyzerKind::Threshold, 0.5},
-                    {AnalyzerKind::Threshold, 0.8},
-                    {AnalyzerKind::Average, 0.01},
-                    {AnalyzerKind::Average, 0.3},
-                    {AnalyzerKind::Hysteresis, 0.6},
-                    {AnalyzerKind::Hysteresis, 0.1}};
-  Spec.Anchors = {AnchorKind::RightmostNoisy, AnchorKind::LeftmostNonNoisy};
-  Spec.Resizes = {ResizeKind::Slide, ResizeKind::Move};
-  return enumerateCrossProduct(Spec);
-}
 
 /// Exact per-trace statistics, so the certified intervals are as tight
 /// as the certifier can make them — the hardest version of the claim.

@@ -41,6 +41,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "DifferentialGrid.h"
 #include "core/BatchKernel.h"
 #include "core/DetectorRunner.h"
 #include "core/FastDetector.h"
@@ -65,72 +66,9 @@ using namespace opd;
 
 namespace {
 
-/// Restores the batch-kernel backend a test switched (process state).
-class BackendGuard {
-  BatchBackend Saved = activeBatchBackend();
-
-public:
-  ~BackendGuard() { setBatchBackend(Saved); }
-};
-
-/// The batch-kernel backends this host runs, Portable first.
-std::vector<BatchBackend> runnableBackends() {
-  std::vector<BatchBackend> B{BatchBackend::Portable};
-  for (BatchBackend Simd : {BatchBackend::AVX2, BatchBackend::AVX512})
-    if (batchBackendAvailable(Simd))
-      B.push_back(Simd);
-  return B;
-}
-
 /// "\p What [backend]", a differential leg's tag.
 std::string legName(const char *What, BatchBackend B) {
   return std::string(What) + " [" + batchBackendName(B) + "]";
-}
-
-/// One small-scale workload shared by all differential tests.
-const BenchmarkData &testBenchmark() {
-  static const std::vector<BenchmarkData> Data =
-      prepareBenchmarks({"jess"}, {1000, 10000}, /*Scale=*/0.1);
-  return Data.front();
-}
-
-/// The shape-and-corner-case cross product FastDetectorTest also uses:
-/// all three models, both TW policies, all three analyzer kinds, both
-/// anchors and resizes, a skip factor above the CW size, and Fixed
-/// Interval.
-std::vector<DetectorConfig> differentialConfigs() {
-  SweepSpec Spec;
-  Spec.CWSizes = {50, 400};
-  Spec.TWFactors = {1, 2};
-  Spec.SkipFactors = {1, 10, 500};
-  Spec.IncludeFixedInterval = true;
-  Spec.Models = {ModelKind::UnweightedSet, ModelKind::WeightedSet,
-                 ModelKind::ManhattanBBV};
-  Spec.Analyzers = {{AnalyzerKind::Threshold, 0.5},
-                    {AnalyzerKind::Threshold, 0.8},
-                    {AnalyzerKind::Average, 0.01},
-                    {AnalyzerKind::Average, 0.3},
-                    {AnalyzerKind::Hysteresis, 0.6},
-                    {AnalyzerKind::Hysteresis, 0.1}};
-  Spec.Anchors = {AnchorKind::RightmostNoisy, AnchorKind::LeftmostNonNoisy};
-  Spec.Resizes = {ResizeKind::Slide, ResizeKind::Move};
-  return enumerateCrossProduct(Spec);
-}
-
-void expectRunsEqual(const DetectorRun &Expected, const DetectorRun &Actual,
-                     const DetectorConfig &Config, const char *Leg) {
-  std::string Desc = Config.describe() + " [" + Leg + "]";
-  ASSERT_EQ(Expected.States.size(), Actual.States.size()) << Desc;
-  const std::vector<StateRun> &ER = Expected.States.runs();
-  const std::vector<StateRun> &AR = Actual.States.runs();
-  ASSERT_EQ(ER.size(), AR.size()) << Desc;
-  for (size_t I = 0; I != ER.size(); ++I) {
-    ASSERT_EQ(ER[I].Begin, AR[I].Begin) << Desc << " run " << I;
-    ASSERT_EQ(ER[I].Length, AR[I].Length) << Desc << " run " << I;
-    ASSERT_EQ(ER[I].State, AR[I].State) << Desc << " run " << I;
-  }
-  ASSERT_EQ(Expected.DetectedPhases, Actual.DetectedPhases) << Desc;
-  ASSERT_EQ(Expected.AnchoredPhases, Actual.AnchoredPhases) << Desc;
 }
 
 /// Runs \p Configs through the shared-scan engine the way the sweep
@@ -294,7 +232,7 @@ TEST(SharedScanTest, SweepSharedEngineMatchesReferenceStatsPath) {
                     {AnalyzerKind::Threshold, 0.0}};
   Spec.Anchors = {AnchorKind::RightmostNoisy, AnchorKind::LeftmostNonNoisy};
   Spec.Resizes = {ResizeKind::Slide, ResizeKind::Move};
-  std::vector<DetectorConfig> Configs = enumerateConfigs(Spec);
+  std::vector<DetectorConfig> Configs = enumerateCrossProduct(Spec);
 
   for (bool Prune : {false, true}) {
     SweepOptions SharedOptions;

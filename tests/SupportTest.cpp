@@ -18,7 +18,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 using namespace opd;
@@ -309,6 +312,57 @@ TEST(ArgParserTest, PositiveDoubleTakesOnlyOneFiniteNumberAboveZero) {
     EXPECT_FALSE(P.getPositiveDouble("scale", Scale)) << Bad;
     EXPECT_EQ(Scale, 7.0) << Bad;
   }
+}
+
+TEST(ArgParserTest, SizeTakesDigitsWithOneSuffixWithinItsRange) {
+  const uint64_t Top = std::numeric_limits<uint64_t>::max();
+  const std::pair<const char *, uint64_t> Good[] = {
+      {"0", 0},
+      {"7", 7},
+      {"10K", 10000},
+      {"3k", 3000},
+      {"62M", 62000000},
+      {"2m", 2000000},
+      {"18446744073709551615", Top},
+      {"18446744073709551K", 18446744073709551000u}};
+  for (const auto &[Text, Want] : Good) {
+    uint64_t Value = 1;
+    EXPECT_TRUE(readSize(Text, 0, Top, Value)) << Text;
+    EXPECT_EQ(Value, Want) << Text;
+  }
+  // Signs, blanks, other suffixes, doubled suffixes and anything that
+  // wraps 64 bits are not sizes.
+  for (const char *Bad : {"", "-1", "+1", " 1", "1 ", "abc", "1G", "1KK",
+                          "1.5K", "K", "18446744073709551616",
+                          "18446744073709552K", "18446744073710M"}) {
+    uint64_t Value = 1;
+    EXPECT_FALSE(readSize(Bad, 0, Top, Value)) << Bad;
+    EXPECT_EQ(Value, 1u) << Bad;
+  }
+  uint64_t Value = 0;
+  EXPECT_FALSE(readSize("0", 1, Top, Value));
+  EXPECT_TRUE(readSize("1K", 1, 1000, Value));
+  EXPECT_FALSE(readSize("1001", 1, 1000, Value));
+
+  // getSize names the flag, what it wanted and the text; past the
+  // ceiling it states the ceiling.
+  auto Read = [](const char *Text, uint64_t Min, uint16_t &Out) {
+    ArgParser P("tool", "test tool");
+    P.addOption("port", "port", "0");
+    const char *Argv[] = {"tool", "--port", Text};
+    EXPECT_TRUE(P.parse(3, Argv));
+    std::string Error;
+    return P.getSize("port", Out, Error, Min) ? std::string() : Error;
+  };
+  uint16_t Port = 9;
+  EXPECT_EQ(Read("65535", 0, Port), "");
+  EXPECT_EQ(Port, 65535u);
+  EXPECT_EQ(Read("70000", 0, Port),
+            "--port must be at most 65535, got '70000'");
+  EXPECT_EQ(Read("-1", 0, Port),
+            "--port must be a non-negative integer, got '-1'");
+  EXPECT_EQ(Read("0", 1, Port), "--port must be a positive integer, got '0'");
+  EXPECT_EQ(Port, 65535u);
 }
 
 TEST(ArgParserTest, KSuffixInGetInt) {
